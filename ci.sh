@@ -82,6 +82,13 @@ wait "$SERVE_PID" || { echo "SIGTERM drain exited nonzero"; exit 1; }
 trap - EXIT
 rm -rf "$SERVE_STATE"
 
+echo "==> end-to-end benchmark self-checks (perfbench)"
+# The benchmark's own tests: a minimal serve_mixed run and the check
+# that a served report is byte-identical to the in-process sweep. A
+# server change that breaks byte identity fails here, not only in the
+# benchmark pipeline.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> bench smoke (single iteration, no report written)"
 cargo bench -p nomc-bench --bench sim --offline -- --test
 cargo bench -p nomc-bench --bench lint --offline -- --test

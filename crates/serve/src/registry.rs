@@ -102,6 +102,10 @@ pub enum Admission {
 }
 
 struct JobEntry {
+    /// The job's scenario and sweep parameters while it waits in the
+    /// queue; handed to the worker that picks it up (a requeued job
+    /// resumes from its durable `spec.json` on the next boot, so
+    /// nothing reads it again).
     spec: Option<JobSpec>,
     state: JobState,
     error: Option<String>,
@@ -220,9 +224,9 @@ impl Registry {
         self.work.notify_one();
     }
 
-    /// Blocks until there is a job to run (returning its id and spec)
-    /// or the server is draining (returning `None`, which tells the
-    /// worker to exit).
+    /// Blocks until there is a job to run (returning its id and spec,
+    /// which leaves the registry with it) or the server is draining
+    /// (returning `None`, which tells the worker to exit).
     pub fn next_job(&self) -> Option<(u64, JobSpec)> {
         let mut inner = self.lock();
         loop {
@@ -230,7 +234,7 @@ impl Registry {
                 return None;
             }
             if let Some(id) = inner.queue.pop_front() {
-                let spec = inner.jobs.get(&id).and_then(|entry| entry.spec.clone());
+                let spec = inner.jobs.get_mut(&id).and_then(|entry| entry.spec.take());
                 if let Some(spec) = spec {
                     return Some((id, spec));
                 }
@@ -392,6 +396,28 @@ mod tests {
         assert_eq!(reg.apply(7, &JobEvent::Finish), JobState::Done);
         assert_eq!(reg.state(7), Some((JobState::Done, None)));
         assert_eq!(reg.stats().done, 1);
+    }
+
+    #[test]
+    fn a_spec_is_handed_out_once_and_then_released() {
+        let reg = Registry::new(4);
+        assert_eq!(reg.admit(5, spec(5)), Admission::New);
+        let (id, job) = reg.next_job().expect("queued work");
+        assert_eq!((id, job.seeds), (5, vec![5]));
+        let inner = reg.lock();
+        let entry = inner.jobs.get(&5).expect("picked-up jobs stay registered");
+        assert!(entry.spec.is_none(), "the registry must not keep the spec");
+        drop(inner);
+        // The job keeps its place in the registry, so a resubmission
+        // still dedupes against it.
+        assert_eq!(
+            reg.admit(5, spec(5)),
+            Admission::Cached {
+                state: JobState::Queued
+            }
+        );
+        reg.drain();
+        assert!(reg.next_job().is_none());
     }
 
     #[test]

@@ -16,10 +16,11 @@
 
 use std::fmt;
 use std::fs;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -40,10 +41,16 @@ use crate::registry::{Admission, Registry};
 const PROGRESS_EVERY: u64 = 100_000;
 /// Concurrent connection cap; excess connections get a best-effort 503.
 const MAX_CONNS: usize = 64;
-/// Accept-loop poll cadence.
-const POLL: Duration = Duration::from_millis(25);
-/// Drain waits at most this many polls for in-flight connections.
-const DRAIN_POLLS: usize = 600;
+/// Pause after a failed `accept` (EMFILE and the like), so an fd
+/// shortage cannot spin the loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+/// How often the signal watcher looks at the drain flag; bounds how
+/// long SIGTERM/SIGINT take to reach a listener blocked in `accept`.
+const SIGNAL_WATCH: Duration = Duration::from_millis(25);
+/// Upper bound on the drain wake-up connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+/// Drain waits at most this long for in-flight connections.
+const DRAIN_GRACE: Duration = Duration::from_secs(15);
 
 /// SIGTERM/SIGINT → drain flag, kept `std`-only.
 pub mod signals {
@@ -56,9 +63,10 @@ pub mod signals {
         DRAIN_REQUESTED.load(Ordering::Relaxed)
     }
 
-    /// Installs SIGTERM/SIGINT handlers that flip the drain flag (the
-    /// accept loop polls it). Async-signal-safe: the handler is one
-    /// atomic store.
+    /// Installs SIGTERM/SIGINT handlers that flip the drain flag (each
+    /// server's signal watcher thread sees it and wakes its blocked
+    /// accept loop). Async-signal-safe: the handler is one atomic
+    /// store.
     #[cfg(unix)]
     pub fn install_drain_handler() {
         extern "C" fn on_signal(_signum: i32) {
@@ -155,14 +163,15 @@ struct Ctx {
 pub struct Server {
     addr: SocketAddr,
     drain: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    accept: JoinHandle<()>,
+    watcher: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Boots a server: recovers jobs from `state_dir`, binds, publishes
     /// the bound address to `<state_dir>/serve.addr`, and spawns the
-    /// accept loop and worker pool.
+    /// accept loop, the signal watcher and the worker pool.
     ///
     /// # Errors
     ///
@@ -184,9 +193,6 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| io_err("reading bound address", &e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| io_err("configuring listener", &e))?;
         // Publish the bound address so `--addr 127.0.0.1:0` runs are
         // discoverable (atomic replace: readers never see a torn file).
         journal::write_atomic(&cfg.state_dir.join("serve.addr"), &format!("{addr}\n"))?;
@@ -206,12 +212,17 @@ impl Server {
         let accept = {
             let ctx = Arc::clone(&ctx);
             let drain = Arc::clone(&drain);
-            thread::spawn(move || accept_loop(&listener, &ctx, &drain))
+            thread::spawn(move || accept_loop(listener, &ctx, &drain))
+        };
+        let watcher = {
+            let drain = Arc::clone(&drain);
+            thread::spawn(move || watch_signals(addr, &drain))
         };
         Ok(Server {
             addr,
             drain,
-            accept: Some(accept),
+            accept,
+            watcher,
             workers,
         })
     }
@@ -224,17 +235,22 @@ impl Server {
     /// Requests a graceful drain: stop accepting, finish or requeue
     /// in-flight work, end event streams.
     pub fn drain(&self) {
-        self.drain.store(true, Ordering::Relaxed);
+        self.drain.store(true, Ordering::SeqCst);
+        wake(self.addr);
     }
 
-    /// Waits for the accept loop and every worker to exit (they do
-    /// once a drain is requested via [`Server::drain`] or a signal).
-    pub fn join(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+    /// Waits for the accept loop, the signal watcher and every worker
+    /// to exit (they do once a drain is requested via
+    /// [`Server::drain`] or a signal).
+    pub fn join(self) {
+        let Server {
+            accept,
+            watcher,
+            workers,
+            ..
+        } = self;
+        for handle in [accept, watcher].into_iter().chain(workers) {
+            let _ = handle.join();
         }
     }
 }
@@ -279,37 +295,117 @@ fn recover(state_dir: &Path, registry: &Registry) {
 /// signal), then runs the drain protocol: stop accepting, drain the
 /// registry (workers exit, event streams end), and give in-flight
 /// connections a bounded window to finish.
-fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, drain: &Arc<AtomicBool>) {
-    let active = Arc::new(AtomicUsize::new(0));
+///
+/// The listener blocks in `accept`, so a connection is taken the moment
+/// it arrives. A drain request wakes it with a connection of its own
+/// ([`wake`]); the flag is re-checked after every `accept` returns, and
+/// the wake-up connection is dropped unanswered.
+fn accept_loop(listener: TcpListener, ctx: &Arc<Ctx>, drain: &AtomicBool) {
+    let active = Arc::new(Active::default());
     loop {
-        if drain.load(Ordering::Relaxed) || signals::drain_requested() {
+        let accepted = listener.accept();
+        if drain.load(Ordering::SeqCst) || signals::drain_requested() {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
-                if active.load(Ordering::Relaxed) >= MAX_CONNS {
+                let Some(slot) = Active::enter(&active) else {
                     // Best-effort shed; if the peer is gone, so be it.
                     let _ = overloaded(stream, ctx.io_budget);
                     continue;
-                }
-                active.fetch_add(1, Ordering::Relaxed);
+                };
                 let ctx = Arc::clone(ctx);
-                let active = Arc::clone(&active);
                 thread::spawn(move || {
                     handle_conn(&ctx, stream);
-                    active.fetch_sub(1, Ordering::Relaxed);
+                    drop(slot);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
+            // The peer gave up before we took it: nothing to back off
+            // from.
+            Err(e) if e.kind() == ErrorKind::ConnectionAborted => {}
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
         }
     }
+    // Closing the listener refuses new connections for the rest of
+    // the drain.
+    drop(listener);
     ctx.registry.drain();
-    for _ in 0..DRAIN_POLLS {
-        if active.load(Ordering::Relaxed) == 0 {
-            break;
+    active.wait_idle(DRAIN_GRACE);
+}
+
+/// Turns SIGTERM/SIGINT into a drain. The handler may only flip an
+/// atomic, so this thread watches it, off the request path, and wakes
+/// the blocked accept loop the way [`Server::drain`] does. It exits
+/// once the server drains by either route.
+fn watch_signals(addr: SocketAddr, drain: &AtomicBool) {
+    while !drain.load(Ordering::SeqCst) {
+        if signals::drain_requested() {
+            drain.store(true, Ordering::SeqCst);
+            wake(addr);
+            return;
         }
-        thread::sleep(POLL);
+        thread::sleep(SIGNAL_WATCH);
+    }
+}
+
+/// Unblocks an accept loop parked in `accept` by connecting to it.
+/// Best effort: if the listener is already closed, there is nothing to
+/// wake.
+fn wake(addr: SocketAddr) {
+    let mut target = addr;
+    // A wildcard bind is reached through the loopback of its family.
+    if target.ip().is_unspecified() {
+        target.set_ip(match target.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, WAKE_TIMEOUT);
+}
+
+/// The in-flight connection count, capped at [`MAX_CONNS`]; the drain
+/// waits on it reaching zero.
+#[derive(Default)]
+struct Active {
+    count: Mutex<usize>,
+    idle: Condvar,
+}
+
+/// One claimed connection slot, released on drop (a panicking handler
+/// included).
+struct Slot(Arc<Active>);
+
+impl Active {
+    fn count(&self) -> MutexGuard<'_, usize> {
+        self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims a slot, or `None` when [`MAX_CONNS`] are in flight.
+    fn enter(active: &Arc<Active>) -> Option<Slot> {
+        let mut count = active.count();
+        if *count >= MAX_CONNS {
+            return None;
+        }
+        *count += 1;
+        Some(Slot(Arc::clone(active)))
+    }
+
+    /// Blocks until no connection is in flight, or `grace` runs out.
+    fn wait_idle(&self, grace: Duration) {
+        let _ = self
+            .idle
+            .wait_timeout_while(self.count(), grace, |count| *count > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut count = self.0.count();
+        *count = count.saturating_sub(1);
+        if *count == 0 {
+            self.0.idle.notify_all();
+        }
     }
 }
 

@@ -51,23 +51,48 @@ fn exchange(
     target: &str,
     body: &[u8],
 ) -> ClientResponse {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream
-        .write_all(&http::render_request(method, target, body))
-        .expect("send request");
+    try_exchange(addr, method, target, body).expect("request/response exchange")
+}
+
+fn try_exchange(
+    addr: std::net::SocketAddr,
+    method: Method,
+    target: &str,
+    body: &[u8],
+) -> std::io::Result<ClientResponse> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(&http::render_request(method, target, body))?;
+    read_response(stream)
+}
+
+/// Reads `stream` to its end and parses the one response on it.
+fn read_response(mut stream: TcpStream) -> std::io::Result<ClientResponse> {
+    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     let mut bytes = Vec::new();
-    stream.read_to_end(&mut bytes).expect("read response");
+    stream.read_to_end(&mut bytes)?;
     match http::parse_response(&bytes).expect("valid response") {
-        Parsed::Complete { value, .. } => value,
+        Parsed::Complete { value, .. } => Ok(value),
         Parsed::Partial => panic!("truncated response: {:?}", String::from_utf8_lossy(&bytes)),
     }
 }
 
 fn body_text(resp: &ClientResponse) -> String {
     String::from_utf8_lossy(&resp.body).into_owned()
+}
+
+/// Drains `server` and fails (rather than hangs) if the accept loop
+/// does not come back within `limit`.
+fn drain_within(server: Server, limit: Duration) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.drain();
+        server.join();
+        let _ = done.send(());
+    });
+    assert!(
+        finished.recv_timeout(limit).is_ok(),
+        "drain did not wake the blocked accept loop within {limit:?}"
+    );
 }
 
 #[test]
@@ -179,8 +204,7 @@ fn submit_runs_caches_and_drains() {
     // Drain: the server stops listening and exits; new connections are
     // refused (in-flight submissions racing the drain get a 503 from
     // the admission layer, covered by the registry tests).
-    server.drain();
-    server.join();
+    drain_within(server, Duration::from_secs(60));
     assert!(
         TcpStream::connect(addr).is_err(),
         "drained server must not accept connections"
@@ -218,8 +242,7 @@ fn invalid_specs_are_rejected_with_400() {
     // Nothing was admitted.
     let health = body_text(&exchange(addr, Method::Get, "/healthz", b""));
     assert!(health.contains("\"queued\":0"), "{health}");
-    server.drain();
-    server.join();
+    drain_within(server, Duration::from_secs(60));
 }
 
 #[test]
@@ -259,6 +282,69 @@ fn full_queue_sheds_with_retry_after() {
         }
     }
     assert!(shed > 0, "a 10-deep burst into a 1-slot queue must shed");
-    server.drain();
-    server.join();
+    drain_within(server, Duration::from_secs(60));
+}
+
+#[test]
+fn an_idle_server_drains_promptly() {
+    // Neither server ever sees a client: only the drain wake-up can get
+    // its accept loop out of `accept`. The wildcard bind is woken
+    // through loopback.
+    for (name, bind) in [
+        ("idle-loopback", "127.0.0.1:0"),
+        ("idle-wildcard", "0.0.0.0:0"),
+    ] {
+        let state = temp_dir(name);
+        let server = Server::start(ServeConfig::new(bind, &state)).expect("server boots");
+        let port = server.addr().port();
+        drain_within(server, Duration::from_secs(5));
+        assert!(
+            TcpStream::connect(("127.0.0.1", port)).is_err(),
+            "drained server must not accept connections"
+        );
+    }
+}
+
+#[test]
+fn connections_over_the_cap_get_503() {
+    // The server's concurrent connection cap.
+    const MAX_CONNS: usize = 64;
+    let state = temp_dir("conn-cap");
+    let mut cfg = ServeConfig::new("127.0.0.1:0", &state);
+    // Silent peers hold their handler until this deadline; keep it
+    // short so a failure cannot stall the suite.
+    cfg.io_budget = Duration::from_secs(5);
+    let server = Server::start(cfg).expect("server boots");
+    let addr = server.addr();
+
+    let held: Vec<TcpStream> = (0..MAX_CONNS)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    // Connections are accepted in arrival order, so by the time this
+    // one is taken every held one occupies a slot. The shed answers
+    // without reading a request, so this client sends none: unread
+    // request bytes would turn the server's close into a reset.
+    let shed = read_response(TcpStream::connect(addr).expect("connect")).expect("shed answer");
+    assert_eq!(shed.status, 503, "{}", body_text(&shed));
+    assert!(
+        body_text(&shed).contains("connection limit reached"),
+        "{}",
+        body_text(&shed)
+    );
+
+    // Hanging up frees the slots: the server serves again. Until the
+    // handlers have seen the hang-ups, a probe may still be shed (and
+    // reset, since it sent a request).
+    drop(held);
+    let mut served = false;
+    for _ in 0..100 {
+        let probe = try_exchange(addr, Method::Get, "/healthz", b"");
+        if probe.is_ok_and(|resp| resp.status == 200) {
+            served = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(served, "closed connections must release their slots");
+    drain_within(server, Duration::from_secs(10));
 }
