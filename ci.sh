@@ -36,6 +36,15 @@ for threads in 1 2 8; do
 done
 cargo test -p nomc-cli --test sweep_crash -q --offline
 
+echo "==> worker pool: slot-ordered results at every thread count"
+# The one worker pool runs sweep members, batch-runner scenarios and
+# shard ranks; its unit tests run under the same 1/2/8 harness-thread
+# matrix the sweep suites used to cover it with.
+for threads in 1 2 8; do
+  echo "    --test-threads $threads"
+  cargo test -p nomc-sim --lib -q --offline pool:: -- --test-threads "$threads"
+done
+
 echo "==> sharded-engine determinism: golden traces byte-identical at every shard count"
 # The clean and faulted two-network fixtures pin the serial engine's
 # event history; the sharded engine must reproduce them byte for byte on

@@ -4,7 +4,7 @@
 //! an independent deterministic simulation, so the harness parallelizes
 //! across points while each simulation itself stays single-threaded and
 //! reproducible. All batch entry points share one parallel-execution
-//! path: the work-stealing [`crate::sweep::scheduler`], whose
+//! path: the work-stealing [`nomc_sim::pool`], whose
 //! slot-ordered results are bit-identical for any thread count.
 //!
 //! Batch robustness: [`run_outcomes`] isolates each member behind
@@ -15,7 +15,7 @@
 //! reproducible as a completed one.
 
 use crate::ExpConfig;
-use nomc_sim::{engine, Scenario, SimObserver, SimResult};
+use nomc_sim::{engine, pool, Scenario, SimObserver, SimResult};
 
 /// Mean and (population) standard deviation of a sample.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -86,16 +86,14 @@ where
 }
 
 /// Runs a batch of scenarios in parallel on the work-stealing
-/// scheduler ([`crate::sweep::scheduler`]), preserving order.
+/// pool ([`nomc_sim::pool`]), preserving order.
 ///
 /// Results are slot-ordered, so they are bit-identical for any thread
 /// count; only wall-clock completion order varies.
 pub fn run_parallel(scenarios: &[Scenario]) -> Vec<SimResult> {
-    crate::sweep::scheduler::run_indexed(
-        scenarios.len(),
-        crate::sweep::scheduler::default_threads(),
-        |i| engine::run(&scenarios[i]),
-    )
+    pool::run_indexed(scenarios.len(), pool::default_threads(), |i| {
+        engine::run(&scenarios[i])
+    })
 }
 
 /// How one member of an isolated batch ([`run_outcomes`]) ended.
@@ -138,11 +136,9 @@ impl RunOutcome {
 /// it is reported as [`RunOutcome::Failed`] while every other member
 /// still completes.
 pub fn run_outcomes(scenarios: &[Scenario], max_events: u64) -> Vec<RunOutcome> {
-    crate::sweep::scheduler::run_indexed(
-        scenarios.len(),
-        crate::sweep::scheduler::default_threads(),
-        |i| run_isolated(&scenarios[i], max_events, None, &mut []),
-    )
+    pool::run_indexed(scenarios.len(), pool::default_threads(), |i| {
+        run_isolated(&scenarios[i], max_events, None, &mut [])
+    })
 }
 
 /// One member: budgeted, with the panic boundary right around the

@@ -1,5 +1,6 @@
 //! Crash-safe sweep orchestration: journaled checkpoints, deterministic
-//! retries, and a work-stealing scheduler.
+//! retries, and members scheduled on the work-stealing
+//! [`nomc_sim::pool`].
 //!
 //! The reproduction's figures come from long multi-seed parameter
 //! sweeps. A sweep member (one scenario at one seed) already survives
@@ -19,10 +20,6 @@
 //! * [`hash`] — FNV-1a content keys over (serialized scenario, seed,
 //!   event budget) that bind journal entries to exactly the sweep that
 //!   wrote them, detecting stale journals after scenario edits;
-//! * [`scheduler`] — a shared-atomic-index work pool replacing the old
-//!   static `chunks_mut` split, keeping every thread busy through the
-//!   chunk tail while results stay slot-ordered and bit-identical for
-//!   any thread count;
 //! * [`report`] — per-member attempt histories with reducers that
 //!   refuse (typed error, never a panic, never silent narrowing) to
 //!   summarize a sweep where fewer than two members completed.
@@ -52,14 +49,13 @@ pub mod checkpoint;
 pub mod hash;
 pub mod journal;
 pub mod report;
-pub mod scheduler;
 
 pub use report::{
     AttemptOutcome, AttemptRecord, MemberMetrics, MemberReport, OutcomeCounts, SweepReport,
 };
 
 use crate::runner::{run_isolated, RunOutcome};
-use nomc_sim::{Scenario, SimObserver};
+use nomc_sim::{pool, Scenario, SimObserver};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -193,7 +189,7 @@ pub struct SweepConfig {
     /// (saturating). Budgets count simulation events, never wall-clock
     /// time, so truncation is exactly reproducible.
     pub base_budget: u64,
-    /// Worker threads; `None` uses [`scheduler::default_threads`].
+    /// Worker threads; `None` uses [`pool::default_threads`].
     pub threads: Option<usize>,
     /// Per-member sharded execution: `Some(n)` runs every member
     /// through the sharded engine on `n` worker threads
@@ -292,9 +288,9 @@ pub fn run_sweep(
         .filter(|&i| concluded.get(i).map(|slot| slot.is_none()).unwrap_or(false))
         .collect();
 
-    let threads = cfg.threads.unwrap_or_else(scheduler::default_threads);
+    let threads = cfg.threads.unwrap_or_else(pool::default_threads);
     let checkpoint = Mutex::new((concluded, None::<SweepError>));
-    scheduler::run_indexed(pending.len(), threads, |k| {
+    pool::run_indexed(pending.len(), threads, |k| {
         let index = *pending.get(k).expect("k < pending.len() by construction");
         let scenario = members
             .get(index)

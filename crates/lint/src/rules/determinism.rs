@@ -140,7 +140,7 @@ mod tests {
         for path in [
             "crates/sim/src/runtime/shard/partition.rs",
             "crates/sim/src/runtime/shard/merge.rs",
-            "crates/sim/src/runtime/shard/sync.rs",
+            "crates/sim/src/pool.rs",
         ] {
             let d = lint(path, "use std::collections::HashMap;\n");
             assert_eq!(d.len(), 1, "{path} must be checked");

@@ -188,7 +188,7 @@ mod tests {
             "crates/sim/src/runtime/faults.rs",
             "crates/sim/src/runtime/shard/partition.rs",
             "crates/sim/src/runtime/shard/merge.rs",
-            "crates/sim/src/runtime/shard/sync.rs",
+            "crates/sim/src/pool.rs",
             "crates/sim/src/runtime/snapshot.rs",
             "crates/experiments/src/sweep/checkpoint.rs",
         ] {
@@ -222,7 +222,7 @@ mod tests {
         for path in [
             "crates/experiments/src/sweep/mod.rs",
             "crates/experiments/src/sweep/journal.rs",
-            "crates/experiments/src/sweep/scheduler.rs",
+            "crates/experiments/src/sweep/report.rs",
             "crates/experiments/src/sweep/some_future_module.rs",
         ] {
             let sf = SourceFile::parse("fn f() { panic!(\"x\"); }\n");

@@ -15,11 +15,11 @@
 //!
 //! [`run_sharded`] (and friends) execute one run as deterministic
 //! shards: the scenario is partitioned into interaction components
-//! (see [`crate::runtime::shard`]), each component simulates on its
-//! own engine with a derived RNG stream, and worker threads advance
-//! the shards in conservative time windows while a canonical merge
-//! rebuilds one serial-looking observer stream. Results depend only on
-//! the scenario — never on the thread count.
+//! (see [`crate::runtime::shard`]), each component runs to completion
+//! on its own engine with a derived RNG stream on the shared
+//! [`crate::pool`], and a canonical merge of the components' buffered
+//! notes rebuilds one serial-looking observer stream. Results depend
+//! only on the scenario — never on the thread count.
 //!
 //! # Examples
 //!

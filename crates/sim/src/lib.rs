@@ -18,6 +18,8 @@
 //! * [`metrics`] — per-link/network counters and the paper's derived
 //!   metrics (throughput, PRR, CPRR),
 //! * [`energy`] — CC2420 radio-energy accounting per transmitter,
+//! * [`pool`] — the work-stealing worker pool shared by sharded runs,
+//!   sweeps, and batch runners,
 //! * [`trace`] — optional structured event traces (JSONL) for debugging.
 //!
 //! # Examples
@@ -46,6 +48,7 @@ pub mod engine;
 pub mod events;
 pub mod medium;
 pub mod metrics;
+pub mod pool;
 pub mod reach;
 pub mod rng;
 pub mod runtime;

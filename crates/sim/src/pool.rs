@@ -1,16 +1,18 @@
-//! The work-stealing member scheduler.
+//! The workspace's one worker pool: work-stealing over indexed jobs.
 //!
-//! The old batch runners split a sweep into `chunks_mut` slices, one
-//! per thread; a single slow member then idled every other thread in
-//! its chunk's tail. Here workers instead *pull*: a shared atomic index
-//! hands out the next unclaimed member, so threads stay busy until the
-//! whole sweep drains and the longest member bounds the makespan.
+//! Workers *pull*: a shared atomic index hands out the next unclaimed
+//! job, so threads stay busy until the whole batch drains and the
+//! longest job bounds the makespan (a static `chunks_mut` split would
+//! idle every thread in a slow job's chunk). Sweep members, batch
+//! runner scenarios, and the shards of one sharded run all execute
+//! here.
 //!
-//! Determinism: each member is an independent single-threaded
-//! simulation and results land in their member's slot, so the returned
-//! vector — and anything derived from it, journals included — is
-//! bit-identical for any thread count. Only wall-clock completion
-//! *order* varies, and nothing observable depends on it.
+//! Determinism: each job is an independent single-threaded
+//! computation and results land in their job's slot, so the returned
+//! vector — and anything derived from it, journals and merged shard
+//! streams included — is bit-identical for any thread count. Only
+//! wall-clock completion *order* varies, and nothing observable depends
+//! on it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -27,9 +29,9 @@ pub fn default_threads() -> usize {
 /// results in index order.
 ///
 /// `run` must be safe to call concurrently for distinct indexes; each
-/// index is claimed exactly once. A panicking member propagates out of
+/// index is claimed exactly once. A panicking job propagates out of
 /// the scope (callers wanting isolation wrap `run` in `catch_unwind`,
-/// as [`crate::runner::run_outcomes`] does).
+/// as the experiment crate's batch runner does).
 pub fn run_indexed<T, F>(count: usize, threads: usize, run: F) -> Vec<T>
 where
     T: Send,

@@ -45,58 +45,17 @@ impl Engine<'_, '_, '_> {
 
     fn run_loop(&mut self) {
         self.bootstrap();
-        self.run_window(SimTime::MAX);
+        self.run_leg(u64::MAX);
     }
 
-    /// Advances the engine through every queued event with `t < until`,
-    /// in the exact order and with the exact side effects of the
-    /// whole-run loop (`until == SimTime::MAX` *is* the whole-run loop).
-    ///
-    /// The first popped entry at or beyond `until` is *held* — with its
-    /// original queue sequence number, which the fault layer's
-    /// stale-event watermarks compare against — and re-examined on the
-    /// next call, so windowed execution pops each entry exactly once.
-    /// Returns `true` while the run can continue past `until`; `false`
-    /// once it is over (queue drained, drain deadline passed, or event
-    /// budget exhausted — the same three exits as the serial loop).
-    pub(crate) fn run_window(&mut self, until: SimTime) -> bool {
-        let deadline = SimTime::ZERO + self.sc.duration + DRAIN;
-        loop {
-            let Some((t, seq, ev)) = self.held.take().or_else(|| self.queue.pop_entry()) else {
-                return false;
-            };
-            if t >= until {
-                self.held = Some((t, seq, ev));
-                return true;
-            }
-            if t > deadline {
-                return false;
-            }
-            if self.events >= self.max_events {
-                // Keep the popped entry: exhaustion must leave the queue
-                // state intact so a snapshot taken here (or a resumed
-                // bounded run) sees exactly what an uninterrupted run
-                // with a larger budget would pop next.
-                self.exhausted = true;
-                self.held = Some((t, seq, ev));
-                return false;
-            }
-            self.now = t;
-            self.events += 1;
-            if self.discards(seq, &ev) {
-                continue;
-            }
-            self.obs.event(t, &ev);
-            self.dispatch(ev);
-        }
-    }
-
-    /// Advances exactly like [`Engine::run_window`]`(SimTime::MAX)` but
-    /// additionally *pauses* — before popping anything, with no side
-    /// effects — once `pause_at` events have been counted. An engine
-    /// paused here is in precisely the state an uninterrupted run passes
-    /// through after its `pause_at`-th event, which is what makes
-    /// snapshots taken at the pause point resumable bit-identically.
+    /// Advances the engine through the queue in `(time, seq)` order
+    /// until the run is over (queue drained, drain deadline passed, or
+    /// event budget exhausted) or — checked before popping anything,
+    /// with no side effects — `pause_at` events have been counted. An
+    /// engine paused here is in precisely the state an uninterrupted
+    /// run passes through after its `pause_at`-th event, which is what
+    /// makes snapshots taken at the pause point resumable
+    /// bit-identically.
     pub(crate) fn run_leg(&mut self, pause_at: u64) -> LegEnd {
         let deadline = SimTime::ZERO + self.sc.duration + DRAIN;
         loop {
@@ -110,6 +69,10 @@ impl Engine<'_, '_, '_> {
                 return LegEnd::Over;
             }
             if self.events >= self.max_events {
+                // Keep the popped entry: exhaustion must leave the queue
+                // state intact so a snapshot taken here (or a resumed
+                // bounded run) sees exactly what an uninterrupted run
+                // with a larger budget would pop next.
                 self.exhausted = true;
                 self.held = Some((t, seq, ev));
                 return LegEnd::Over;

@@ -13,8 +13,8 @@
 //! * [`sinks`] — built-in observers (metrics, trace, timeline, energy,
 //!   JSONL streaming) and the engine's fan-out,
 //! * [`shard`] — deterministic sharded execution: interaction-component
-//!   partition planning, conservative time-windowed shard workers, and
-//!   the canonical boundary-event merge behind
+//!   partition planning, components run to completion on the worker
+//!   pool, and the canonical boundary-event merge behind
 //!   [`crate::engine::run_sharded`].
 //!
 //! `Engine` itself lives here (crate-private): the struct is shared
@@ -110,10 +110,11 @@ pub(crate) struct Engine<'a, 'o, 'e> {
     pub(crate) max_events: u64,
     /// Whether the run stopped on the event budget rather than draining.
     pub(crate) exhausted: bool,
-    /// Window-mode holdover: the first popped entry at or beyond the
-    /// current window boundary, kept (with its original queue sequence
-    /// number, which stale-event checks compare against) until the next
-    /// [`Engine::run_window`] call. Always `None` in whole-run mode.
+    /// The entry popped when the event budget ran out, kept (with its
+    /// original queue sequence number, which stale-event checks compare
+    /// against) so a snapshot of the exhausted run — and a resume under
+    /// a larger budget — sees exactly what an uninterrupted run would
+    /// pop next. `None` until the budget is exhausted.
     pub(crate) held: Option<(SimTime, u64, crate::events::Event)>,
 }
 

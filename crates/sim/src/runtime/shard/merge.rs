@@ -1,27 +1,21 @@
 //! Boundary-event relay and the canonical merge.
 //!
-//! Each shard worker attaches a [`RelayObserver`] to its engine; every
-//! observer notification the run cares about is forwarded *immediately*
-//! (no batching — the worker can never touch the observer while the
-//! engine borrows it) through a bounded channel as a [`Note`], followed
-//! by one [`ShardMsg::Barrier`] per synchronization window and a final
-//! [`ShardMsg::Done`] carrying the shard's [`SimResult`].
-//!
-//! The merger drains every live shard's channel one window at a time
-//! (shards in ascending rank), sorts the collected notes by the
-//! canonical `(time, shard rank, per-shard emission seq)` key, remaps
-//! shard-local node/link/network/transmission ids to global ones, and
-//! replays the notes into the run's external observers in that single
-//! serial order — so observers cannot tell they watched a sharded run,
-//! beyond transmission ids being minted in merged order. Within one
-//! shard the canonical key preserves emission order exactly (times are
-//! non-decreasing and `seq` breaks ties), and notes from window *w* all
-//! precede notes from window *w + 1* in time, so sorting window-by-
-//! window is globally correct with bounded memory.
+//! Each rank's engine runs with a [`RelayObserver`] attached; every
+//! observer notification the run cares about is appended, as a
+//! [`Note`], to a log the relay owns. Once every rank has finished,
+//! [`merge_logs`] sorts all logs by the canonical
+//! `(time, shard rank, per-shard emission seq)` key, remaps shard-local
+//! node/link/network/transmission ids to global ones, and replays the
+//! notes into the run's external observers in that single serial order
+//! — so observers cannot tell they watched a sharded run, beyond
+//! transmission ids being minted in merged order. Within one shard the
+//! canonical key preserves emission order exactly (times are
+//! non-decreasing and `seq` breaks ties).
 //!
 //! Per-category ship flags ([`ShipFlags`]) keep the relay quiet when
 //! nobody consumes a category: a bare `run_sharded` with no observers
-//! and no trace/timeline recording ships no notes at all.
+//! and no trace/timeline recording logs no notes at all, so merge
+//! memory is the buffered notes of runs that asked for them.
 
 use super::partition::ShardSpec;
 use crate::events::{Event, TxId};
@@ -33,10 +27,9 @@ use crate::scenario::Scenario;
 use crate::trace::{TraceKind, TraceRecord};
 use nomc_units::SimTime;
 use std::collections::BTreeMap;
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
 
 /// Which note categories a run actually consumes, sampled once before
-/// the workers start. Categories nobody consumes are never shipped.
+/// the ranks start. Categories nobody consumes are never logged.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ShipFlags {
     /// Raw queue events (externals attached).
@@ -105,48 +98,11 @@ pub(crate) struct Note {
     pub(crate) ev: BoundaryEvent,
 }
 
-/// Everything a shard worker sends its merger.
-#[derive(Debug)]
-pub(crate) enum ShardMsg {
-    /// One relayed observer notification.
-    Note(Box<Note>),
-    /// The shard finished one synchronization window (all its notes for
-    /// that window precede this marker in channel order).
-    Barrier,
-    /// The shard's run is over; terminal message. Counts as the barrier
-    /// for this and every later window.
-    Done {
-        result: Box<SimResult>,
-        exhausted: bool,
-    },
-}
-
-/// Where a [`RelayObserver`] delivers its messages: the threaded
-/// executor's bounded channel (backpressure against the merger), or an
-/// unbounded one for the single-threaded checkpoint executor, where the
-/// consumer drains only after the producing leg finishes — a bounded
-/// channel would deadlock there.
-pub(crate) enum NoteSink {
-    /// Threaded lockstep execution (`shard::execute`).
-    Bounded(SyncSender<ShardMsg>),
-    /// Buffered single-threaded execution (checkpointed legs).
-    Unbounded(Sender<ShardMsg>),
-}
-
-impl NoteSink {
-    fn send(&self, msg: ShardMsg) {
-        match self {
-            NoteSink::Bounded(tx) => tx.send(msg).expect("merger outlives the shard workers"),
-            NoteSink::Unbounded(tx) => tx.send(msg).expect("receiver outlives the leg"),
-        }
-    }
-}
-
-/// The per-shard observer: forwards each notification to the merger the
-/// moment it happens. Owns no shared state (plain channel sender), so
-/// it satisfies the observer-purity rule by construction.
+/// The per-shard observer: appends each notification to the log it
+/// owns, stamped with the canonical merge key. Holds no shared state,
+/// so it satisfies the observer-purity rule by construction.
 pub(crate) struct RelayObserver {
-    tx: NoteSink,
+    log: Vec<Note>,
     ship: ShipFlags,
     seq: u64,
     /// Engine time of the last popped event — `on_abandon` carries no
@@ -155,32 +111,30 @@ pub(crate) struct RelayObserver {
 }
 
 impl RelayObserver {
-    pub(crate) fn new(tx: SyncSender<ShardMsg>, ship: ShipFlags) -> Self {
-        RelayObserver::resumed(NoteSink::Bounded(tx), ship, 0, SimTime::ZERO)
+    /// A relay appending to `log`. A relay resuming an interrupted
+    /// note stream passes the `seq` and `now` that
+    /// [`RelayObserver::into_parts`] reported when the stream paused,
+    /// so the canonical `(time, rank, seq)` merge key ordering spans
+    /// legs; a fresh one passes `0` and [`SimTime::ZERO`].
+    pub(crate) fn new(log: Vec<Note>, ship: ShipFlags, seq: u64, now: SimTime) -> Self {
+        RelayObserver {
+            log,
+            ship,
+            seq,
+            now,
+        }
     }
 
-    /// A relay resuming an interrupted note stream: `seq` and `now`
-    /// continue from the values [`RelayObserver::seq`] /
-    /// [`RelayObserver::now`] reported when the stream paused, so the
-    /// canonical `(time, rank, seq)` merge key ordering spans legs.
-    pub(crate) fn resumed(tx: NoteSink, ship: ShipFlags, seq: u64, now: SimTime) -> Self {
-        RelayObserver { tx, ship, seq, now }
-    }
-
-    /// Notes emitted so far (the next note's merge-key `seq`).
-    pub(crate) fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Engine time of the last relayed popped event.
-    pub(crate) fn now(&self) -> SimTime {
-        self.now
+    /// The log, the next note's merge-key `seq`, and the engine time of
+    /// the last relayed popped event.
+    pub(crate) fn into_parts(self) -> (Vec<Note>, u64, SimTime) {
+        (self.log, self.seq, self.now)
     }
 
     fn send(&mut self, at: SimTime, ev: BoundaryEvent) {
         let seq = self.seq;
         self.seq += 1;
-        self.tx.send(ShardMsg::Note(Box::new(Note { at, seq, ev })));
+        self.log.push(Note { at, seq, ev });
     }
 }
 
@@ -337,76 +291,15 @@ impl Remapper {
     }
 }
 
-/// Per-shard merger bookkeeping.
-#[derive(Default)]
-struct ShardState {
-    finished: bool,
-    exhausted: bool,
-    result: Option<Box<SimResult>>,
-}
-
-/// Drains every shard channel window-by-window, replays the canonical
-/// note order into `externals`, and assembles the merged [`SimResult`].
-/// Returns the result plus whether any shard exhausted its event
-/// budget.
-pub(crate) fn merge(
-    sc: &Scenario,
-    plan: &[ShardSpec],
-    receivers: &[Receiver<ShardMsg>],
-    externals: &mut [&mut dyn SimObserver],
-) -> (SimResult, bool) {
-    let shards = plan.len();
-    let mut states: Vec<ShardState> = (0..shards).map(|_| ShardState::default()).collect();
-    let mut merger = Merger {
-        sc,
-        remap: Remapper::new(shards),
-        trace: Vec::new(),
-        timeline: Vec::new(),
-    };
-    let mut window: Vec<(SimTime, usize, u64, BoundaryEvent)> = Vec::new();
-    let mut done = 0usize;
-    while done < shards {
-        window.clear();
-        for (rank, rx) in receivers.iter().enumerate() {
-            if states[rank].finished {
-                continue;
-            }
-            loop {
-                match rx.recv().expect("shard worker lives until Done") {
-                    ShardMsg::Note(note) => {
-                        let note = *note;
-                        window.push((note.at, rank, note.seq, note.ev));
-                    }
-                    ShardMsg::Barrier => break,
-                    ShardMsg::Done { result, exhausted } => {
-                        states[rank].finished = true;
-                        states[rank].exhausted = exhausted;
-                        states[rank].result = Some(result);
-                        done += 1;
-                        break;
-                    }
-                }
-            }
-        }
-        window.sort_unstable_by_key(|a| (a.0, a.1, a.2));
-        for (at, rank, _seq, ev) in window.drain(..) {
-            merger.replay(at, &plan[rank], rank, ev, externals);
-        }
-    }
-    merger.assemble(plan, states, externals)
-}
-
-/// Merges fully-buffered per-rank note logs — the checkpoint executor's
-/// counterpart of [`merge`], which drains live channels window by
-/// window.
+/// Merges every rank's complete note log and result into one run:
+/// replays the canonical-order stream into `externals` (and the merged
+/// trace/timeline), then assembles the global [`SimResult`]. Returns
+/// the result plus whether any rank exhausted its event budget.
 ///
-/// Correctness of the single global sort: the canonical order is
-/// `(time, rank, seq)` applied window-by-window, and windows partition
-/// time (window *w* holds exactly the events in `[w·H, (w+1)·H)`), so
-/// concatenating per-window sorts equals one global sort of everything.
-/// The replay and the final assembly are the *same code* the threaded
-/// merge runs, so the merged result, trace, timeline, and external
-/// observer call sequence are byte-identical.
+/// The canonical order is a function of the logs alone, and each log
+/// depends only on its rank's sub-scenario, so the merged output is the
+/// same whether the ranks ran in parallel on any number of threads, in
+/// sequence, or across checkpointed legs.
 pub(crate) fn merge_logs(
     sc: &Scenario,
     plan: &[ShardSpec],
@@ -421,7 +314,8 @@ pub(crate) fn merge_logs(
         trace: Vec::new(),
         timeline: Vec::new(),
     };
-    let mut all: Vec<(SimTime, usize, u64, BoundaryEvent)> = Vec::new();
+    let mut all: Vec<(SimTime, usize, u64, BoundaryEvent)> =
+        Vec::with_capacity(logs.iter().map(Vec::len).sum());
     for (rank, log) in logs.into_iter().enumerate() {
         all.extend(log.into_iter().map(|n| (n.at, rank, n.seq, n.ev)));
     }
@@ -429,15 +323,7 @@ pub(crate) fn merge_logs(
     for (at, rank, _seq, ev) in all {
         merger.replay(at, &plan[rank], rank, ev, externals);
     }
-    let states = results
-        .into_iter()
-        .map(|(result, exhausted)| ShardState {
-            finished: true,
-            exhausted,
-            result: Some(Box::new(result)),
-        })
-        .collect();
-    merger.assemble(plan, states, externals)
+    merger.assemble(plan, results, externals)
 }
 
 /// Canonical-order replay state: the id translator plus the merged
@@ -534,7 +420,7 @@ impl Merger<'_> {
     fn assemble(
         self,
         plan: &[ShardSpec],
-        states: Vec<ShardState>,
+        results: Vec<(SimResult, bool)>,
         externals: &mut [&mut dyn SimObserver],
     ) -> (SimResult, bool) {
         let sc = self.sc;
@@ -545,9 +431,8 @@ impl Merger<'_> {
         let mut final_thresholds = vec![nomc_units::Dbm::new(0.0); total_links];
         let mut events = 0u64;
         let mut exhausted = false;
-        for (spec, state) in plan.iter().zip(states) {
-            exhausted |= state.exhausted;
-            let result = state.result.expect("every shard sent Done");
+        for (spec, (result, shard_exhausted)) in plan.iter().zip(results) {
+            exhausted |= shard_exhausted;
             events += result.events;
             for (local, &global) in spec.links.iter().enumerate() {
                 let mut lm = result.links[local].clone();

@@ -11,16 +11,18 @@
 //! with its own derived RNG stream, and the sub-results compose
 //! exactly.
 //!
-//! The module family:
+//! Because components are fully independent, no synchronization
+//! protocol is needed: every rank runs its component to completion on
+//! the shared [`crate::pool`], logging its boundary notes, and the logs
+//! merge once all ranks are done. The module family:
 //!
-//! * [`partition`] — union-find planning and [`ShardSpec`] / sub-
-//!   scenario construction,
-//! * `sync` — lockstep time-windowed workers over
-//!   `Engine::run_window`, round-robin shard ownership, bounded
-//!   channels,
+//! * [`partition`] — union-find planning, [`ShardSpec`] / sub-scenario
+//!   construction, and the per-rank event-budget split,
 //! * `merge` — the boundary-event relay observer and the canonical
 //!   `(time, shard rank, seq)` merge that replays one serial-looking
-//!   callback stream into external observers.
+//!   callback stream into external observers,
+//! * this module — the one per-rank runner behind both the threaded
+//!   executor and the checkpointed legs of [`crate::runtime::snapshot`].
 //!
 //! # Determinism contract
 //!
@@ -30,14 +32,124 @@
 //! single-component plan delegates to the serial engine with the seed
 //! untouched, byte-identical to [`crate::engine::run`]. Multi-component
 //! plans run each component exactly as the serial engine would run that
-//! component's sub-scenario (same windows or not — windowing never
-//! reorders a single engine's events), with per-shard seeds derived by
-//! the sweep layer's keyed-`splitmix64` discipline, and merge the
-//! observer streams in canonical order.
+//! component's sub-scenario, with per-shard seeds derived by the sweep
+//! layer's keyed-`splitmix64` discipline, and merge the observer
+//! streams in canonical order.
 
 pub(crate) mod merge;
 pub mod partition;
-pub(crate) mod sync;
 
+pub(crate) use partition::split_budget;
 pub use partition::{plan, ShardSpec};
-pub(crate) use sync::execute;
+
+use super::snapshot::{EngineSnapshot, RankState, SnapshotError};
+use super::{Engine, LegEnd};
+use crate::metrics::SimResult;
+use crate::pool;
+use crate::runtime::observer::SimObserver;
+use crate::scenario::Scenario;
+use merge::{merge_logs, Note, RelayObserver, ShipFlags};
+use nomc_units::SimTime;
+
+/// Runs a multi-shard plan to completion: every rank runs its whole
+/// component on up to `threads` pool workers, then the logs merge.
+/// Returns the merged result plus whether any shard exhausted its share
+/// of `max_events` (split by [`split_budget`]).
+pub(crate) fn execute(
+    sc: &Scenario,
+    plan: &[ShardSpec],
+    externals: &mut [&mut dyn SimObserver],
+    max_events: u64,
+    threads: usize,
+) -> (SimResult, bool) {
+    let ship = ShipFlags::for_run(sc, externals);
+    let budgets = split_budget(max_events, plan.len());
+    let (logs, results) = pool::run_indexed(plan.len(), threads, |rank| {
+        let (log, state) = run_rank(
+            &plan[rank],
+            ship,
+            RankState::Fresh,
+            budgets[rank],
+            Vec::new(),
+            u64::MAX,
+        )
+        .expect("a fresh rank restores no snapshot, so nothing can reject it");
+        let done = state
+            .into_done()
+            .expect("a leg without a pause target runs its rank to the end");
+        (log, done)
+    })
+    .into_iter()
+    .unzip();
+    merge_logs(sc, plan, logs, results, externals)
+}
+
+/// Runs one rank for one leg: a fresh engine with event budget
+/// `budget`, or one restored from a paused `state`, advances until it
+/// has counted `pause_at` events or its run is over. The rank's relay
+/// appends every shipped note to `log`, which is handed back together
+/// with the rank's new state — paused or done. A done rank is returned
+/// unchanged.
+///
+/// The engine runs with the heavyweight recorders off: the merge
+/// rebuilds the trace and timeline from the relayed notes.
+pub(crate) fn run_rank(
+    spec: &ShardSpec,
+    ship: ShipFlags,
+    state: RankState,
+    budget: u64,
+    log: Vec<Note>,
+    pause_at: u64,
+) -> Result<(Vec<Note>, RankState), SnapshotError> {
+    let (paused, mut relay) = match state {
+        RankState::Fresh => (None, RelayObserver::new(log, ship, 0, SimTime::ZERO)),
+        RankState::Paused {
+            engine,
+            relay_seq,
+            relay_now,
+        } => (
+            Some(engine),
+            RelayObserver::new(log, ship, relay_seq, relay_now),
+        ),
+        done @ RankState::Done { .. } => return Ok((log, done)),
+    };
+    let mut sub = spec.scenario.clone();
+    sub.record_trace = false;
+    sub.record_timeline = false;
+    let leg = {
+        let mut slots: [&mut dyn SimObserver; 1] = [&mut relay];
+        let mut engine = match &paused {
+            Some(snap) => Engine::restore_from(&sub, &mut slots, snap)?,
+            None => {
+                let mut engine = Engine::new(&sub, &mut slots);
+                engine.max_events = budget;
+                engine.bootstrap();
+                engine
+            }
+        };
+        match engine.run_leg(pause_at) {
+            LegEnd::Paused => RankLeg::Paused(engine.capture()),
+            LegEnd::Over => {
+                let exhausted = engine.exhausted;
+                RankLeg::Over(engine.finalize(), exhausted)
+            }
+        }
+    };
+    // The engine's borrow of the relay has ended: its counters are final.
+    let (log, relay_seq, relay_now) = relay.into_parts();
+    let state = match leg {
+        RankLeg::Paused(engine) => RankState::Paused {
+            engine,
+            relay_seq,
+            relay_now,
+        },
+        RankLeg::Over(result, exhausted) => RankState::Done { result, exhausted },
+    };
+    Ok((log, state))
+}
+
+/// How one rank's leg ended, before the relay's counters are read.
+enum RankLeg {
+    Paused(EngineSnapshot),
+    Over(SimResult, bool),
+}

@@ -194,6 +194,22 @@ pub fn plan(sc: &Scenario) -> Vec<ShardSpec> {
         .collect()
 }
 
+/// Splits an event budget over a plan's `shards` as evenly as possible
+/// (earlier ranks take the remainder), so exhaustion points depend only
+/// on the plan; an unlimited budget stays unlimited everywhere. Total:
+/// zero shards — a corrupt snapshot's rank list can be empty — split
+/// into nothing.
+pub(crate) fn split_budget(max_events: u64, shards: usize) -> Vec<u64> {
+    let n = shards as u64;
+    (0..n)
+        .map(|rank| match max_events {
+            u64::MAX => u64::MAX,
+            // `rank < n`, so `n ≥ 1` here.
+            _ => max_events / n + u64::from(rank < max_events % n),
+        })
+        .collect()
+}
+
 /// Builds one shard's spec: index maps plus the remapped sub-scenario.
 fn sub_spec(sc: &Scenario, root: usize, networks: Vec<usize>, first_link: &[usize]) -> ShardSpec {
     let nets = &sc.deployment.networks;

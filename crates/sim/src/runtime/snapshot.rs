@@ -22,22 +22,19 @@
 //! first.
 //!
 //! Sharded runs snapshot as one [`ShardedSnapshot`]: the checkpoint
-//! executor runs the plan's components *sequentially* (rank order) on
-//! the same engines the threaded path uses, buffering relayed
-//! boundary notes per rank; at completion the buffered logs replay
-//! through the same canonical `(time, rank, seq)` merge. Shards are
-//! fully independent — the partition unions everything that could
-//! interact — so sequential execution is behaviorally identical to the
-//! lockstep-windowed thread pool, and the merged result, trace,
-//! timeline, and observer stream are byte-identical to
-//! [`crate::engine::run_sharded`].
+//! executor runs the plan's components *sequentially* (rank order)
+//! through the same per-rank runner the threaded executor uses,
+//! buffering relayed boundary notes per rank; at completion the
+//! buffered logs replay through the same canonical `(time, rank, seq)`
+//! merge. Shards are fully independent — the partition unions
+//! everything that could interact — so sequential execution is
+//! behaviorally identical to running every rank in parallel, and the
+//! merged result, trace, timeline, and observer stream are
+//! byte-identical to [`crate::engine::run_sharded`].
 
 use super::node::{Node, Provider, RxAttempt};
-use super::shard;
-use super::shard::merge::{
-    merge_logs, BoundaryEvent, Note, NoteSink, RelayObserver, ShardMsg, ShipFlags,
-};
-use super::shard::sync::split_budget;
+use super::shard::merge::{merge_logs, BoundaryEvent, Note, ShipFlags};
+use super::shard::{self, split_budget, ShardSpec};
 use super::tx::TxMeta;
 use super::Engine;
 use crate::events::BucketQueue;
@@ -45,12 +42,11 @@ use crate::events::{Event, EventQueue, NodeId, TxId};
 use crate::medium::Transmission;
 use crate::metrics::{ErrorRecord, LinkMetrics, SimResult, TimelineRecord, TxOutcome};
 use crate::rng::Xoshiro256StarStar;
-use crate::runtime::dispatch::LegEnd;
 use crate::runtime::observer::{
     PowerSample, SimObserver, ThresholdSample, TxOutcomeInfo, TxStartInfo,
 };
 use crate::scenario::Scenario;
-use crate::trace::TraceRecord;
+use crate::trace::{TraceKind, TraceRecord};
 use nomc_core::AdjustorSnapshot;
 use nomc_json::{Error, FromJson, Json, ToJson};
 use nomc_mac::{MacEngine, MacSnapshot, MacStats};
@@ -851,6 +847,17 @@ pub(crate) enum RankState {
     Done { result: SimResult, exhausted: bool },
 }
 
+impl RankState {
+    /// The finished rank's result and exhaustion flag; `None` while the
+    /// rank still has events to run.
+    pub(crate) fn into_done(self) -> Option<(SimResult, bool)> {
+        match self {
+            RankState::Done { result, exhausted } => Some((result, exhausted)),
+            RankState::Fresh | RankState::Paused { .. } => None,
+        }
+    }
+}
+
 impl ToJson for RankState {
     fn to_json(&self) -> Json {
         match self {
@@ -978,21 +985,15 @@ pub(crate) enum ShardedProgress {
     Done(SimResult, bool),
 }
 
-/// How one rank's leg ended (internal to [`run_sharded_leg`]).
-enum RankLeg {
-    Paused(EngineSnapshot),
-    Over(SimResult, bool),
-}
-
 /// Advances a checkpointed sharded run until the *global* event count
 /// (summed over ranks) reaches `pause_after`, or to completion.
 ///
-/// Ranks run sequentially in rank order, each on the same engine and
+/// Ranks run sequentially in rank order through [`shard::run_rank`],
 /// with the same per-rank budget split the threaded executor uses;
 /// relayed notes buffer per rank and replay through the canonical merge
 /// once every rank is done. Shards are fully independent, so the
-/// sequential schedule is behaviorally identical to the lockstep thread
-/// pool and the merged output is byte-identical to
+/// sequential schedule is behaviorally identical to the threaded one
+/// and the merged output is byte-identical to
 /// [`crate::engine::run_sharded`].
 pub(crate) fn run_sharded_leg(
     sc: &Scenario,
@@ -1015,6 +1016,10 @@ pub(crate) fn run_sharded_leg(
             plan.len()
         )));
     }
+    for (rank, spec) in plan.iter().enumerate() {
+        check_rank(spec, &snap.ranks[rank], &snap.logs[rank])
+            .map_err(|e| SnapshotError::Malformed(format!("rank {rank}: {e}")))?;
+    }
     let budgets = split_budget(snap.max_events, plan.len());
     let mut done_events: u64 = snap
         .ranks
@@ -1028,88 +1033,92 @@ pub(crate) fn run_sharded_leg(
         if matches!(snap.ranks[rank], RankState::Done { .. }) {
             continue;
         }
-        // Worker-local copy with the heavyweight recorders off, exactly
-        // like the threaded executor: the merge rebuilds the trace and
-        // timeline from relayed notes.
-        let mut sub = spec.scenario.clone();
-        sub.record_trace = false;
-        sub.record_timeline = false;
-        let state = std::mem::replace(&mut snap.ranks[rank], RankState::Fresh);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (mut relay, paused_engine) = match state {
-            RankState::Paused {
-                engine,
-                relay_seq,
-                relay_now,
-            } => (
-                RelayObserver::resumed(NoteSink::Unbounded(tx), snap.ship, relay_seq, relay_now),
-                Some(engine),
-            ),
-            RankState::Fresh | RankState::Done { .. } => (
-                RelayObserver::resumed(NoteSink::Unbounded(tx), snap.ship, 0, SimTime::ZERO),
-                None,
-            ),
-        };
         let target = if pause_after == u64::MAX {
             u64::MAX
         } else {
             pause_after.saturating_sub(done_events)
         };
-        let leg = {
-            let mut slots: [&mut dyn SimObserver; 1] = [&mut relay];
-            let mut engine = match &paused_engine {
-                Some(es) => Engine::restore_from(&sub, &mut slots, es)?,
-                None => {
-                    let mut e = Engine::new(&sub, &mut slots);
-                    e.max_events = budgets[rank];
-                    e.bootstrap();
-                    e
-                }
-            };
-            match engine.run_leg(target) {
-                LegEnd::Paused => RankLeg::Paused(engine.capture()),
-                LegEnd::Over => {
-                    let exhausted = engine.exhausted;
-                    RankLeg::Over(engine.finalize(), exhausted)
-                }
-            }
-        };
-        let relay_seq = relay.seq();
-        let relay_now = relay.now();
-        drop(relay);
-        while let Ok(msg) = rx.try_recv() {
-            if let ShardMsg::Note(note) = msg {
-                snap.logs[rank].push(*note);
-            }
+        let state = std::mem::replace(&mut snap.ranks[rank], RankState::Fresh);
+        let log = std::mem::take(&mut snap.logs[rank]);
+        let (log, state) = shard::run_rank(spec, snap.ship, state, budgets[rank], log, target)?;
+        snap.logs[rank] = log;
+        let paused = matches!(state, RankState::Paused { .. });
+        if let RankState::Done { result, .. } = &state {
+            done_events += result.events;
         }
-        match leg {
-            RankLeg::Paused(engine) => {
-                snap.ranks[rank] = RankState::Paused {
-                    engine,
-                    relay_seq,
-                    relay_now,
-                };
-                return Ok(ShardedProgress::Paused(snap));
-            }
-            RankLeg::Over(result, exhausted) => {
-                done_events += result.events;
-                snap.ranks[rank] = RankState::Done { result, exhausted };
-            }
+        snap.ranks[rank] = state;
+        if paused {
+            return Ok(ShardedProgress::Paused(snap));
         }
     }
-    let mut results = Vec::with_capacity(plan.len());
-    for r in snap.ranks {
-        match r {
-            RankState::Done { result, exhausted } => results.push((result, exhausted)),
-            RankState::Fresh | RankState::Paused { .. } => {
-                return Err(SnapshotError::Malformed(
-                    "rank left unfinished after completion sweep".into(),
-                ));
-            }
-        }
-    }
+    let results = snap
+        .ranks
+        .into_iter()
+        .map(RankState::into_done)
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| {
+            SnapshotError::Malformed("rank left unfinished after completion sweep".into())
+        })?;
     let (result, exhausted) = merge_logs(sc, &plan, snap.logs, results, externals);
     Ok(ShardedProgress::Done(result, exhausted))
+}
+
+/// Bounds-checks everything the final merge will look up in `spec`'s
+/// index maps for one rank: every node and link index carried by its
+/// logged notes, and — once it is done — the shape of its result and
+/// the network index of every link in it.
+fn check_rank(spec: &ShardSpec, state: &RankState, log: &[Note]) -> Result<(), String> {
+    let nodes = spec.nodes.len();
+    let links = spec.links.len();
+    let node = |n: NodeId| {
+        if n < nodes {
+            Ok(())
+        } else {
+            Err(format!("node {n} of {nodes}"))
+        }
+    };
+    let link = |l: usize| {
+        if l < links {
+            Ok(())
+        } else {
+            Err(format!("link {l} of {links}"))
+        }
+    };
+    for (i, note) in log.iter().enumerate() {
+        match &note.ev {
+            BoundaryEvent::Popped(ev) => node(event_node(ev)),
+            BoundaryEvent::Trace(record) => match &record.kind {
+                TraceKind::Cca { node: n, .. }
+                | TraceKind::TxStart { node: n, .. }
+                | TraceKind::Fault { node: n, .. }
+                | TraceKind::Outcome { receiver: n, .. }
+                | TraceKind::AckDelivered { sender: n, .. }
+                | TraceKind::AckTimedOut { sender: n, .. } => node(*n),
+            },
+            BoundaryEvent::TxStart(info) => node(info.node).and(link(info.link)),
+            BoundaryEvent::TxOutcome(info) => node(info.receiver).and(link(info.link)),
+            BoundaryEvent::Abandon { link: l, .. } => link(*l),
+            BoundaryEvent::Threshold(sample) => node(sample.node).and(link(sample.link)),
+            BoundaryEvent::Power(sample) => node(sample.node).and(link(sample.link)),
+        }
+        .map_err(|e| format!("logged note {i}: {e}"))?;
+    }
+    if let RankState::Done { result, .. } = state {
+        let shapes = [
+            result.links.len(),
+            result.mac_stats.len(),
+            result.tx_powers.len(),
+            result.final_thresholds.len(),
+        ];
+        if shapes.iter().any(|&len| len != links) {
+            return Err(format!("result covers {shapes:?} links, shard has {links}"));
+        }
+        let networks = spec.networks.len();
+        if let Some(lm) = result.links.iter().find(|lm| lm.network >= networks) {
+            return Err(format!("result network {} of {networks}", lm.network));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------

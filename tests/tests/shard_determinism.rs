@@ -2,8 +2,9 @@
 //!
 //! The sharding contract (DESIGN.md §13) in executable form:
 //!
-//! 1. **Thread independence** — `run_sharded` results depend only on
-//!    the scenario, never on the worker-thread count.
+//! 1. **Thread independence** — `run_sharded` results, and the merged
+//!    external observer stream, depend only on the scenario, never on
+//!    the worker-thread count.
 //! 2. **Delegation identity** — a single-component plan is executed by
 //!    the serial engine with the seed untouched: `run_sharded == run`,
 //!    byte for byte.
@@ -20,11 +21,14 @@
 use nomc_phy::Shadowing;
 use nomc_rngcore::check::{forall, one_of, range, zip3, G};
 use nomc_rngcore::{check, check_eq};
+use nomc_sim::events::Event;
+use nomc_sim::runtime::observer::{PowerSample, ThresholdSample, TxOutcomeInfo, TxStartInfo};
 use nomc_sim::scenario::Propagation;
-use nomc_sim::{engine, NetworkBehavior, Scenario};
+use nomc_sim::trace::TraceRecord;
+use nomc_sim::{engine, NetworkBehavior, Scenario, SimObserver, SimResult};
 use nomc_topology::spectrum::ChannelPlan;
 use nomc_topology::{paper, Deployment, LinkSpec, NetworkSpec, Point};
-use nomc_units::{Dbm, Megahertz, SimDuration};
+use nomc_units::{Dbm, Megahertz, SimDuration, SimTime};
 
 /// Networks far apart in frequency (25 MHz ≫ the 9 MHz ACR support and
 /// every capture model's sync band) and in space, with shadowing
@@ -87,15 +91,64 @@ fn coupled_scenario_is_one_component() {
     assert_eq!(plan[0].scenario, sc);
 }
 
+/// Records every observer callback as a line of text, so two observer
+/// streams can be compared byte for byte.
+#[derive(Default)]
+struct StreamLog(Vec<String>);
+
+impl SimObserver for StreamLog {
+    fn wants_trace(&self) -> bool {
+        true
+    }
+    fn wants_thresholds(&self) -> bool {
+        true
+    }
+    fn on_event(&mut self, now: SimTime, event: &Event) {
+        self.0.push(format!("event {now:?} {event:?}"));
+    }
+    fn on_trace(&mut self, record: &TraceRecord) {
+        self.0.push(format!("trace {record:?}"));
+    }
+    fn on_tx_start(&mut self, info: &TxStartInfo) {
+        self.0.push(format!("tx_start {info:?}"));
+    }
+    fn on_tx_outcome(&mut self, info: &TxOutcomeInfo) {
+        self.0.push(format!("tx_outcome {info:?}"));
+    }
+    fn on_abandon(&mut self, link: usize, measured: bool) {
+        self.0.push(format!("abandon {link} {measured}"));
+    }
+    fn on_threshold_change(&mut self, sample: &ThresholdSample) {
+        self.0.push(format!("threshold {sample:?}"));
+    }
+    fn on_power_sample(&mut self, sample: &PowerSample) {
+        self.0.push(format!("power {sample:?}"));
+    }
+    fn on_run_end(&mut self, result: &SimResult) {
+        self.0.push(format!("run_end {} events", result.events));
+    }
+}
+
 #[test]
 fn sharded_results_are_thread_count_independent() {
     let sc = partitionable_scenario(4, 11);
     let base = engine::run_sharded(&sc, 1);
+    let mut base_log = StreamLog::default();
+    assert_eq!(base, engine::run_sharded_with(&sc, &mut [&mut base_log], 1));
+    assert!(base_log.0.len() > 1, "stream must be non-trivial");
     for threads in [2, 4, 8] {
         assert_eq!(
             base,
             engine::run_sharded(&sc, threads),
             "results must not depend on thread count (threads = {threads})"
+        );
+        // The merged external observer stream is thread-count
+        // independent too, callback for callback.
+        let mut log = StreamLog::default();
+        engine::run_sharded_with(&sc, &mut [&mut log], threads);
+        assert!(
+            log.0 == base_log.0,
+            "observer stream must not depend on thread count (threads = {threads})"
         );
     }
 }

@@ -13,6 +13,7 @@
 //! sweep supervisor quarantine a bad checkpoint and fall back to a
 //! clean re-run.
 
+use nomc_json::{Json, ToJson};
 use nomc_phy::Shadowing;
 use nomc_sim::events::Event;
 use nomc_sim::runtime::observer::{PowerSample, ThresholdSample, TxOutcomeInfo, TxStartInfo};
@@ -320,6 +321,128 @@ fn sharded_single_component_plan_snapshots_serially() {
     let golden = bytes(&engine::run_sharded(&sc, 4));
     let resumed = interrupt_and_resume(&sc, true, 500);
     assert_eq!(bytes(&resumed), golden);
+}
+
+/// A four-shard run paused halfway, as snapshot JSON: the early ranks
+/// are done, and every rank so far has buffered its note log.
+fn paused_sharded_snapshot(sc: &Scenario) -> Json {
+    let total = engine::run_sharded(sc, 1).events;
+    match engine::run_sharded_until(sc, &mut [], u64::MAX, total / 2) {
+        engine::RunProgress::Paused(p) => engine::snapshot(&p).parse().expect("valid JSON"),
+        engine::RunProgress::Done(_) => panic!("must pause mid-run"),
+    }
+}
+
+/// Restores `snapshot`, applies a new budget as the sweep supervisor
+/// does on every restored checkpoint, and resumes to the end.
+fn resume_tampered(sc: &Scenario, snapshot: &Json) -> Result<(), engine::SnapshotError> {
+    let mut restored = engine::restore(&snapshot.dump())?;
+    restored.set_budget(1_000_000);
+    engine::resume_bounded(sc, restored, &mut [], u64::MAX).map(|_| ())
+}
+
+#[test]
+fn zero_rank_sharded_snapshot_is_malformed() {
+    let sc = partitionable_scenario(4, 42);
+    let mut snapshot = paused_sharded_snapshot(&sc);
+    snapshot["payload"]["ranks"] = Json::array([]);
+    snapshot["payload"]["logs"] = Json::array([]);
+    match resume_tampered(&sc, &snapshot) {
+        Err(engine::SnapshotError::Malformed(msg)) => {
+            assert!(msg.contains("0 ranks"), "unexpected message: {msg}");
+        }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+/// Every node, link, and network index a sharded snapshot carries in
+/// its buffered note logs and finished-rank results is bounds-checked
+/// against the rank's shard before anything runs: an out-of-range id is
+/// a typed error, never a panic in the final merge.
+#[test]
+fn sharded_snapshot_ids_are_bounds_checked() {
+    let sc = partitionable_scenario(4, 42);
+    let snapshot = paused_sharded_snapshot(&sc);
+    let bad = 999u64.to_json();
+    // (note tag, key path inside the note body) for every id-bearing
+    // field of every boundary-event variant.
+    let fields: &[(&str, &[&str])] = &[
+        ("Popped", &[]),
+        ("Trace", &["kind", "Cca", "node"]),
+        ("Trace", &["kind", "TxStart", "node"]),
+        ("Trace", &["kind", "Outcome", "receiver"]),
+        ("TxStart", &["node"]),
+        ("TxStart", &["link"]),
+        ("TxOutcome", &["receiver"]),
+        ("TxOutcome", &["link"]),
+        ("Abandon", &["link"]),
+        ("Threshold", &["node"]),
+        ("Threshold", &["link"]),
+        ("Power", &["node"]),
+        ("Power", &["link"]),
+    ];
+    for &(tag, path) in fields {
+        let mut tampered = snapshot.clone();
+        let logs = tampered["payload"]["logs"]
+            .as_array_mut()
+            .expect("logs array");
+        let note = logs
+            .iter_mut()
+            .flat_map(|log| log.as_array_mut().expect("log array").iter_mut())
+            .find(|note| {
+                let mut body = &note["ev"][tag];
+                for key in path {
+                    body = &body[*key];
+                }
+                !body.is_null()
+            });
+        match note {
+            Some(note) => {
+                let mut body = &mut note["ev"][tag];
+                for key in path {
+                    body = &mut body[*key];
+                }
+                *body = match tag {
+                    "Popped" => Json::object([("PacketReady", bad.clone())]),
+                    _ => bad.clone(),
+                };
+            }
+            // No such note in this run (frames are rarely abandoned):
+            // overwrite the first note with one.
+            None => {
+                assert_eq!(tag, "Abandon", "run must log a {tag} note with {path:?}");
+                logs[0].as_array_mut().expect("log array")[0]["ev"] = Json::object([(
+                    "Abandon",
+                    Json::object([("link", bad.clone()), ("measured", true.to_json())]),
+                )]);
+            }
+        }
+        match resume_tampered(&sc, &tampered) {
+            Err(engine::SnapshotError::Malformed(_)) => {}
+            other => panic!("{tag} {path:?} = 999: expected Malformed, got {other:?}"),
+        }
+    }
+    // Rank 0 finished before the pause: its result's shape and network
+    // indices are checked too.
+    let mut tampered = snapshot.clone();
+    tampered["payload"]["ranks"]
+        .as_array_mut()
+        .expect("ranks array")[0]["done"]["result"]["links"]
+        .as_array_mut()
+        .expect("links array")[0]["network"] = bad.clone();
+    let mut truncated = snapshot.clone();
+    truncated["payload"]["ranks"]
+        .as_array_mut()
+        .expect("ranks array")[0]["done"]["result"]["mac_stats"]
+        .as_array_mut()
+        .expect("mac_stats array")
+        .pop();
+    for corrupt in [tampered, truncated] {
+        match resume_tampered(&sc, &corrupt) {
+            Err(engine::SnapshotError::Malformed(_)) => {}
+            other => panic!("corrupt done rank: expected Malformed, got {other:?}"),
+        }
+    }
 }
 
 #[test]
