@@ -60,8 +60,14 @@ for shards in 1 2 4 8; do
 done
 cargo test -p nomc-integration-tests --test shard_determinism -q --offline
 
-echo "==> ext_fault_recovery smoke (quick sweep must recover at every duty)"
-cargo run -p nomc-experiments --release --offline --bin fault_recovery -- --quick
+echo "==> ext_fault_recovery runs through the experiment registry"
+# A run smoke of the binary path only: recovery at every jammer duty is
+# asserted by tests/tests/determinism.rs in the cargo test step above.
+cargo run -p nomc-experiments --release --offline --bin all_experiments -- \
+  --quick --only ext_fault_recovery
+
+echo "==> calibration anchors hold (quick)"
+cargo run -p nomc-experiments --release --offline --bin calibration_check -- --quick
 
 echo "==> serve smoke (submit, wait, resubmit hits cache, SIGTERM drains)"
 # Live end-to-end pass over the results server: a job submitted twice

@@ -4,9 +4,9 @@
 use nomc_bench::harness::Criterion;
 use nomc_bench::{criterion_group, criterion_main};
 use nomc_phy::coupling::AcrCurve;
-use nomc_phy::{biterror, AcrLut, BerLut, BerModel};
+use nomc_phy::{biterror, AcrLut, BerModel};
 use nomc_rngcore::{RngCore, SeedableRng};
-use nomc_sim::events::{BucketQueue, Event, EventQueue, HeapQueue};
+use nomc_sim::events::{BucketQueue, Event};
 use nomc_sim::medium::{self, Medium, Segment, Transmission};
 use nomc_sim::rng::Xoshiro256StarStar;
 use nomc_units::{Db, Dbm, Megahertz, MilliWatts, SimDuration, SimTime};
@@ -30,12 +30,8 @@ fn bench_ber(c: &mut Criterion) {
         let acr = AcrCurve::cc2420_calibrated();
         b.iter(|| black_box(acr.rejection(Megahertz::new(black_box(2.7)))))
     });
-    // LUT grid hits vs the analytic evaluations above: same bits, a
-    // table read instead of the exp sum / interpolation + powf.
-    g.bench_function("ber_lut_grid_hit", |b| {
-        let lut = BerLut::new(BerModel::Oqpsk802154);
-        b.iter(|| black_box(lut.bit_error_rate(Db::new(black_box(1.0)))))
-    });
+    // LUT grid hit vs the analytic interpolation + powf above: same
+    // bits, a table read.
     g.bench_function("acr_lut_grid_hit", |b| {
         let lut = AcrLut::new(AcrCurve::cc2420_calibrated());
         b.iter(|| black_box(lut.leakage_factor(Megahertz::new(black_box(3.0)))))
@@ -127,7 +123,7 @@ fn bench_medium(c: &mut Criterion) {
 /// The engine's queue access pattern in miniature: a rolling horizon of
 /// near-term events (backoffs, CCA windows, airtimes) plus occasional
 /// far-future ones (provider ticks), popped as simulated time advances.
-fn queue_workload<Q: EventQueue>(q: &mut Q) {
+fn queue_workload(q: &mut BucketQueue) {
     let mut now = 0u64;
     for i in 0..512u64 {
         q.schedule(
@@ -167,9 +163,6 @@ fn bench_queue_and_rng(c: &mut Criterion) {
                 black_box(e);
             }
         })
-    });
-    g.bench_function("heap_queue_mixed_512", |b| {
-        b.iter(|| queue_workload(&mut HeapQueue::new()))
     });
     g.bench_function("bucket_queue_mixed_512", |b| {
         b.iter(|| queue_workload(&mut BucketQueue::new()))

@@ -310,14 +310,12 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The checkpoint-supervised engine loop behind `nomc run
-/// --checkpoint-every`: resume from the run's snapshot file when a
-/// trustworthy one exists (any defect — corruption, version skew, a
-/// snapshot of a different scenario — degrades to a clean start with a
-/// notice, never a panic), then alternate run-to-pause legs with
-/// atomic snapshot writes until the run completes. The snapshot file is
-/// keyed by scenario content and execution mode, and removed on
-/// completion.
+/// `nomc run --checkpoint-every`: the sweep's checkpoint leg chain
+/// with no event budget, keyed by scenario content and execution mode.
+/// A trustworthy snapshot file is resumed; any defect (corruption,
+/// version skew, a snapshot of a different scenario) degrades to a
+/// clean start with a notice, never a panic. The snapshot file is
+/// removed on completion.
 ///
 /// The result is byte-identical to an uninterrupted run; a `--trace`
 /// sink on a *resumed* serial run streams only the remaining suffix
@@ -330,64 +328,32 @@ fn checkpointed_run(
     every: u64,
     dir: &std::path::Path,
 ) -> Result<nomc_sim::SimResult, String> {
-    use nomc_experiments::sweep::{checkpoint, hash};
+    use nomc_experiments::runner::RunOutcome;
+    use nomc_experiments::sweep::checkpoint::{self, Notice};
+    use nomc_experiments::sweep::hash;
 
     let key = hash::member_hash_with(scenario, u64::MAX, shards.is_some());
-    let recovered = match checkpoint::load(dir, key) {
-        Ok(found) => found,
-        Err(e) => {
-            eprintln!("checkpoint unusable ({e}); restarting from the beginning");
-            checkpoint::discard(dir, key);
-            None
-        }
-    };
-    let mut resumed = None;
-    if let Some(rec) = recovered {
-        let restored = engine::restore(&rec.payload)
-            .map_err(|e| e.to_string())
-            .and_then(|snap| {
-                let target = rec.events_done.saturating_add(every);
-                engine::resume_bounded(scenario, snap, sinks, target)
-                    .map(|progress| (target, progress))
-                    .map_err(|e| e.to_string())
-            });
-        match restored {
-            Ok(pair) => {
-                eprintln!("resumed from checkpoint at {} events", rec.events_done);
-                resumed = Some(pair);
+    let (outcome, notices) =
+        checkpoint::run_legs(scenario, u64::MAX, shards, dir, every, key, 0, sinks);
+    for notice in &notices {
+        match notice {
+            Notice::Resumed { events_done } => {
+                eprintln!("resumed from checkpoint at {events_done} events")
             }
-            Err(e) => {
-                eprintln!("checkpoint unusable ({e}); restarting from the beginning");
-                checkpoint::discard(dir, key);
+            Notice::Discarded(e) => {
+                eprintln!("checkpoint unusable ({e}); restarting from the beginning")
             }
+            // Losing durability is not losing the run.
+            Notice::SaveFailed(e) => eprintln!("checkpoint not saved ({e}); continuing without it"),
         }
     }
-    let (mut target, mut progress) = match resumed {
-        Some(pair) => pair,
-        None => {
-            let progress = match shards {
-                Some(_) => engine::run_sharded_until(scenario, sinks, u64::MAX, every),
-                None => engine::run_until(scenario, sinks, u64::MAX, every),
-            };
-            (every, progress)
+    match outcome {
+        RunOutcome::Ok(result) => {
+            checkpoint::discard(dir, key);
+            Ok(result)
         }
-    };
-    loop {
-        match progress {
-            engine::RunProgress::Paused(snap) => {
-                if let Err(e) = checkpoint::save(dir, key, 0, target, &engine::snapshot(&snap)) {
-                    // Losing durability is not losing the run.
-                    eprintln!("checkpoint not saved ({e}); continuing without it");
-                }
-                target = target.saturating_add(every);
-                progress = engine::resume_bounded(scenario, *snap, sinks, target)
-                    .map_err(|e| format!("in-process resume failed: {e}"))?;
-            }
-            engine::RunProgress::Done(done) => {
-                checkpoint::discard(dir, key);
-                return Ok(done.result);
-            }
-        }
+        RunOutcome::Failed(e) => Err(format!("in-process resume failed: {e}")),
+        RunOutcome::TimedOut { events } => Err(format!("run stopped after {events} events")),
     }
 }
 
@@ -1022,46 +988,66 @@ mod tests {
 
     #[test]
     fn run_checkpointed_matches_plain_and_cleans_up() {
+        use nomc_experiments::sweep::{checkpoint, hash};
+
         let mut sc = template_scenario("line").unwrap();
         sc.duration = nomc_units::SimDuration::from_millis(300);
         sc.warmup = nomc_units::SimDuration::from_millis(50);
         let dir = std::env::temp_dir().join("nomc-cli-checkpointed");
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let snap_dir = dir.join("snapshots");
+        std::fs::create_dir_all(&snap_dir).unwrap();
         let sc_path = dir.join("scenario.json");
         std::fs::write(&sc_path, nomc_json::to_string(&sc)).unwrap();
         let base = sc_path.to_str().unwrap().to_string();
+        let summary = |flags: &[&str]| {
+            let out = dir.join("summary.json");
+            let mut args = vec![base.clone(), "--json".into(), out.to_str().unwrap().into()];
+            args.extend(flags.iter().map(|f| f.to_string()));
+            run(&args).unwrap();
+            std::fs::read(&out).unwrap()
+        };
 
-        let plain_json = dir.join("plain.json");
-        run(&[
-            base.clone(),
-            "--json".into(),
-            plain_json.to_str().unwrap().to_string(),
-        ])
-        .unwrap();
+        for shards in [None, Some("2")] {
+            let mode: Vec<&str> = shards.map(|n| vec!["--shards", n]).unwrap_or_default();
+            let plain = summary(&mode);
+            let every = [
+                "--checkpoint-every",
+                "1000",
+                "--snapshot-dir",
+                snap_dir.to_str().unwrap(),
+            ];
+            let checkpointed_run_matches = |planted: &str| {
+                assert_eq!(
+                    summary(&[&mode[..], &every[..]].concat()),
+                    plain,
+                    "{shards:?} shards, {planted} planted: checkpointing must not change \
+                     the summary by a byte"
+                );
+                // The run completed, so its snapshot file was removed.
+                let leftovers: Vec<_> = std::fs::read_dir(&snap_dir)
+                    .unwrap()
+                    .filter_map(|e| e.ok())
+                    .collect();
+                assert!(leftovers.is_empty(), "{planted}: {leftovers:?}");
+            };
+            checkpointed_run_matches("nothing");
 
-        let snap_dir = dir.join("snapshots");
-        let ckpt_json = dir.join("ckpt.json");
-        run(&[
-            base.clone(),
-            "--checkpoint-every".into(),
-            "5000".into(),
-            "--snapshot-dir".into(),
-            snap_dir.to_str().unwrap().to_string(),
-            "--json".into(),
-            ckpt_json.to_str().unwrap().to_string(),
-        ])
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&plain_json).unwrap(),
-            std::fs::read(&ckpt_json).unwrap(),
-            "checkpointing must not change the summary by a byte"
-        );
-        // The run completed, so its snapshot file was removed.
-        let leftovers: Vec<_> = std::fs::read_dir(&snap_dir)
-            .map(|es| es.filter_map(|e| e.ok()).collect())
-            .unwrap_or_default();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
+            // The checkpoint an interrupted run leaves at event 2000.
+            let key = hash::member_hash_with(&sc, u64::MAX, shards.is_some());
+            let progress = match shards {
+                Some(_) => engine::run_sharded_until(&sc, &mut [], u64::MAX, 2_000),
+                None => engine::run_until(&sc, &mut [], u64::MAX, 2_000),
+            };
+            let engine::RunProgress::Paused(snap) = progress else {
+                panic!("the scenario must outlast 2000 events");
+            };
+            checkpoint::save(&snap_dir, key, 0, 2_000, &engine::snapshot(&snap)).unwrap();
+            checkpointed_run_matches("a mid-run checkpoint");
+
+            std::fs::write(checkpoint::path_for(&snap_dir, key), b"\x00garbage\xff").unwrap();
+            checkpointed_run_matches("a corrupt checkpoint");
+        }
 
         // Flag validation: zero cadence and a missing dir are typed
         // errors, not silent defaults.

@@ -1,17 +1,43 @@
-//! Regenerates every table and figure of the paper in one run and
-//! (optionally) writes the markdown summary used by EXPERIMENTS.md.
+//! Regenerates the paper's tables and figures from the experiment
+//! registry and (optionally) writes the markdown summary used by
+//! EXPERIMENTS.md.
 //!
-//! Usage: `all_experiments [--quick] [--markdown <path>] [--json <path>]`
+//! Usage: `all_experiments [--quick] [--only id,id…] [--markdown <path>]
+//! [--json <path>]`
+//!
+//! Without `--only` every registry entry runs, in paper order. With it,
+//! only the entries that yield a listed report id run, each once
+//! (`--only fig06,fig07` runs the Fig. 6/7 sweep a single time), and
+//! only the listed reports are printed and written. An unknown id is a
+//! usage error (exit 2) that lists the known ids.
 
+use nomc_experiments::{experiments, ExpConfig};
 use std::io::Write;
+use std::process::ExitCode;
 
-fn main() {
-    let cfg = nomc_experiments::ExpConfig::from_env();
-    let reports = nomc_experiments::experiments::all(&cfg);
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().collect();
+    let only: Option<Vec<String>> = if args.iter().any(|a| a == "--only") {
+        match flag_value(&args, "--only") {
+            Some(list) => Some(list.split(',').map(str::to_string).collect()),
+            None => {
+                eprintln!("all_experiments: --only needs a comma-separated list of report ids");
+                return ExitCode::from(2);
+            }
+        }
+    } else {
+        None
+    };
+    let reports = match experiments::run(&ExpConfig::from_env(), only.as_deref()) {
+        Ok(reports) => reports,
+        Err(e) => {
+            eprintln!("all_experiments: {e}");
+            return ExitCode::from(2);
+        }
+    };
     for report in &reports {
         println!("{report}");
     }
-    let args: Vec<String> = std::env::args().collect();
     if let Some(path) = flag_value(&args, "--markdown") {
         let mut out = String::from("# Generated experiment results\n\n");
         for report in &reports {
@@ -27,6 +53,7 @@ fn main() {
         writeln!(f, "[{}]", json.join(",\n")).expect("write json");
         eprintln!("wrote {path}");
     }
+    ExitCode::SUCCESS
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {

@@ -312,20 +312,6 @@ pub fn acknowledged(cfg: &ExpConfig) -> Report {
     report
 }
 
-/// Runs all ablations.
-pub fn run(cfg: &ExpConfig) -> Vec<Report> {
-    vec![
-        shadowing(cfg),
-        capture(cfg),
-        t_update(cfg),
-        margin(cfg),
-        failure_policy(cfg),
-        clamp(cfg),
-        oracle(cfg),
-        acknowledged(cfg),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

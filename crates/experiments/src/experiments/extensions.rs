@@ -482,18 +482,6 @@ pub fn fault_recovery(cfg: &ExpConfig) -> Report {
     report
 }
 
-/// Runs all extension studies.
-pub fn run(cfg: &ExpConfig) -> Vec<Report> {
-    vec![
-        energy_comparison(cfg),
-        planner_validation(cfg),
-        adaptive_recovery(cfg),
-        assignment_study(cfg),
-        convergecast_study(cfg),
-        fault_recovery(cfg),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,9 +1,8 @@
 //! # nomc-experiments
 //!
-//! The reproduction harness: one module (and one runnable binary) per
-//! table/figure of *"Design of Non-orthogonal Multi-channel Sensor
-//! Networks"* (ICDCS 2010), plus ablations of the reproduction's own
-//! design choices.
+//! The reproduction harness: one module per table/figure of *"Design of
+//! Non-orthogonal Multi-channel Sensor Networks"* (ICDCS 2010), plus
+//! ablations of the reproduction's own design choices.
 //!
 //! Every experiment follows the same contract:
 //!
@@ -11,8 +10,10 @@
 //!   fidelity), deterministic for a given config,
 //! * it returns a [`report::Report`] — a table of measured values next
 //!   to the paper's reported values, with commentary notes,
-//! * `cargo run -p nomc-experiments --bin <id>` prints it, and
-//!   `--bin all_experiments` regenerates the whole evaluation section.
+//! * [`experiments::REGISTRY`] maps its report id to the function
+//!   that produces it: `cargo run -p nomc-experiments --bin
+//!   all_experiments` regenerates the whole evaluation section, and
+//!   `-- --only <id,…>` just the listed reports.
 //!
 //! # Examples
 //!

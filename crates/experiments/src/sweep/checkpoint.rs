@@ -20,10 +20,15 @@
 //! from a clean start (which, by the engine's snapshot contract,
 //! produces byte-identical results anyway — corruption costs time, not
 //! correctness).
+//!
+//! [`run_legs`] is the one pause/snapshot/resume loop: sweep members and
+//! `nomc run --checkpoint-every` both run through it.
 
 use super::hash::Fnv1a;
 use super::journal::write_atomic;
 use super::SweepError;
+use crate::runner::RunOutcome;
+use nomc_sim::{engine, Scenario, SimObserver};
 use std::path::{Path, PathBuf};
 
 /// Checkpoint format version; bump on any incompatible layout change.
@@ -289,6 +294,139 @@ pub fn load(dir: &Path, member_hash: u64) -> Result<Option<Recovered>, Checkpoin
 /// attempt/hash, so nothing is silently replayed.
 pub fn discard(dir: &Path, member_hash: u64) {
     let _ = std::fs::remove_file(path_for(dir, member_hash));
+}
+
+/// Something [`run_legs`] noticed on the way that a user-facing caller
+/// may want to report. None of it changes the outcome.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Notice {
+    /// The attempt resumed from the checkpoint taken at this global
+    /// event count.
+    Resumed {
+        /// Events the checkpoint had already executed.
+        events_done: u64,
+    },
+    /// The checkpoint on disk could not be used (the text says why) and
+    /// was discarded; the attempt started from the beginning.
+    Discarded(String),
+    /// A pause's checkpoint could not be written (the text says why);
+    /// the run continued with an older one or none.
+    SaveFailed(String),
+}
+
+/// The leg chain of one checkpointed attempt: resume from the latest
+/// trustworthy checkpoint under `member_hash` in `dir` (falling back to
+/// a clean start on *any* defect — typed errors all the way down, never
+/// a panic), then alternate run-to-pause every `every` events with
+/// atomic snapshot writes until the engine finishes or exhausts
+/// `budget`.
+///
+/// Returns the attempt's outcome, exactly as an uncheckpointed run's,
+/// and the resume, discard and failed-save notices in the order they
+/// happened. The checkpoint is left on disk; the caller discards it
+/// once the run has concluded (a timed-out attempt's checkpoint carries
+/// into the retry).
+#[allow(clippy::too_many_arguments)]
+pub fn run_legs(
+    scenario: &Scenario,
+    budget: u64,
+    shards: Option<usize>,
+    dir: &Path,
+    every: u64,
+    member_hash: u64,
+    attempt: u32,
+    observers: &mut [&mut dyn SimObserver],
+) -> (RunOutcome, Vec<Notice>) {
+    let mut notices = Vec::new();
+    let discard_for = |notices: &mut Vec<Notice>, why: String| {
+        discard(dir, member_hash);
+        notices.push(Notice::Discarded(why));
+    };
+
+    // Recover a prior checkpoint, if it can be trusted. A defective
+    // file (corrupt, version-skewed, wrong member) is discarded and the
+    // attempt degrades to a clean start — by the engine's snapshot
+    // contract the results are byte-identical either way, so
+    // corruption costs time, never correctness.
+    let recovered = match load(dir, member_hash) {
+        Ok(found) => found,
+        Err(e) => {
+            discard_for(&mut notices, e.to_string());
+            None
+        }
+    };
+
+    let mut resumed = None;
+    if let Some(rec) = recovered {
+        // A checkpoint written by a *later* attempt must not leak into
+        // an earlier one: a resumed sweep replays the attempt ladder
+        // from 0, and attempt `k` has to reproduce the uninterrupted
+        // attempt `k` exactly. The file is left in place — this attempt
+        // overwrites it at its own first pause.
+        if rec.attempt <= attempt {
+            match engine::restore(&rec.payload) {
+                Ok(mut snap) => {
+                    // Graft this attempt's budget onto the saved state
+                    // (a retry resumes a timed-out attempt's checkpoint
+                    // under the doubled budget).
+                    snap.set_budget(budget);
+                    let target = rec.events_done.saturating_add(every);
+                    match engine::resume_bounded(scenario, snap, observers, target) {
+                        Ok(progress) => {
+                            notices.push(Notice::Resumed {
+                                events_done: rec.events_done,
+                            });
+                            resumed = Some((target, progress));
+                        }
+                        Err(e) => discard_for(&mut notices, e.to_string()),
+                    }
+                }
+                Err(e) => discard_for(&mut notices, e.to_string()),
+            }
+        }
+    }
+
+    let (mut target, mut progress) = match resumed {
+        Some(pair) => pair,
+        None => {
+            let progress = match shards {
+                Some(_) => engine::run_sharded_until(scenario, observers, budget, every),
+                None => engine::run_until(scenario, observers, budget, every),
+            };
+            (every, progress)
+        }
+    };
+
+    loop {
+        match progress {
+            engine::RunProgress::Paused(snap) => {
+                // A failed save loses durability, not the run: the
+                // member keeps executing with an older (or no)
+                // checkpoint to fall back on after a crash.
+                if let Err(e) = save(dir, member_hash, attempt, target, &engine::snapshot(&snap)) {
+                    notices.push(Notice::SaveFailed(e.to_string()));
+                }
+                target = target.saturating_add(every);
+                match engine::resume_bounded(scenario, *snap, observers, target) {
+                    Ok(next) => progress = next,
+                    // Unreachable in practice (the snapshot came from
+                    // this very scenario moments ago), but a typed
+                    // failure stays a recorded failure, not a panic.
+                    Err(e) => return (RunOutcome::Failed(e.to_string()), notices),
+                }
+            }
+            engine::RunProgress::Done(done) => {
+                let outcome = if done.exhausted {
+                    RunOutcome::TimedOut {
+                        events: done.result.events,
+                    }
+                } else {
+                    RunOutcome::Ok(done.result)
+                };
+                return (outcome, notices);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

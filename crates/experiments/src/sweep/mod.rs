@@ -398,16 +398,27 @@ fn run_member(
     let mut budget = cfg.base_budget;
     for attempt in 0..=cfg.retries {
         let run = match supervision {
-            Some((dir, every)) => run_checkpointed(
-                scenario,
-                budget,
-                cfg.shards,
-                dir,
-                every,
-                member_hash,
-                attempt,
-                observers,
-            ),
+            // Panic-isolated like `run_isolated`, but run as a chain of
+            // pause/snapshot/resume legs.
+            Some((dir, every)) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                checkpoint::run_legs(
+                    scenario,
+                    budget,
+                    cfg.shards,
+                    dir,
+                    every,
+                    member_hash,
+                    attempt,
+                    observers,
+                )
+                .0
+            }))
+            .unwrap_or_else(|payload| {
+                // A panicking attempt cannot vouch for what it left on
+                // disk; drop the checkpoint so the retry starts clean.
+                checkpoint::discard(dir, member_hash);
+                RunOutcome::Failed(crate::runner::panic_message(&*payload))
+            }),
             None => run_isolated(scenario, budget, cfg.shards, observers),
         };
         let (outcome, done) = match run {
@@ -430,140 +441,6 @@ fn run_member(
         member: index,
         hash: member_hash,
         attempts,
-    }
-}
-
-/// One checkpoint-supervised attempt: panic-isolated like
-/// [`run_isolated`], but run as a chain of pause/snapshot/resume legs.
-#[allow(clippy::too_many_arguments)]
-fn run_checkpointed(
-    scenario: &Scenario,
-    budget: u64,
-    shards: Option<usize>,
-    dir: &Path,
-    every: u64,
-    member_hash: u64,
-    attempt: u32,
-    observers: &mut [&mut dyn SimObserver],
-) -> RunOutcome {
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        checkpointed_legs(
-            scenario,
-            budget,
-            shards,
-            dir,
-            every,
-            member_hash,
-            attempt,
-            observers,
-        )
-    }));
-    match run {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            // A panicking attempt cannot vouch for what it left on
-            // disk; drop the checkpoint so the retry starts clean.
-            checkpoint::discard(dir, member_hash);
-            RunOutcome::Failed(crate::runner::panic_message(&*payload))
-        }
-    }
-}
-
-/// The leg chain of one checkpointed attempt: resume from the latest
-/// trustworthy checkpoint (falling back to a clean start on *any*
-/// defect — typed errors all the way down, never a panic), then
-/// alternate run-to-pause with atomic snapshot writes until the engine
-/// finishes or exhausts its budget.
-#[allow(clippy::too_many_arguments)]
-fn checkpointed_legs(
-    scenario: &Scenario,
-    budget: u64,
-    shards: Option<usize>,
-    dir: &Path,
-    every: u64,
-    member_hash: u64,
-    attempt: u32,
-    observers: &mut [&mut dyn SimObserver],
-) -> RunOutcome {
-    use nomc_sim::engine;
-
-    // Recover a prior checkpoint, if it can be trusted. A defective
-    // file (corrupt, version-skewed, wrong member) is discarded and the
-    // attempt degrades to a clean start — by the engine's snapshot
-    // contract the results are byte-identical either way, so
-    // corruption costs time, never correctness.
-    let recovered = match checkpoint::load(dir, member_hash) {
-        Ok(found) => found,
-        Err(_) => {
-            checkpoint::discard(dir, member_hash);
-            None
-        }
-    };
-
-    let mut resumed = None;
-    if let Some(rec) = recovered {
-        // A checkpoint written by a *later* attempt must not leak into
-        // an earlier one: a resumed sweep replays the attempt ladder
-        // from 0, and attempt `k` has to reproduce the uninterrupted
-        // attempt `k` exactly. The file is left in place — this attempt
-        // overwrites it at its own first pause.
-        if rec.attempt <= attempt {
-            match engine::restore(&rec.payload) {
-                Ok(mut snap) => {
-                    // Graft this attempt's budget onto the saved state
-                    // (a retry resumes a timed-out attempt's checkpoint
-                    // under the doubled budget).
-                    snap.set_budget(budget);
-                    let target = rec.events_done.saturating_add(every);
-                    match engine::resume_bounded(scenario, snap, observers, target) {
-                        Ok(progress) => resumed = Some((target, progress)),
-                        Err(_) => checkpoint::discard(dir, member_hash),
-                    }
-                }
-                Err(_) => checkpoint::discard(dir, member_hash),
-            }
-        }
-    }
-
-    let (mut target, mut progress) = match resumed {
-        Some(pair) => pair,
-        None => {
-            let target = every;
-            let progress = match shards {
-                Some(_) => engine::run_sharded_until(scenario, observers, budget, target),
-                None => engine::run_until(scenario, observers, budget, target),
-            };
-            (target, progress)
-        }
-    };
-
-    loop {
-        match progress {
-            engine::RunProgress::Paused(snap) => {
-                let payload = engine::snapshot(&snap);
-                // A failed save loses durability, not the run: the
-                // member keeps executing with an older (or no)
-                // checkpoint to fall back on after a crash.
-                let _ = checkpoint::save(dir, member_hash, attempt, target, &payload);
-                target = target.saturating_add(every);
-                match engine::resume_bounded(scenario, *snap, observers, target) {
-                    Ok(next) => progress = next,
-                    // Unreachable in practice (the snapshot came from
-                    // this very scenario moments ago), but a typed
-                    // failure stays a recorded failure, not a panic.
-                    Err(e) => return RunOutcome::Failed(e.to_string()),
-                }
-            }
-            engine::RunProgress::Done(done) => {
-                return if done.exhausted {
-                    RunOutcome::TimedOut {
-                        events: done.result.events,
-                    }
-                } else {
-                    RunOutcome::Ok(done.result)
-                };
-            }
-        }
     }
 }
 

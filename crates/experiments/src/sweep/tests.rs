@@ -286,6 +286,39 @@ fn corrupt_or_alien_checkpoints_degrade_to_a_clean_rerun() {
 }
 
 #[test]
+fn leg_chain_reports_resumes_discards_and_failed_saves() {
+    use super::checkpoint::{self, Notice};
+    let sc = base_scenario();
+    let dir = snapshot_dir("notices");
+    let mh = hash::member_hash_with(&sc, u64::MAX, false);
+    let legs = |dir: &std::path::Path| {
+        checkpoint::run_legs(&sc, u64::MAX, None, dir, 4_000, mh, 0, &mut [])
+    };
+    let engine::RunProgress::Paused(snap) = engine::run_until(&sc, &mut [], u64::MAX, 4_000) else {
+        panic!("scenario must outlast one cadence");
+    };
+    checkpoint::save(&dir, mh, 0, 4_000, &engine::snapshot(&snap)).expect("planted");
+    let (outcome, notices) = legs(&dir);
+    assert!(matches!(outcome, runner::RunOutcome::Ok(_)), "{outcome:?}");
+    assert_eq!(notices, [Notice::Resumed { events_done: 4_000 }]);
+
+    std::fs::write(checkpoint::path_for(&dir, mh), b"\x00garbage").expect("planted");
+    let (_, notices) = legs(&dir);
+    assert!(matches!(notices[..], [Notice::Discarded(_)]), "{notices:?}");
+
+    // A snapshot "dir" that is a file: no save can succeed, yet the run
+    // completes.
+    let blocked = dir.join("a-file");
+    std::fs::write(&blocked, b"").expect("file");
+    let (outcome, notices) = legs(&blocked);
+    assert!(matches!(outcome, runner::RunOutcome::Ok(_)), "{outcome:?}");
+    assert!(
+        notices.iter().any(|n| matches!(n, Notice::SaveFailed(_))),
+        "{notices:?}"
+    );
+}
+
+#[test]
 fn checkpointed_retry_ladder_matches_the_plain_one() {
     // The doubling-retry path under checkpoint supervision: a timed-out
     // attempt's last checkpoint carries into the retry (resumed under

@@ -80,7 +80,14 @@ impl BerModel {
     /// assert!(m.frame_success_probability(Db::new(-3.0), 800) < 0.01);
     /// ```
     pub fn frame_success_probability(self, sinr: Db, bits: u32) -> f64 {
-        frame_success_from_ber(self.bit_error_rate(sinr), bits)
+        // `(1 − ber)^bits`, evaluated in the ln domain for numerical
+        // stability with large frames. Exact ±0 test via bits; `ber` is
+        // total here (see DESIGN.md §8).
+        let ber = self.bit_error_rate(sinr);
+        if ber.abs().to_bits() == 0 {
+            return 1.0;
+        }
+        (f64::from(bits) * (1.0 - ber).ln()).exp()
     }
 
     /// The SINR at which the frame success probability for `bits` bits
@@ -103,17 +110,6 @@ impl BerModel {
         }
         Db::new(0.5 * (lo + hi))
     }
-}
-
-/// `(1 − ber)^bits`, evaluated in the ln domain for numerical stability
-/// with large frames. Shared by [`BerModel::frame_success_probability`]
-/// and [`crate::lut::BerLut`] so the two can never drift apart.
-pub(crate) fn frame_success_from_ber(ber: f64, bits: u32) -> f64 {
-    // Exact ±0 test via bits; `ber` is total here (see DESIGN.md §8).
-    if ber.abs().to_bits() == 0 {
-        return 1.0;
-    }
-    (f64::from(bits) * (1.0 - ber).ln()).exp()
 }
 
 /// IEEE 802.15.4 2.4 GHz O-QPSK DSSS bit-error rate.

@@ -21,8 +21,8 @@
 //!
 //! [`planning`] composes 3-5 analytically, predicting the collided-packet
 //! receive rate at a given channel distance without running a simulation.
-//! [`lut`] provides bit-exact quantized lookup tables for the two hot
-//! kernels in that chain (the BER sum and the ACR leakage factor).
+//! [`lut`] provides a bit-exact quantized lookup table for the ACR
+//! leakage factor, the hot kernel of that chain's interference sums.
 //!
 //! # Examples
 //!
@@ -55,7 +55,7 @@ pub mod sinr;
 pub use ber::BerModel;
 pub use capture::CaptureModel;
 pub use coupling::AcrCurve;
-pub use lut::{AcrLut, BerLut};
+pub use lut::AcrLut;
 pub use noise::NoiseFloor;
 pub use pathloss::{FreeSpace, LogDistance, PathLoss};
 pub use shadowing::Shadowing;

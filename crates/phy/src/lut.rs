@@ -1,45 +1,41 @@
-//! Quantized lookup tables for the hot PHY kernels, bit-exact by
+//! A quantized lookup table for the ACR leakage kernel, bit-exact by
 //! construction.
 //!
-//! The two evaluations that dominate PHY cost are the alternating
-//! O-QPSK BER sum (fifteen `exp` calls per evaluation, see
-//! [`crate::ber`]) and the ACR leakage factor (piecewise-linear
-//! interpolation plus a `powf`, see [`crate::coupling`]). Both are pure
-//! functions whose inputs, in the workloads that hammer them, come from
-//! small *grids*: frame-success sweeps walk SINR in fixed dB steps, and
+//! The ACR leakage factor (piecewise-linear interpolation plus a
+//! `powf`, see [`crate::coupling`]) is a pure function whose inputs, in
+//! the workloads that hammer it, come from a small *grid*:
 //! centre-frequency distances are differences of channel-plan
 //! frequencies, i.e. multiples of the channel spacing.
 //!
-//! [`BerLut`] and [`AcrLut`] precompute the analytic result over such a
-//! quantized grid and share one contract: **a lookup input that
-//! reconstructs a grid point bit-for-bit returns the precomputed entry;
-//! any other input falls back to the analytic evaluation.** Because
-//! every table entry was itself produced by the analytic code on the
-//! identical input bits, the table is an *identity-preserving cache*,
-//! not an approximation — for every possible input, on-grid or off, the
-//! result carries exactly the bits the direct computation would have
-//! produced. The `*_is_bit_exact` tests below pin that contract the
-//! same way `underflow_shortcut_is_bit_identical` pins the early-outs
-//! in [`crate::ber`].
+//! [`AcrLut`] precomputes the analytic result over such a quantized
+//! grid under one contract: **a lookup input that reconstructs a grid
+//! point bit-for-bit returns the precomputed entry; any other input
+//! falls back to the analytic evaluation.** Because every table entry
+//! was itself produced by the analytic code on the identical input
+//! bits, the table is an *identity-preserving cache*, not an
+//! approximation — for every possible input, on-grid or off, the result
+//! carries exactly the bits the direct computation would have produced.
+//! The `acr_lut_is_bit_exact` test below pins that contract the same
+//! way `underflow_shortcut_is_bit_identical` pins the early-outs in
+//! [`crate::ber`].
 //!
 //! Grid-hit detection is exact, not tolerance-based: the candidate
 //! index is recovered by division, then the grid point is re-derived
-//! with the same `lo + i·step` expression used at build time and
-//! compared to the input via [`f64::to_bits`]. Default steps are
-//! negative powers of two, so grid points built that way are exact in
-//! f64 and inputs generated by the same arithmetic hit reliably; any
-//! rounding mismatch merely demotes a lookup to the analytic path.
+//! with the same `i·step` expression used at build time and compared
+//! to the input via [`f64::to_bits`]. The default step is a negative
+//! power of two, so grid points built that way are exact in f64 and
+//! inputs generated by the same arithmetic hit reliably; any rounding
+//! mismatch merely demotes a lookup to the analytic path.
 
-use crate::ber::{frame_success_from_ber, BerModel};
 use crate::coupling::AcrCurve;
 use nomc_units::{Db, Megahertz};
 
-/// Recovers the grid index of `v` on the grid `lo + i·step`
-/// (`i < len`), or `None` unless the reconstructed grid point equals
-/// `v` bit-for-bit. NaN and out-of-range inputs never match.
+/// Recovers the grid index of `v` on the grid `i·step` (`i < len`),
+/// or `None` unless the reconstructed grid point equals `v`
+/// bit-for-bit. NaN and out-of-range inputs never match.
 #[inline]
-fn grid_index(v: f64, lo: f64, step: f64, len: usize) -> Option<usize> {
-    let idx = (v - lo) / step;
+fn grid_index(v: f64, step: f64, len: usize) -> Option<usize> {
+    let idx = v / step;
     if !(idx >= 0.0 && idx < len as f64) {
         return None;
     }
@@ -48,115 +44,10 @@ fn grid_index(v: f64, lo: f64, step: f64, len: usize) -> Option<usize> {
     // division that rounds across an integer boundary only costs the
     // shortcut, never correctness.
     let i = idx as usize;
-    if (lo + i as f64 * step).to_bits() == v.to_bits() {
+    if (i as f64 * step).to_bits() == v.to_bits() {
         Some(i)
     } else {
         None
-    }
-}
-
-/// A [`BerModel`] with its BER precomputed over a quantized SINR grid.
-///
-/// Calibration sweeps, threshold bisection, and analytic reporting
-/// evaluate the BER curve at the same dB values over and over; a grid
-/// hit replaces the fifteen-term alternating `exp` sum with one table
-/// read while remaining bit-exact (see the module docs for the
-/// contract).
-///
-/// # Examples
-///
-/// ```
-/// use nomc_phy::{BerLut, BerModel};
-/// use nomc_units::Db;
-///
-/// let lut = BerLut::new(BerModel::Oqpsk802154);
-/// // Any input — on the grid or off — matches the analytic model
-/// // bit for bit.
-/// for s in [-3.0, 0.0625, 2.7182818] {
-///     assert_eq!(
-///         lut.bit_error_rate(Db::new(s)).to_bits(),
-///         BerModel::Oqpsk802154.bit_error_rate(Db::new(s)).to_bits(),
-///     );
-/// }
-/// ```
-#[derive(Debug, Clone)]
-pub struct BerLut {
-    model: BerModel,
-    /// Grid origin, dB.
-    lo: f64,
-    /// Grid step, dB (a negative power of two by default, so grid
-    /// points are exact in f64).
-    step: f64,
-    table: Vec<f64>,
-}
-
-impl BerLut {
-    /// Tabulates `model` over the default grid: −30 dB to +50 dB in
-    /// steps of 1/16 dB (1281 entries), spanning the full transition
-    /// region of both demodulator models with margin.
-    pub fn new(model: BerModel) -> Self {
-        BerLut::with_grid(model, Db::new(-30.0), 1.0 / 16.0, 1281)
-    }
-
-    /// Tabulates `model` over `len` points `lo + i·step` dB.
-    ///
-    /// Steps that are negative powers of two (1/16, 1/8, …) make the
-    /// grid exact in f64 and therefore hittable; other steps are
-    /// permitted but may demote some nominal grid points to the
-    /// analytic fallback.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is not finite and positive or `len < 2`.
-    pub fn with_grid(model: BerModel, lo: Db, step: f64, len: usize) -> Self {
-        assert!(
-            step.is_finite() && step > 0.0,
-            "grid step must be finite and positive"
-        );
-        assert!(len >= 2, "a grid needs at least two points");
-        let lo = lo.value();
-        let table = (0..len)
-            .map(|i| model.bit_error_rate(Db::new(lo + i as f64 * step)))
-            .collect();
-        BerLut {
-            model,
-            lo,
-            step,
-            table,
-        }
-    }
-
-    /// The tabulated model.
-    pub fn model(&self) -> BerModel {
-        self.model
-    }
-
-    /// Whether `sinr` lands exactly (bit-for-bit) on a precomputed grid
-    /// point. Diagnostic: callers never need to branch on this — both
-    /// paths return identical bits — but sweeps can use it to confirm
-    /// they are actually hitting the table.
-    pub fn is_grid_hit(&self, sinr: Db) -> bool {
-        grid_index(sinr.value(), self.lo, self.step, self.table.len()).is_some()
-    }
-
-    /// Bit-error rate at `sinr`; table read on a grid hit, analytic
-    /// [`BerModel::bit_error_rate`] otherwise. Identical bits either
-    /// way.
-    #[inline]
-    pub fn bit_error_rate(&self, sinr: Db) -> f64 {
-        match grid_index(sinr.value(), self.lo, self.step, self.table.len()) {
-            Some(i) => self.table[i],
-            None => self.model.bit_error_rate(sinr),
-        }
-    }
-
-    /// Probability that `bits` consecutive bits are all received
-    /// correctly at `sinr`; bit-identical to
-    /// [`BerModel::frame_success_probability`] (both funnel through the
-    /// same ln-domain kernel).
-    #[inline]
-    pub fn frame_success_probability(&self, sinr: Db, bits: u32) -> f64 {
-        frame_success_from_ber(self.bit_error_rate(sinr), bits)
     }
 }
 
@@ -242,7 +133,7 @@ impl AcrLut {
     /// table value is the analytic value for the signed input too.
     #[inline]
     fn index_of(&self, cfd: Megahertz) -> Option<usize> {
-        grid_index(cfd.value().abs(), 0.0, self.step, self.leakage.len())
+        grid_index(cfd.value().abs(), self.step, self.leakage.len())
     }
 
     /// Whether `cfd` lands exactly (bit-for-bit, by magnitude) on a
@@ -284,59 +175,6 @@ impl AcrLut {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ber_lut_is_bit_exact() {
-        for model in [BerModel::Oqpsk802154, BerModel::Dsss80211b] {
-            let lut = BerLut::new(model);
-            // Every default grid point, reconstructed exactly as the
-            // builder does, must hit the table and carry the analytic
-            // bits.
-            for i in 0..1281usize {
-                let s = Db::new(-30.0 + i as f64 * (1.0 / 16.0));
-                assert!(lut.is_grid_hit(s), "{model:?}: grid miss at {s}");
-                assert_eq!(
-                    lut.bit_error_rate(s).to_bits(),
-                    model.bit_error_rate(s).to_bits(),
-                    "{model:?}: grid point {s} diverged"
-                );
-            }
-            // Off-grid and out-of-range inputs fall back and must also
-            // be identical. The 0.013 dB stride is incommensurate with
-            // the 1/16 dB grid, and the range straddles both ends.
-            for i in 0..8000 {
-                let s = Db::new(-40.0 + f64::from(i) * 0.013);
-                assert_eq!(
-                    lut.bit_error_rate(s).to_bits(),
-                    model.bit_error_rate(s).to_bits(),
-                    "{model:?}: off-grid {s} diverged"
-                );
-            }
-            for (s, bits) in [(-3.2, 800), (0.0625, 856), (7.0, 8000), (60.0, 40)] {
-                assert_eq!(
-                    lut.frame_success_probability(Db::new(s), bits).to_bits(),
-                    model.frame_success_probability(Db::new(s), bits).to_bits(),
-                    "{model:?}: frame success at {s} dB diverged"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ber_lut_off_grid_inputs_miss_the_table() {
-        let lut = BerLut::new(BerModel::Oqpsk802154);
-        for s in [0.013, -29.99, 12.345_678_9, 1e-9] {
-            assert!(!lut.is_grid_hit(Db::new(s)), "{s} should not be a grid hit");
-        }
-        for s in [f64::NAN, f64::INFINITY, -1e9, 1e9] {
-            assert!(!lut.is_grid_hit(Db::new(s)));
-        }
-        // NaN propagates identically through both paths (both produce
-        // a clamp of NaN).
-        let nan_lut = lut.bit_error_rate(Db::new(f64::NAN));
-        let nan_ana = BerModel::Oqpsk802154.bit_error_rate(Db::new(f64::NAN));
-        assert_eq!(nan_lut.is_nan(), nan_ana.is_nan());
-    }
 
     #[test]
     fn acr_lut_is_bit_exact() {
@@ -409,7 +247,7 @@ mod tests {
     #[test]
     fn custom_grids_are_validated() {
         let r = std::panic::catch_unwind(|| {
-            BerLut::with_grid(BerModel::Oqpsk802154, Db::new(0.0), -1.0, 10)
+            AcrLut::with_step(AcrCurve::cc2420_calibrated(), Megahertz::new(-1.0))
         });
         assert!(r.is_err(), "negative step must be rejected");
         let r = std::panic::catch_unwind(|| {

@@ -2,25 +2,20 @@
 //!
 //! Events are keyed by `(time, sequence)`; the monotone sequence number
 //! makes same-instant ordering deterministic (insertion order), which is
-//! essential for reproducible runs. The [`EventQueue`] trait abstracts the
-//! priority-queue implementation so the engine can swap data structures
-//! without touching dispatch semantics:
+//! essential for reproducible runs.
 //!
-//! * [`HeapQueue`] — the reference `BinaryHeap` implementation. `O(log n)`
-//!   per operation, trivially correct.
-//! * [`BucketQueue`] — a calendar queue keyed on 802.15.4 symbol time.
-//!   Simulation events cluster within a few milliseconds of *now* (slot
-//!   boundaries, CCA windows, frame airtimes), so hashing each event into a
-//!   16 µs-wide bucket on a circular wheel gives `O(1)` amortized
-//!   schedule/pop. Far-future events (provider ticks, fault injections)
-//!   overflow into a small heap and migrate onto the wheel as time
-//!   advances.
+//! [`BucketQueue`] is a calendar queue keyed on 802.15.4 symbol time.
+//! Simulation events cluster within a few milliseconds of *now* (slot
+//! boundaries, CCA windows, frame airtimes), so hashing each event into a
+//! 16 µs-wide bucket on a circular wheel gives `O(1)` amortized
+//! schedule/pop. Far-future events (provider ticks, fault injections)
+//! overflow into a small heap and migrate onto the wheel as time
+//! advances.
 //!
-//! Both implementations produce the exact same pop order — [`BucketQueue`]
-//! resolves each bucket by minimum `(time, sequence)`, so FIFO-within-
-//! timestamp holds and golden traces are byte-identical whichever queue
-//! the engine uses. Property tests pin this equivalence in
-//! `tests/tests/event_queue.rs`.
+//! Each bucket is resolved by minimum `(time, sequence)`, so pop order is
+//! exactly that of a binary heap keyed the same way — FIFO within a
+//! timestamp. `tests/tests/event_queue.rs` pins that equivalence against
+//! a reference binary-heap oracle.
 
 use nomc_units::SimTime;
 use std::cmp::Ordering;
@@ -92,80 +87,6 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// A deterministic future-event list.
-///
-/// Implementations must pop in strict `(time, sequence)` order, where the
-/// sequence number is a monotone counter minted at [`EventQueue::schedule`]
-/// time. That makes same-instant ordering insertion order — the property
-/// the golden trace fixtures depend on.
-pub trait EventQueue {
-    /// Schedules `event` at absolute time `at`.
-    fn schedule(&mut self, at: SimTime, event: Event);
-
-    /// Pops the earliest event with its schedule sequence number.
-    ///
-    /// The sequence number is minted at [`EventQueue::schedule`] time,
-    /// so it totally orders *when events were scheduled* — the engine's
-    /// fault layer uses it to discard events a crashed node scheduled
-    /// in its previous life (see `runtime/faults.rs`).
-    fn pop_entry(&mut self) -> Option<(SimTime, u64, Event)>;
-
-    /// Pops the earliest event, if any.
-    fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.pop_entry().map(|(t, _, e)| (t, e))
-    }
-
-    /// The sequence number the *next* scheduled event will receive.
-    /// Every event currently in the queue has a smaller one.
-    fn next_seq(&self) -> u64;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// `true` when no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The reference [`EventQueue`]: a binary heap keyed by `(time, seq)`.
-#[derive(Debug, Default)]
-pub struct HeapQueue {
-    heap: BinaryHeap<Scheduled>,
-    next_seq: u64,
-}
-
-impl HeapQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        HeapQueue::default()
-    }
-}
-
-impl EventQueue for HeapQueue {
-    fn schedule(&mut self, at: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled {
-            time: at,
-            seq,
-            event,
-        });
-    }
-
-    fn pop_entry(&mut self) -> Option<(SimTime, u64, Event)> {
-        self.heap.pop().map(|s| (s.time, s.seq, s.event))
-    }
-
-    fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
 /// Calendar-queue bucket width: one 802.15.4 symbol period (16 µs). Every
 /// MAC/PHY interval in the simulator is a multiple of the symbol time, so
 /// same-bucket events are almost always same-instant and the min-scan per
@@ -179,7 +100,8 @@ const BUCKET_WIDTH_NS: u64 = 16_000;
 /// injections land in the overflow heap.
 const WHEEL_SLOTS: usize = 2048;
 
-/// A calendar (bucket) [`EventQueue`] keyed on symbol time.
+/// A deterministic future-event list: a calendar (bucket) queue keyed
+/// on symbol time.
 ///
 /// Near-term events hash into a circular wheel of 2048 buckets
 /// (`WHEEL_SLOTS`), each one 16 µs symbol period wide
@@ -187,13 +109,14 @@ const WHEEL_SLOTS: usize = 2048;
 /// and popping scans forward from the current bucket. Events beyond one
 /// wheel revolution sit in an overflow heap and migrate onto the wheel as
 /// the cursor advances. Pop order is strict `(time, seq)` — within a
-/// bucket the minimum entry is selected by scan — so the ordering contract
-/// matches [`HeapQueue`] exactly.
+/// bucket the minimum entry is selected by scan — so same-instant
+/// events pop in the order they were scheduled, the property the golden
+/// trace fixtures depend on.
 #[derive(Debug)]
 pub struct BucketQueue {
     /// Circular bucket array; entries within a slot are unordered.
     wheel: Vec<Vec<Scheduled>>,
-    /// Events at or beyond `base + WHEEL_SPAN`, keyed like [`HeapQueue`].
+    /// Events at or beyond `base + WHEEL_SPAN`, in a `(time, seq)` heap.
     overflow: BinaryHeap<Scheduled>,
     /// Start time of the cursor bucket (multiple of [`BUCKET_WIDTH_NS`]).
     base_ns: u64,
@@ -222,6 +145,79 @@ impl BucketQueue {
         BucketQueue::default()
     }
 
+    /// Schedules `event` at absolute time `at`.
+    pub fn schedule(&mut self, at: SimTime, event: Event) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let s = Scheduled {
+            time: at,
+            seq,
+            event,
+        };
+        let ns = at.as_nanos();
+        if ns >= self.base_ns.saturating_add(WHEEL_SPAN_NS) {
+            self.overflow.push(s);
+        } else {
+            // Late events (behind the cursor) land in the cursor bucket;
+            // the min-scan still orders them first.
+            let slot = if ns < self.base_ns {
+                debug_assert!(false, "scheduled into the past: {ns} < {}", self.base_ns);
+                Self::slot_of(self.base_ns)
+            } else {
+                Self::slot_of(ns)
+            };
+            self.wheel[slot].push(s);
+            self.wheel_len += 1;
+        }
+    }
+
+    /// Pops the earliest event with its schedule sequence number.
+    ///
+    /// The sequence number is minted at [`BucketQueue::schedule`] time,
+    /// so it totally orders *when events were scheduled* — the engine's
+    /// fault layer uses it to discard events a crashed node scheduled
+    /// in its previous life (see `runtime/faults.rs`).
+    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, Event)> {
+        loop {
+            if self.wheel_len == 0 {
+                // Jump the cursor straight to the earliest overflow event.
+                let ns = self.overflow.peek()?.time.as_nanos();
+                self.base_ns = ns - ns % BUCKET_WIDTH_NS;
+                self.migrate_overflow();
+                continue;
+            }
+            let slot = Self::slot_of(self.base_ns);
+            if self.wheel[slot].is_empty() {
+                self.base_ns += BUCKET_WIDTH_NS;
+                self.migrate_overflow();
+                continue;
+            }
+            let s = self.take_min(slot);
+            return Some((s.time, s.seq, s.event));
+        }
+    }
+
+    /// Pops the earliest event, if any.
+    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
+        self.pop_entry().map(|(t, _, e)| (t, e))
+    }
+
+    /// The sequence number the *next* scheduled event will receive.
+    /// Every event currently in the queue has a smaller one.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.wheel_len + self.overflow.len()
+    }
+
+    /// `true` when no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     fn slot_of(ns: u64) -> usize {
         ((ns / BUCKET_WIDTH_NS) % WHEEL_SLOTS as u64) as usize
     }
@@ -241,7 +237,7 @@ impl BucketQueue {
     }
 
     /// All pending entries in `(time, seq)` pop order, without disturbing
-    /// the queue — together with [`EventQueue::next_seq`] this is the
+    /// the queue — together with [`BucketQueue::next_seq`] this is the
     /// queue's complete logical state, which is all checkpointing needs:
     /// pop order depends only on `(time, seq)`, never on wheel placement.
     pub fn entries(&self) -> Vec<(SimTime, u64, Event)> {
@@ -293,175 +289,109 @@ impl BucketQueue {
     }
 }
 
-impl EventQueue for BucketQueue {
-    fn schedule(&mut self, at: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let s = Scheduled {
-            time: at,
-            seq,
-            event,
-        };
-        let ns = at.as_nanos();
-        if ns >= self.base_ns.saturating_add(WHEEL_SPAN_NS) {
-            self.overflow.push(s);
-        } else {
-            // Late events (behind the cursor) land in the cursor bucket;
-            // the min-scan still orders them first.
-            let slot = if ns < self.base_ns {
-                debug_assert!(false, "scheduled into the past: {ns} < {}", self.base_ns);
-                Self::slot_of(self.base_ns)
-            } else {
-                Self::slot_of(ns)
-            };
-            self.wheel[slot].push(s);
-            self.wheel_len += 1;
-        }
-    }
-
-    fn pop_entry(&mut self) -> Option<(SimTime, u64, Event)> {
-        loop {
-            if self.wheel_len == 0 {
-                // Jump the cursor straight to the earliest overflow event.
-                let ns = self.overflow.peek()?.time.as_nanos();
-                self.base_ns = ns - ns % BUCKET_WIDTH_NS;
-                self.migrate_overflow();
-                continue;
-            }
-            let slot = Self::slot_of(self.base_ns);
-            if self.wheel[slot].is_empty() {
-                self.base_ns += BUCKET_WIDTH_NS;
-                self.migrate_overflow();
-                continue;
-            }
-            let s = self.take_min(slot);
-            return Some((s.time, s.seq, s.event));
-        }
-    }
-
-    fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both() -> [Box<dyn EventQueue>; 2] {
-        [Box::new(HeapQueue::new()), Box::new(BucketQueue::new())]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.schedule(SimTime::from_millis(3), Event::PacketReady(0));
-            q.schedule(SimTime::from_millis(1), Event::PacketReady(1));
-            q.schedule(SimTime::from_millis(2), Event::PacketReady(2));
-            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(
-                order,
-                vec![
-                    Event::PacketReady(1),
-                    Event::PacketReady(2),
-                    Event::PacketReady(0)
-                ]
-            );
-        }
+        let mut q = BucketQueue::new();
+        q.schedule(SimTime::from_millis(3), Event::PacketReady(0));
+        q.schedule(SimTime::from_millis(1), Event::PacketReady(1));
+        q.schedule(SimTime::from_millis(2), Event::PacketReady(2));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(
+            order,
+            vec![
+                Event::PacketReady(1),
+                Event::PacketReady(2),
+                Event::PacketReady(0)
+            ]
+        );
     }
 
     #[test]
     fn same_instant_is_fifo() {
-        for mut q in both() {
-            let t = SimTime::from_millis(5);
-            for i in 0..10 {
-                q.schedule(t, Event::PacketReady(i));
-            }
-            for i in 0..10 {
-                let (_, e) = q.pop().unwrap();
-                assert_eq!(e, Event::PacketReady(i));
-            }
+        let mut q = BucketQueue::new();
+        let t = SimTime::from_millis(5);
+        for i in 0..10 {
+            q.schedule(t, Event::PacketReady(i));
+        }
+        for i in 0..10 {
+            let (_, e) = q.pop().unwrap();
+            assert_eq!(e, Event::PacketReady(i));
         }
     }
 
     #[test]
     fn pop_entry_exposes_schedule_order() {
-        for mut q in both() {
-            assert_eq!(q.next_seq(), 0);
-            q.schedule(SimTime::from_millis(2), Event::NodeDown(0));
-            q.schedule(SimTime::from_millis(1), Event::NodeUp(0));
-            assert_eq!(q.next_seq(), 2);
-            // Popped in time order, but seq reflects schedule order.
-            let (_, seq, e) = q.pop_entry().unwrap();
-            assert_eq!((seq, e), (1, Event::NodeUp(0)));
-            let (_, seq, e) = q.pop_entry().unwrap();
-            assert_eq!((seq, e), (0, Event::NodeDown(0)));
-        }
+        let mut q = BucketQueue::new();
+        assert_eq!(q.next_seq(), 0);
+        q.schedule(SimTime::from_millis(2), Event::NodeDown(0));
+        q.schedule(SimTime::from_millis(1), Event::NodeUp(0));
+        assert_eq!(q.next_seq(), 2);
+        // Popped in time order, but seq reflects schedule order.
+        let (_, seq, e) = q.pop_entry().unwrap();
+        assert_eq!((seq, e), (1, Event::NodeUp(0)));
+        let (_, seq, e) = q.pop_entry().unwrap();
+        assert_eq!((seq, e), (0, Event::NodeDown(0)));
     }
 
     #[test]
     fn len_and_empty() {
-        for mut q in both() {
-            assert!(q.is_empty());
-            q.schedule(SimTime::ZERO, Event::ProviderTick(0));
-            assert_eq!(q.len(), 1);
-            q.pop();
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = BucketQueue::new();
+        assert!(q.is_empty());
+        q.schedule(SimTime::ZERO, Event::ProviderTick(0));
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn interleaved_scheduling_stays_deterministic() {
-        for mut q in both() {
-            q.schedule(SimTime::from_micros(10), Event::CcaDone(0));
-            q.schedule(SimTime::from_micros(10), Event::TxStart(1));
-            let (_, first) = q.pop().unwrap();
-            // New event at the same time goes after already-queued ones.
-            q.schedule(SimTime::from_micros(10), Event::BackoffExpired(2));
-            let (_, second) = q.pop().unwrap();
-            let (_, third) = q.pop().unwrap();
-            assert_eq!(first, Event::CcaDone(0));
-            assert_eq!(second, Event::TxStart(1));
-            assert_eq!(third, Event::BackoffExpired(2));
-        }
+        let mut q = BucketQueue::new();
+        q.schedule(SimTime::from_micros(10), Event::CcaDone(0));
+        q.schedule(SimTime::from_micros(10), Event::TxStart(1));
+        let (_, first) = q.pop().unwrap();
+        // New event at the same time goes after already-queued ones.
+        q.schedule(SimTime::from_micros(10), Event::BackoffExpired(2));
+        let (_, second) = q.pop().unwrap();
+        let (_, third) = q.pop().unwrap();
+        assert_eq!(first, Event::CcaDone(0));
+        assert_eq!(second, Event::TxStart(1));
+        assert_eq!(third, Event::BackoffExpired(2));
     }
 
     #[test]
     fn far_future_events_cross_the_wheel_horizon() {
-        for mut q in both() {
-            // Provider-tick cadence: far beyond one wheel revolution.
-            q.schedule(SimTime::from_millis(250), Event::ProviderTick(0));
-            q.schedule(SimTime::from_millis(500), Event::ProviderTick(0));
-            q.schedule(SimTime::from_micros(5), Event::CcaDone(1));
-            let times: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t).collect();
-            assert_eq!(
-                times,
-                vec![
-                    SimTime::from_micros(5),
-                    SimTime::from_millis(250),
-                    SimTime::from_millis(500),
-                ]
-            );
-        }
+        let mut q = BucketQueue::new();
+        // Provider-tick cadence: far beyond one wheel revolution.
+        q.schedule(SimTime::from_millis(250), Event::ProviderTick(0));
+        q.schedule(SimTime::from_millis(500), Event::ProviderTick(0));
+        q.schedule(SimTime::from_micros(5), Event::CcaDone(1));
+        let times: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(t, _)| t).collect();
+        assert_eq!(
+            times,
+            vec![
+                SimTime::from_micros(5),
+                SimTime::from_millis(250),
+                SimTime::from_millis(500),
+            ]
+        );
     }
 
     #[test]
     fn long_idle_gap_jumps_instead_of_scanning() {
-        for mut q in both() {
-            // Drain, idle for hours of simulated time, then schedule again:
-            // the event lands in overflow and the pop jumps the cursor
-            // straight to it (no slot-by-slot scan).
-            q.schedule(SimTime::from_micros(1), Event::CcaDone(0));
-            q.pop().unwrap();
-            let far = SimTime::from_secs(3600);
-            q.schedule(far, Event::ProviderTick(0));
-            assert_eq!(q.pop(), Some((far, Event::ProviderTick(0))));
-        }
+        let mut q = BucketQueue::new();
+        // Drain, idle for hours of simulated time, then schedule again:
+        // the event lands in overflow and the pop jumps the cursor
+        // straight to it (no slot-by-slot scan).
+        q.schedule(SimTime::from_micros(1), Event::CcaDone(0));
+        q.pop().unwrap();
+        let far = SimTime::from_secs(3600);
+        q.schedule(far, Event::ProviderTick(0));
+        assert_eq!(q.pop(), Some((far, Event::ProviderTick(0))));
     }
 
     #[test]
@@ -492,53 +422,5 @@ mod tests {
         // Restored queues keep minting from where the original left off.
         r.schedule(SimTime::from_secs(3), Event::NodeUp(1));
         assert_eq!(r.pop_entry().unwrap().1, q.next_seq());
-    }
-
-    #[test]
-    fn heap_and_bucket_agree_on_randomized_workload() {
-        // A deterministic LCG drives identical schedules into both queues
-        // with interleaved pops; the pop streams must match exactly.
-        let mut heap = HeapQueue::new();
-        let mut bucket = BucketQueue::new();
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut lcg = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut now = 0u64;
-        for round in 0..2000 {
-            let op = lcg() % 3;
-            if op < 2 {
-                // Mix of near-term (bucket-dense), same-instant, and
-                // far-future (overflow) schedules, never in the past.
-                let delta = match lcg() % 4 {
-                    0 => 0,
-                    1 => lcg() % 1_000,
-                    2 => lcg() % 5_000_000,
-                    _ => 30_000_000 + lcg() % 400_000_000,
-                };
-                let at = SimTime::from_nanos(now + delta);
-                let ev = Event::PacketReady(round);
-                heap.schedule(at, ev);
-                bucket.schedule(at, ev);
-            } else {
-                let a = heap.pop_entry();
-                let b = bucket.pop_entry();
-                assert_eq!(a, b);
-                if let Some((t, _, _)) = a {
-                    now = t.as_nanos();
-                }
-            }
-        }
-        loop {
-            let a = heap.pop_entry();
-            let b = bucket.pop_entry();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

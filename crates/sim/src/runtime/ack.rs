@@ -6,7 +6,7 @@
 //! times out and retries.
 
 use super::Engine;
-use crate::events::{Event, EventQueue, NodeId, TxId};
+use crate::events::{Event, NodeId, TxId};
 use crate::medium::{self, Transmission};
 use crate::trace::TraceKind;
 use nomc_mac::MacEvent;

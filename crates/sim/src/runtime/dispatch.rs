@@ -22,7 +22,7 @@ pub(crate) enum LegEnd {
     /// budget exhausted — the same exits as the serial loop.
     Over,
 }
-use crate::events::{Event, EventQueue, NodeId};
+use crate::events::{Event, NodeId};
 use crate::metrics::SimResult;
 use crate::scenario::TrafficModel;
 use nomc_mac::MacEvent;

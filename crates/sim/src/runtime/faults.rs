@@ -34,7 +34,7 @@
 //! predates the node's last crash ([`Engine::is_stale`]).
 
 use super::Engine;
-use crate::events::{Event, EventQueue, NodeId};
+use crate::events::{Event, NodeId};
 use crate::trace::TraceKind;
 use nomc_mac::MacEngine;
 use nomc_units::{Db, Dbm, SimTime};

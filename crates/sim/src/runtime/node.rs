@@ -7,7 +7,7 @@
 //! packet scheduling, and the CCA read.
 
 use super::Engine;
-use crate::events::{Event, EventQueue, NodeId, TxId};
+use crate::events::{Event, NodeId, TxId};
 use crate::scenario::TrafficModel;
 use crate::trace::TraceKind;
 use nomc_core::CcaAdjustor;

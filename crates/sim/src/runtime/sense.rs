@@ -7,7 +7,7 @@
 use super::node::Provider;
 use super::observer::PowerSample;
 use super::{Engine, TICK_PERIOD};
-use crate::events::{Event, EventQueue, NodeId};
+use crate::events::{Event, NodeId};
 use nomc_units::{SimDuration, SimTime};
 
 impl Engine<'_, '_, '_> {

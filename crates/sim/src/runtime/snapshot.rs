@@ -38,7 +38,7 @@ use super::shard::{self, split_budget, ShardSpec};
 use super::tx::TxMeta;
 use super::Engine;
 use crate::events::BucketQueue;
-use crate::events::{Event, EventQueue, NodeId, TxId};
+use crate::events::{Event, NodeId, TxId};
 use crate::medium::Transmission;
 use crate::metrics::{ErrorRecord, LinkMetrics, SimResult, TimelineRecord, TxOutcome};
 use crate::rng::Xoshiro256StarStar;

@@ -8,7 +8,7 @@
 use super::node::RxAttempt;
 use super::observer::{TxOutcomeInfo, TxStartInfo};
 use super::Engine;
-use crate::events::{Event, EventQueue, NodeId, TxId};
+use crate::events::{Event, NodeId, TxId};
 use crate::medium::{self, Transmission};
 use crate::metrics::{ErrorRecord, TxOutcome};
 use crate::trace::TraceKind;

@@ -77,6 +77,16 @@ fn fault_recovery_report_renders_identically_across_runs() {
     let a = extensions::fault_recovery(&cfg);
     let b = extensions::fault_recovery(&cfg);
     assert_eq!(a.to_json_string(), b.to_json_string());
+    // The quick study must also recover at every jammer duty: a row
+    // reading `unrecovered (k/n)` means some seed never got back to
+    // 90 % of its pre-fault goodput.
+    for row in &a.rows {
+        assert!(
+            row.iter().all(|cell| !cell.starts_with("unrecovered")),
+            "no recovery at jammer duty {}: {row:?}",
+            row[0]
+        );
+    }
 }
 
 #[test]

@@ -7,21 +7,63 @@
 //! multi-revolution cases, and FIFO survival across overflow
 //! migration), and engine behaviour when the deterministic event budget
 //! of [`nomc_sim::engine::run_bounded`] exhausts before the queue
-//! drains.
+//! drains. Every queue-level case runs on the engine's [`BucketQueue`]
+//! and on [`HeapQueue`], a reference binary heap that is trivially
+//! correct.
 
-use nomc_sim::events::{BucketQueue, Event, EventQueue, HeapQueue};
+use nomc_sim::events::{BucketQueue, Event};
 use nomc_sim::{engine, Scenario};
 use nomc_topology::{paper, spectrum::ChannelPlan};
 use nomc_units::{Dbm, Megahertz, SimDuration, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The calendar wheel spans 2048 × 16 µs = 32.768 ms (private constants
 /// of `nomc-sim::events`; mirrored here so these tests exercise both
 /// sides of the horizon on purpose).
 const WHEEL_SPAN_NS: u64 = 16_000 * 2048;
 
-fn both() -> [(&'static str, Box<dyn EventQueue>); 2] {
+/// The reference oracle: a binary heap keyed by `(time, seq)`, with the
+/// sequence number minted at schedule time (it indexes `events`).
+#[derive(Default)]
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    events: Vec<Event>,
+}
+
+/// The queue operations the engine uses, so one test drives both
+/// queues.
+trait Queue {
+    fn schedule(&mut self, at: SimTime, event: Event);
+    fn pop_entry(&mut self) -> Option<(SimTime, u64, Event)>;
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        self.pop_entry().map(|(t, _, e)| (t, e))
+    }
+}
+
+impl Queue for HeapQueue {
+    fn schedule(&mut self, at: SimTime, event: Event) {
+        self.heap.push(Reverse((at, self.events.len() as u64)));
+        self.events.push(event);
+    }
+    fn pop_entry(&mut self) -> Option<(SimTime, u64, Event)> {
+        let Reverse((at, seq)) = self.heap.pop()?;
+        Some((at, seq, self.events[seq as usize]))
+    }
+}
+
+impl Queue for BucketQueue {
+    fn schedule(&mut self, at: SimTime, event: Event) {
+        BucketQueue::schedule(self, at, event);
+    }
+    fn pop_entry(&mut self) -> Option<(SimTime, u64, Event)> {
+        BucketQueue::pop_entry(self)
+    }
+}
+
+fn both() -> [(&'static str, Box<dyn Queue>); 2] {
     [
-        ("heap", Box::new(HeapQueue::new())),
+        ("heap", Box::<HeapQueue>::default()),
         ("bucket", Box::new(BucketQueue::new())),
     ]
 }
@@ -114,6 +156,54 @@ fn consecutive_horizon_jumps() {
         }
         let popped: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(popped, expect, "{name}: horizon leapfrog broke ordering");
+    }
+}
+
+/// A deterministic LCG drives identical schedules into both queues
+/// with interleaved pops; the pop streams must match exactly.
+#[test]
+fn heap_and_bucket_agree_on_randomized_workload() {
+    let mut heap = HeapQueue::default();
+    let mut bucket = BucketQueue::new();
+    let mut state = 0x1234_5678_9abc_def0u64;
+    let mut lcg = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut now = 0u64;
+    for round in 0..2000 {
+        let op = lcg() % 3;
+        if op < 2 {
+            // Mix of near-term (bucket-dense), same-instant, and
+            // far-future (overflow) schedules, never in the past.
+            let delta = match lcg() % 4 {
+                0 => 0,
+                1 => lcg() % 1_000,
+                2 => lcg() % 5_000_000,
+                _ => 30_000_000 + lcg() % 400_000_000,
+            };
+            let at = SimTime::from_nanos(now + delta);
+            let ev = Event::PacketReady(round);
+            heap.schedule(at, ev);
+            bucket.schedule(at, ev);
+        } else {
+            let a = heap.pop_entry();
+            let b = bucket.pop_entry();
+            assert_eq!(a, b);
+            if let Some((t, _, _)) = a {
+                now = t.as_nanos();
+            }
+        }
+    }
+    loop {
+        let a = heap.pop_entry();
+        let b = bucket.pop_entry();
+        assert_eq!(a, b);
+        if a.is_none() {
+            break;
+        }
     }
 }
 
