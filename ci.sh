@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full CI gate, runnable locally. The workspace is hermetic — every
+# The full CI gate: .github/workflows/ci.yml runs this script, and it
+# runs the same way locally. The workspace is hermetic — every
 # dependency is an in-tree path crate — so all steps run offline.
 set -euo pipefail
 cd "$(dirname "$0")"

@@ -219,16 +219,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     if let Some(t) = tracer.as_mut() {
         sinks.push(t);
     }
-    let shards = match parse_flag::<usize>(args, "--shards")? {
-        Some(0) => return Err(CliError::usage("--shards must be at least 1")),
-        other => other,
-    };
-    let result = match parse_flag::<u64>(args, "--checkpoint-every")? {
-        Some(0) => {
-            return Err(CliError::usage(
-                "--checkpoint-every must be at least 1 event",
-            ))
-        }
+    let shards = parse_count::<usize>(args, "--shards", "")?;
+    let result = match parse_count::<u64>(args, "--checkpoint-every", " event")? {
         Some(every) => {
             let dir = flag_value(args, "--snapshot-dir")?
                 .ok_or_else(|| CliError::usage("--checkpoint-every needs --snapshot-dir <dir>"))?;
@@ -368,34 +360,15 @@ pub fn sweep(args: &[String]) -> Result<(), CliError> {
         .ok_or_else(|| CliError::usage("sweep needs a scenario file"))?;
     let base = load_scenario(path)?;
     let seeds = sweep_seeds(args)?;
-    let mut cfg = SweepConfig::default();
-    if let Some(retries) = parse_flag::<u32>(args, "--retries")? {
-        if retries > nomc_serve::MAX_RETRIES {
-            return Err(CliError::usage(format!(
-                "--retries {retries} exceeds the cap of {} (each retry doubles the event budget)",
-                nomc_serve::MAX_RETRIES
-            )));
-        }
-        cfg.retries = retries;
-    }
-    if let Some(budget) = parse_flag::<u64>(args, "--budget")? {
-        if budget == 0 {
-            return Err(CliError::usage("--budget must be at least 1 event"));
-        }
-        cfg.base_budget = budget;
-    }
-    if let Some(threads) = parse_flag::<usize>(args, "--threads")? {
-        if threads == 0 {
-            return Err(CliError::usage("--threads must be at least 1"));
-        }
-        cfg.threads = Some(threads);
-    }
-    if let Some(shards) = parse_flag::<usize>(args, "--shards")? {
-        if shards == 0 {
-            return Err(CliError::usage("--shards must be at least 1"));
-        }
-        cfg.shards = Some(shards);
-    }
+    let flags = job_flags(args)?;
+    let defaults = SweepConfig::default();
+    let mut cfg = SweepConfig {
+        retries: flags.retries.unwrap_or(defaults.retries),
+        base_budget: flags.budget.unwrap_or(defaults.base_budget),
+        threads: parse_count(args, "--threads", "")?,
+        shards: flags.shards,
+        ..defaults
+    };
     let journal = flag_value(args, "--journal")?;
     let resume = args.iter().any(|a| a == "--resume");
     if resume && journal.is_none() {
@@ -403,12 +376,7 @@ pub fn sweep(args: &[String]) -> Result<(), CliError> {
             "--resume needs --journal <path> to resume from",
         ));
     }
-    if let Some(every) = parse_flag::<u64>(args, "--checkpoint-every")? {
-        if every == 0 {
-            return Err(CliError::usage(
-                "--checkpoint-every must be at least 1 event",
-            ));
-        }
+    if let Some(every) = flags.checkpoint_every {
         let dir = match flag_value(args, "--snapshot-dir")? {
             Some(d) => std::path::PathBuf::from(d),
             // Default: a sibling directory of the journal, so resuming
@@ -481,10 +449,7 @@ fn sweep_seeds(args: &[String]) -> Result<Vec<u64>, CliError> {
         }
         return Ok(seeds);
     }
-    let count = parse_flag::<u64>(args, "--seed-count")?.unwrap_or(5);
-    if count == 0 {
-        return Err(CliError::usage("--seed-count must be at least 1"));
-    }
+    let count = parse_count::<u64>(args, "--seed-count", "")?.unwrap_or(5);
     Ok((1..=count).collect())
 }
 
@@ -660,10 +625,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         }
         cfg.max_queue = max_queue;
     }
-    if let Some(workers) = parse_flag::<usize>(args, "--workers")? {
-        if workers == 0 {
-            return Err(CliError::usage("--workers must be at least 1"));
-        }
+    if let Some(workers) = parse_count::<usize>(args, "--workers", "")? {
         cfg.workers = workers;
     }
     signals::install_drain_handler();
@@ -686,43 +648,15 @@ pub fn submit(args: &[String]) -> Result<(), CliError> {
     let addr = flag_value(args, "--addr")?
         .ok_or_else(|| CliError::usage("submit needs --addr <host:port> (see serve.addr)"))?;
     let seeds = sweep_seeds(args)?;
-    let mut spec = nomc_serve::JobSpec {
+    let flags = job_flags(args)?;
+    let spec = nomc_serve::JobSpec {
         scenario,
         seeds,
-        budget: 1_000_000_000,
-        retries: 1,
-        shards: None,
-        checkpoint_every: Some(200_000),
+        budget: flags.budget.unwrap_or(1_000_000_000),
+        retries: flags.retries.unwrap_or(1),
+        shards: flags.shards,
+        checkpoint_every: Some(flags.checkpoint_every.unwrap_or(200_000)),
     };
-    if let Some(budget) = parse_flag::<u64>(args, "--budget")? {
-        if budget == 0 {
-            return Err(CliError::usage("--budget must be at least 1 event"));
-        }
-        spec.budget = budget;
-    }
-    if let Some(retries) = parse_flag::<u32>(args, "--retries")? {
-        if retries > nomc_serve::MAX_RETRIES {
-            return Err(CliError::usage(format!(
-                "--retries {retries} exceeds the cap of {} (each retry doubles the event budget)",
-                nomc_serve::MAX_RETRIES
-            )));
-        }
-        spec.retries = retries;
-    }
-    if let Some(shards) = parse_flag::<usize>(args, "--shards")? {
-        if shards == 0 {
-            return Err(CliError::usage("--shards must be at least 1"));
-        }
-        spec.shards = Some(shards);
-    }
-    if let Some(every) = parse_flag::<u64>(args, "--checkpoint-every")? {
-        if every == 0 {
-            return Err(CliError::usage(
-                "--checkpoint-every must be at least 1 event",
-            ));
-        }
-        spec.checkpoint_every = Some(every);
-    }
     // Client-side validation mirrors the server's admission rules, so a
     // bad spec fails here with a usage error instead of a 400.
     spec.validate()
@@ -886,6 +820,49 @@ where
             .map(Some)
             .map_err(|e| CliError::usage(format!("bad value for {flag}: {e}"))),
     }
+}
+
+/// [`parse_flag`] for a count that must be at least 1: zero is a usage
+/// error naming `flag` and its `unit` (`""` or `" event"`).
+fn parse_count<T>(args: &[String], flag: &str, unit: &str) -> Result<Option<T>, CliError>
+where
+    T: std::str::FromStr + Default + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    match parse_flag::<T>(args, flag)? {
+        Some(n) if n == T::default() => {
+            Err(CliError::usage(format!("{flag} must be at least 1{unit}")))
+        }
+        n => Ok(n),
+    }
+}
+
+/// The job flags `nomc sweep` and `nomc submit` share; `None` when
+/// absent, so each command keeps its own defaults.
+struct JobFlags {
+    budget: Option<u64>,
+    retries: Option<u32>,
+    shards: Option<usize>,
+    checkpoint_every: Option<u64>,
+}
+
+/// Parses `--budget`, `--retries`, `--shards` and `--checkpoint-every`:
+/// counts must be at least 1, and retries stay within
+/// [`nomc_serve::MAX_RETRIES`].
+fn job_flags(args: &[String]) -> Result<JobFlags, CliError> {
+    let retries = parse_flag::<u32>(args, "--retries")?;
+    if let Some(retries) = retries.filter(|&r| r > nomc_serve::MAX_RETRIES) {
+        return Err(CliError::usage(format!(
+            "--retries {retries} exceeds the cap of {} (each retry doubles the event budget)",
+            nomc_serve::MAX_RETRIES
+        )));
+    }
+    Ok(JobFlags {
+        budget: parse_count(args, "--budget", " event")?,
+        retries,
+        shards: parse_count(args, "--shards", "")?,
+        checkpoint_every: parse_count(args, "--checkpoint-every", " event")?,
+    })
 }
 
 #[cfg(test)]

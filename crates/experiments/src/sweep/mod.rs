@@ -28,6 +28,11 @@
 //! to [`SweepConfig::retries`] times with a doubling *event* budget —
 //! never a wall clock — and the full history lands in the report.
 //!
+//! [`Sweep`] holds the journaled state for both callers: [`run_sweep`]
+//! fills it from the worker pool, and `nomc serve` one member at a
+//! time, so a served job writes the journal and report bytes a
+//! `nomc sweep` of its members writes.
+//!
 //! # Examples
 //!
 //! ```no_run
@@ -239,6 +244,121 @@ pub fn seed_members(base: &Scenario, seeds: &[u64]) -> Vec<Scenario> {
         .collect()
 }
 
+/// A sweep's journaled state: one slot per member, keyed by the
+/// members' content hashes, and the journal every conclusion is
+/// persisted to.
+#[derive(Debug)]
+pub struct Sweep {
+    sweep_hash: u64,
+    member_hashes: Vec<u64>,
+    journal: Option<std::path::PathBuf>,
+    snapshot_dir: Option<String>,
+    slots: Vec<Option<MemberReport>>,
+    quarantined: Vec<SweepError>,
+}
+
+impl Sweep {
+    /// Hashes `members` under `cfg` and, with a `journal_path`,
+    /// establishes the checkpoint file up front. With `resume`, an
+    /// existing journal's trustworthy entries fill their slots first
+    /// and the rewrite sheds its quarantined lines; without it, any
+    /// previous journal is overwritten.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::Io`]/[`SweepError::BadHeader`]/[`SweepError::StaleJournal`]
+    /// when the journal cannot be read, trusted or written.
+    pub fn open(
+        members: &[Scenario],
+        cfg: &SweepConfig,
+        journal_path: Option<&Path>,
+        resume: bool,
+    ) -> Result<Sweep, SweepError> {
+        let member_hashes: Vec<u64> = members
+            .iter()
+            .map(|sc| hash::member_hash_with(sc, cfg.base_budget, cfg.shards.is_some()))
+            .collect();
+        let mut sweep = Sweep {
+            sweep_hash: hash::sweep_hash(&member_hashes),
+            slots: vec![None; members.len()],
+            member_hashes,
+            journal: journal_path.map(Path::to_path_buf),
+            snapshot_dir: cfg.snapshot_dir.as_ref().map(|p| p.display().to_string()),
+            quarantined: Vec::new(),
+        };
+        if let (Some(path), true) = (journal_path, resume) {
+            if let Some(replay) = journal::load(path, sweep.sweep_hash, &sweep.member_hashes)? {
+                sweep.slots = replay.members;
+                sweep.quarantined = replay.quarantined;
+            }
+        }
+        sweep.persist()?;
+        Ok(sweep)
+    }
+
+    /// The journal lines the resume had to reject (their members rerun).
+    pub fn quarantined(&self) -> &[SweepError] {
+        &self.quarantined
+    }
+
+    /// Whether member `index` already has its report.
+    pub fn is_concluded(&self, index: usize) -> bool {
+        self.slots.get(index).is_some_and(Option::is_some)
+    }
+
+    /// Records member `index`'s report, then atomically replaces the
+    /// journal, so the member counts as done only once it is durable.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::Io`] when the journal cannot be written; the report
+    /// is kept in memory either way.
+    pub fn conclude(&mut self, index: usize, report: MemberReport) -> Result<(), SweepError> {
+        if let Some(slot) = self.slots.get_mut(index) {
+            *slot = Some(report);
+        }
+        self.persist()
+    }
+
+    /// The report over every slot, in member order. A member that never
+    /// concluded gets an empty attempt history.
+    pub fn into_report(self) -> SweepReport {
+        let Sweep {
+            sweep_hash,
+            member_hashes,
+            slots,
+            ..
+        } = self;
+        let members = slots
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.unwrap_or(MemberReport {
+                    member: i,
+                    hash: member_hashes.get(i).copied().unwrap_or_default(),
+                    attempts: Vec::new(),
+                })
+            })
+            .collect();
+        SweepReport {
+            sweep_hash,
+            members,
+        }
+    }
+
+    fn persist(&self) -> Result<(), SweepError> {
+        match &self.journal {
+            Some(path) => journal::persist(
+                path,
+                self.sweep_hash,
+                self.snapshot_dir.as_deref(),
+                &self.slots,
+            ),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Runs `members` under the sweep supervisor.
 ///
 /// With a `journal` path, every concluded member is checkpointed by an
@@ -261,106 +381,57 @@ pub fn run_sweep(
     journal_path: Option<&Path>,
     resume: bool,
 ) -> Result<SweepReport, SweepError> {
-    let member_hashes: Vec<u64> = members
-        .iter()
-        .map(|sc| hash::member_hash_with(sc, cfg.base_budget, cfg.shards.is_some()))
-        .collect();
-    let sweep_hash = hash::sweep_hash(&member_hashes);
-
-    let snapshot_dir_text = cfg.snapshot_dir.as_ref().map(|p| p.display().to_string());
-
-    let mut concluded: Vec<Option<MemberReport>> = members.iter().map(|_| None).collect();
-    if resume {
-        if let Some(path) = journal_path {
-            if let Some(replay) = journal::load(path, sweep_hash, &member_hashes)? {
-                concluded = replay.members;
-            }
-        }
-    }
-    // Establish the checkpoint file up front (fresh runs overwrite any
-    // previous journal; resumes rewrite the recovered subset, which
-    // also sheds quarantined lines).
-    if let Some(path) = journal_path {
-        journal::persist(path, sweep_hash, snapshot_dir_text.as_deref(), &concluded)?;
-    }
-
+    let sweep = Sweep::open(members, cfg, journal_path, resume)?;
     let pending: Vec<usize> = (0..members.len())
-        .filter(|&i| concluded.get(i).map(|slot| slot.is_none()).unwrap_or(false))
+        .filter(|&i| !sweep.is_concluded(i))
         .collect();
 
     let threads = cfg.threads.unwrap_or_else(pool::default_threads);
-    let checkpoint = Mutex::new((concluded, None::<SweepError>));
+    let state = Mutex::new((sweep, None::<SweepError>));
     pool::run_indexed(pending.len(), threads, |k| {
         let index = *pending.get(k).expect("k < pending.len() by construction");
         let scenario = members
             .get(index)
             .expect("pending indexes come from 0..members.len()");
-        let member_hash = *member_hashes
-            .get(index)
-            .expect("one hash per member by construction");
-        let report = run_member(scenario, index, member_hash, cfg, &mut []);
-        // Checkpoint before the member is considered done: insert the
-        // report, then atomically replace the journal. Serialized by
-        // the mutex; only the first persist failure is kept (later
-        // members still run — losing durability does not lose results).
-        let mut state = checkpoint.lock().expect("no panic holds the journal lock");
-        let (slots, first_error) = &mut *state;
-        if let Some(slot) = slots.get_mut(index) {
-            *slot = Some(report);
-        }
-        if let Some(path) = journal_path {
-            if first_error.is_none() {
-                if let Err(e) =
-                    journal::persist(path, sweep_hash, snapshot_dir_text.as_deref(), slots)
-                {
-                    *first_error = Some(e);
-                }
-            }
+        let report = run_one_member(scenario, index, cfg, &mut []);
+        // Serialized by the mutex; only the first persist failure is
+        // kept (later members still run — losing durability does not
+        // lose results).
+        let mut state = state.lock().expect("no panic holds the journal lock");
+        let (sweep, first_error) = &mut *state;
+        if let Err(e) = sweep.conclude(index, report) {
+            first_error.get_or_insert(e);
         }
     });
 
-    let (slots, first_error) = checkpoint
+    let (sweep, first_error) = state
         .into_inner()
         .expect("worker scope joined without poisoning");
-    if let Some(e) = first_error {
-        return Err(e);
+    match first_error {
+        Some(e) => Err(e),
+        None => Ok(sweep.into_report()),
     }
-
-    // Every slot is now concluded: resumed members kept their journal
-    // entry, pending members were just run.
-    let report_members: Vec<MemberReport> = slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or(MemberReport {
-                member: i,
-                hash: member_hashes.get(i).copied().unwrap_or_default(),
-                attempts: Vec::new(),
-            })
-        })
-        .collect();
-
-    Ok(SweepReport {
-        sweep_hash,
-        members: report_members,
-    })
 }
 
 /// Runs (or resumes) a single sweep member under the full attempt
-/// supervisor — retry ladder, panic isolation, and mid-member
-/// checkpoint supervision when [`SweepConfig::checkpoint_every`] /
-/// [`SweepConfig::snapshot_dir`] are set — streaming progress to
-/// `observers`.
+/// supervisor, streaming progress to `observers`: a first attempt at
+/// the base budget, then — for `Failed`/`TimedOut` outcomes — up to
+/// `retries` more with a doubling event budget, recording every
+/// attempt. [`run_sweep`] schedules members through it on the pool;
+/// the results server runs a job's members through it in slot order
+/// and records each with [`Sweep::conclude`].
 ///
-/// This is the one-member entry point for job-level supervisors (the
-/// results server) that own their *own* journal and drive members
-/// individually instead of through [`run_sweep`]'s scheduler. The
-/// member hash is computed exactly as [`run_sweep`] computes it, so a
-/// checkpoint written under `run_sweep` resumes here and vice versa,
-/// and the returned [`MemberReport`] is byte-identically serializable
-/// either way. Observers are write-only sinks and cannot perturb the
-/// run (the engine's observer contract), so attaching a progress
-/// channel keeps the report bit-identical to an unobserved run.
+/// With checkpoint supervision configured
+/// ([`SweepConfig::checkpoint_every`] and [`SweepConfig::snapshot_dir`]),
+/// each attempt pauses every `checkpoint_every` events and persists an
+/// engine snapshot keyed by the member hash; a timed-out attempt's last
+/// checkpoint carries into the retry (which resumes it under the
+/// doubled budget instead of replaying the prefix), and the checkpoint
+/// is discarded once the member concludes. The report records nothing
+/// about checkpointing — a resumed member's report is byte-identical to
+/// an uninterrupted one. Observers are write-only sinks and cannot
+/// perturb the run (the engine's observer contract), so attaching a
+/// progress channel keeps the report bit-identical to an unobserved run.
 pub fn run_one_member(
     scenario: &Scenario,
     index: usize,
@@ -368,28 +439,6 @@ pub fn run_one_member(
     observers: &mut [&mut dyn SimObserver],
 ) -> MemberReport {
     let member_hash = hash::member_hash_with(scenario, cfg.base_budget, cfg.shards.is_some());
-    run_member(scenario, index, member_hash, cfg, observers)
-}
-
-/// Runs one member's attempt loop: first attempt at the base budget,
-/// then — for `Failed`/`TimedOut` outcomes — up to `retries` more with
-/// a doubling event budget, recording every attempt.
-///
-/// With checkpoint supervision configured, each attempt pauses every
-/// [`SweepConfig::checkpoint_every`] events and persists an engine
-/// snapshot; a timed-out attempt's last checkpoint carries into the
-/// retry (which resumes it under the doubled budget instead of
-/// replaying the prefix), and the checkpoint is discarded once the
-/// member concludes. The report records nothing about checkpointing —
-/// a resumed member's report is byte-identical to an uninterrupted
-/// one.
-fn run_member(
-    scenario: &Scenario,
-    index: usize,
-    member_hash: u64,
-    cfg: &SweepConfig,
-    observers: &mut [&mut dyn SimObserver],
-) -> MemberReport {
     let supervision = match (&cfg.snapshot_dir, cfg.checkpoint_every) {
         (Some(dir), Some(every)) if every > 0 => Some((dir.as_path(), every)),
         _ => None,

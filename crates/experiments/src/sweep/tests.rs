@@ -5,9 +5,11 @@
 use super::report::{AttemptOutcome, MemberMetrics};
 use super::{hash, journal, run_sweep, seed_members, SweepConfig, SweepError};
 use crate::runner;
+use nomc_phy::Shadowing;
 use nomc_rngcore::check::{forall, range, zip2};
-use nomc_sim::{engine, Scenario};
-use nomc_topology::{paper, spectrum::ChannelPlan};
+use nomc_sim::scenario::Propagation;
+use nomc_sim::{engine, NetworkBehavior, Scenario};
+use nomc_topology::{paper, spectrum::ChannelPlan, Deployment, LinkSpec, NetworkSpec, Point};
 use nomc_units::{Dbm, Megahertz, SimDuration};
 use std::path::PathBuf;
 
@@ -349,6 +351,78 @@ fn checkpointed_retry_ladder_matches_the_plain_one() {
             .expect("one member")
             .was_retried(),
         "the ladder must actually have retried"
+    );
+}
+
+/// Two networks 60 m apart on channels 25 MHz apart: two interaction
+/// components, so a sharded member runs two independent ranks.
+fn two_component_scenario() -> Scenario {
+    let specs = (0..2)
+        .map(|i| {
+            let freq = Megahertz::new(2410.0 + 25.0 * f64::from(i));
+            let x = 60.0 * f64::from(i);
+            let links = vec![
+                LinkSpec::new(Point::new(x, 0.0), Point::new(x + 2.0, 0.0), Dbm::new(0.0)),
+                LinkSpec::new(Point::new(x, 1.0), Point::new(x + 2.0, 1.0), Dbm::new(0.0)),
+            ];
+            NetworkSpec::new(freq, links)
+        })
+        .collect();
+    let mut b = Scenario::builder(Deployment::new(specs));
+    b.behavior_all(NetworkBehavior::dcn_default())
+        .duration(SimDuration::from_secs(1))
+        .warmup(SimDuration::from_millis(250))
+        .seed(7)
+        .record_trace(true)
+        .record_timeline(true)
+        .propagation(Propagation {
+            shadowing: Shadowing::disabled(),
+            ..Propagation::default()
+        });
+    b.build().expect("valid two-component scenario")
+}
+
+#[test]
+fn sharded_checkpointed_retry_ladder_matches_the_plain_one() {
+    // A rank that stops on its budget share is done-and-exhausted in
+    // the checkpoint a timed-out attempt leaves behind. The retry's
+    // doubled budget must rerun that rank, as a plain retry does,
+    // instead of keeping its truncated result forever.
+    let members = vec![two_component_scenario()];
+    let sharded = SweepConfig {
+        threads: Some(1),
+        shards: Some(2),
+        ..SweepConfig::default()
+    };
+    let natural = run_sweep(&members, &sharded, None, false)
+        .expect("natural run")
+        .members
+        .first()
+        .and_then(|m| m.metrics())
+        .expect("the unbounded member completes")
+        .events;
+    let base_budget = natural * 6 / 10;
+    let plain_cfg = SweepConfig {
+        retries: 4,
+        base_budget,
+        ..sharded.clone()
+    };
+    let plain = run_sweep(&members, &plain_cfg, None, false).expect("plain ladder");
+    assert!(
+        plain.members.first().expect("one member").was_retried(),
+        "the base budget must time out"
+    );
+    let ckpt = checkpointed_cfg("sharded-ladder", natural / 10);
+    let cfg = SweepConfig {
+        checkpoint_every: ckpt.checkpoint_every,
+        snapshot_dir: ckpt.snapshot_dir,
+        ..plain_cfg
+    };
+    let checkpointed = run_sweep(&members, &cfg, None, false).expect("checkpointed ladder");
+    assert_eq!(
+        checkpointed.to_json_string(),
+        plain.to_json_string(),
+        "a sharded retry ladder must not notice checkpoint supervision"
     );
 }
 

@@ -142,14 +142,6 @@ impl AcrLut {
         self.index_of(cfd).is_some()
     }
 
-    /// Linear leakage factor at `cfd` if it lands on the grid, `None`
-    /// otherwise. For callers that layer their own off-grid caching
-    /// (e.g. a memo of analytic evaluations) under the table.
-    #[inline]
-    pub fn grid_leakage(&self, cfd: Megahertz) -> Option<f64> {
-        self.index_of(cfd).map(|i| self.leakage[i])
-    }
-
     /// Linear leakage factor at `cfd`; table read on a grid hit,
     /// analytic [`AcrCurve::leakage_factor`] otherwise. Identical bits
     /// either way.

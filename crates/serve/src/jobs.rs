@@ -162,8 +162,8 @@ impl JobSpec {
     }
 
     /// The per-member content hashes, computed exactly as
-    /// [`sweep::run_sweep`] computes them so journals and checkpoints
-    /// written by either supervisor interoperate.
+    /// [`sweep::Sweep::open`] computes them for the job's journal, so
+    /// journals and checkpoints interoperate with `nomc sweep`.
     pub fn member_hashes(&self) -> Vec<u64> {
         self.members()
             .iter()

@@ -9,10 +9,13 @@
 //! served from cache byte-identically, jobs without one re-enter the
 //! queue and resume from their journal (and mid-member checkpoints).
 //!
-//! Simulation stays deterministic end to end: the worker drives
-//! [`sweep::run_one_member`] in journal slot order, observers are
-//! write-only, and the only wall-clock reads in the crate are at the
-//! socket edge ([`crate::deadline`]).
+//! A job is a sweep: the worker opens the sweep's own journaled state
+//! ([`sweep::Sweep`]), drives [`sweep::run_one_member`] in slot order
+//! and concludes each member through it, so the journal and report are
+//! the bytes `nomc sweep` writes for the same members. Simulation stays
+//! deterministic end to end: observers are write-only, and the only
+//! wall-clock reads in the crate are at the socket edge
+//! ([`crate::deadline`]).
 
 use std::fmt;
 use std::fs;
@@ -24,9 +27,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use nomc_experiments::sweep::{
-    self, journal, AttemptOutcome, MemberReport, SweepError, SweepReport,
-};
+use nomc_experiments::sweep::{self, journal, AttemptOutcome, MemberReport, Sweep, SweepError};
 use nomc_json::{Json, ToJson};
 use nomc_sim::events::Event;
 use nomc_sim::{SimObserver, SimResult};
@@ -724,11 +725,12 @@ fn outcome_tag(report: &MemberReport) -> &'static str {
     }
 }
 
-/// Runs one job end to end: recover its journal, sweep the unfinished
-/// members in slot order (checkpoint-supervised), journal each
-/// conclusion atomically, then persist the report and close the story.
-/// Checks the drain flag between members; a drained job requeues and
-/// resumes on the next boot.
+/// Runs one job end to end through the sweep's journaled state
+/// ([`sweep::Sweep`]): resume its journal, run the unfinished members
+/// in slot order (checkpoint-supervised), conclude each durably, then
+/// persist the report and close the story. Checks the drain flag
+/// between members; a drained job requeues and resumes on the next
+/// boot.
 fn run_job(ctx: &Ctx, id: u64, spec: &JobSpec) {
     let paths = jobs::paths(&ctx.state_dir, id);
     // Idempotent: `submit` also creates this (before acking), but a
@@ -740,12 +742,7 @@ fn run_job(ctx: &Ctx, id: u64, spec: &JobSpec) {
         return;
     }
     let members = spec.members();
-    let member_hashes = spec.member_hashes();
     let total = members.len();
-    // The journal speaks the sweep subsystem's dialect: its header key
-    // is the sweep hash of the member list, not the job id (which also
-    // folds in the retry budget).
-    let sweep_hash = sweep::hash::sweep_hash(&member_hashes);
 
     ctx.registry.apply(id, &JobEvent::Start { total });
     let log = ctx
@@ -773,47 +770,6 @@ fn run_job(ctx: &Ctx, id: u64, spec: &JobSpec) {
         jobs::id_hex(id)
     ));
 
-    // Recover concluded members from the journal, if one survives.
-    let mut concluded: Vec<Option<MemberReport>> = vec![None; total];
-    match journal::load(&paths.journal, sweep_hash, &member_hashes) {
-        Ok(Some(replay)) => {
-            for quarantined in &replay.quarantined {
-                if matches!(quarantined, SweepError::TrailingGarbage { .. }) {
-                    let _ = tx.send(format!(
-                        "{{\"event\":\"journal_note\",\"note\":\"{quarantined} (expected after a crash)\"}}"
-                    ));
-                } else {
-                    eprintln!("nomc-serve: job {}: {quarantined}", jobs::id_hex(id));
-                }
-            }
-            concluded = replay.members;
-        }
-        Ok(None) => {}
-        Err(e) => {
-            // A stale or unreadable journal reruns the job from
-            // scratch; determinism makes that merely slower, not
-            // different.
-            eprintln!(
-                "nomc-serve: job {}: discarding journal: {e}",
-                jobs::id_hex(id)
-            );
-        }
-    }
-
-    let snapshot_dir_text = spec
-        .checkpoint_every
-        .map(|_| paths.snapshots.display().to_string());
-    if let Err(e) = journal::persist(
-        &paths.journal,
-        sweep_hash,
-        snapshot_dir_text.as_deref(),
-        &concluded,
-    ) {
-        ctx.registry.fail(id, format!("persisting journal: {e}"));
-        finish(tx, forwarder);
-        return;
-    }
-
     let cfg = sweep::SweepConfig {
         retries: spec.retries,
         base_budget: spec.budget,
@@ -822,9 +778,36 @@ fn run_job(ctx: &Ctx, id: u64, spec: &JobSpec) {
         checkpoint_every: spec.checkpoint_every,
         snapshot_dir: spec.checkpoint_every.map(|_| paths.snapshots.clone()),
     };
+    // Recover concluded members from the journal, if one survives. A
+    // stale or unreadable journal reruns the job from scratch;
+    // determinism makes that merely slower, not different.
+    let opened = Sweep::open(&members, &cfg, Some(&paths.journal), true).or_else(|e| {
+        eprintln!(
+            "nomc-serve: job {}: discarding journal: {e}",
+            jobs::id_hex(id)
+        );
+        Sweep::open(&members, &cfg, Some(&paths.journal), false)
+    });
+    let mut sweep = match opened {
+        Ok(sweep) => sweep,
+        Err(e) => {
+            ctx.registry.fail(id, format!("persisting journal: {e}"));
+            finish(tx, forwarder);
+            return;
+        }
+    };
+    for quarantined in sweep.quarantined() {
+        if matches!(quarantined, SweepError::TrailingGarbage { .. }) {
+            let _ = tx.send(format!(
+                "{{\"event\":\"journal_note\",\"note\":\"{quarantined} (expected after a crash)\"}}"
+            ));
+        } else {
+            eprintln!("nomc-serve: job {}: {quarantined}", jobs::id_hex(id));
+        }
+    }
 
     for (index, scenario) in members.iter().enumerate() {
-        if concluded.get(index).map(Option::is_some).unwrap_or(false) {
+        if sweep.is_concluded(index) {
             ctx.registry.apply(id, &JobEvent::MemberDone);
             let _ = tx.send(format!(
                 "{{\"event\":\"member\",\"member\":{index},\"outcome\":\"recovered\"}}"
@@ -849,15 +832,7 @@ fn run_job(ctx: &Ctx, id: u64, spec: &JobSpec) {
         let report = sweep::run_one_member(scenario, index, &cfg, &mut [&mut progress]);
         let tag = outcome_tag(&report);
         let attempts = report.attempts.len();
-        if let Some(slot) = concluded.get_mut(index) {
-            *slot = Some(report);
-        }
-        if let Err(e) = journal::persist(
-            &paths.journal,
-            sweep_hash,
-            snapshot_dir_text.as_deref(),
-            &concluded,
-        ) {
+        if let Err(e) = sweep.conclude(index, report) {
             ctx.registry.fail(id, format!("persisting journal: {e}"));
             finish(tx, forwarder);
             return;
@@ -868,23 +843,7 @@ fn run_job(ctx: &Ctx, id: u64, spec: &JobSpec) {
         ));
     }
 
-    // Assemble the report exactly as `run_sweep` would, so the bytes
-    // match a CLI sweep of the same members.
-    let report_members: Vec<MemberReport> = concluded
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.unwrap_or(MemberReport {
-                member: i,
-                hash: member_hashes.get(i).copied().unwrap_or_default(),
-                attempts: Vec::new(),
-            })
-        })
-        .collect();
-    let report = SweepReport {
-        sweep_hash,
-        members: report_members,
-    };
+    let report = sweep.into_report();
     if let Err(e) = journal::write_atomic(&paths.report, &report.to_json_string()) {
         ctx.registry.fail(id, format!("persisting report: {e}"));
         finish(tx, forwarder);

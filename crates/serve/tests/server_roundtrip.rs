@@ -6,8 +6,9 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use nomc_experiments::sweep::{self, journal, MemberReport, SweepConfig};
 use nomc_serve::http::{self, ClientResponse, Method, Parsed};
-use nomc_serve::{ServeConfig, Server};
+use nomc_serve::{jobs, JobSpec, ServeConfig, Server};
 use nomc_sim::Scenario;
 use nomc_topology::{paper, spectrum::ChannelPlan};
 use nomc_units::{Dbm, Megahertz, SimDuration};
@@ -347,4 +348,111 @@ fn connections_over_the_cap_get_503() {
     }
     assert!(served, "closed connections must release their slots");
     drain_within(server, Duration::from_secs(10));
+}
+
+/// A two-member job whose budget is below the longer member's natural
+/// event count, so that member times out once and completes on its
+/// doubled-budget retry. Returns the spec's JSON, the parsed spec, and
+/// the report `run_sweep` writes for the same members.
+fn retrying_job() -> (String, JobSpec, String) {
+    let seeds = [1, 2];
+    let natural = seeds
+        .iter()
+        .map(|&seed| {
+            let mut sc = test_scenario();
+            sc.seed = seed;
+            nomc_sim::engine::run(&sc).events
+        })
+        .max()
+        .expect("two members");
+    let text = spec_json_with(&seeds, natural * 3 / 4);
+    let spec: JobSpec = nomc_json::from_str(&text).expect("valid spec");
+    let cfg = SweepConfig {
+        retries: spec.retries,
+        base_budget: spec.budget,
+        threads: Some(1),
+        shards: spec.shards,
+        checkpoint_every: None,
+        snapshot_dir: None,
+    };
+    let report = sweep::run_sweep(&spec.members(), &cfg, None, false).expect("in-process sweep");
+    let counts = report.counts();
+    assert_eq!(counts.ok, 2, "both members complete on their last attempt");
+    assert!(
+        counts.retried >= 1,
+        "the budget must time a member out once"
+    );
+    (text, spec, report.to_json_string())
+}
+
+/// Polls `GET /jobs/<hex>` until the job is done, failing on a failed
+/// job or after a generous wait.
+fn wait_done(addr: std::net::SocketAddr, job_hex: &str) {
+    let target = format!("/jobs/{job_hex}");
+    for _ in 0..600 {
+        let text = body_text(&exchange(addr, Method::Get, &target, b""));
+        assert!(!text.contains("\"state\":\"failed\""), "job failed: {text}");
+        if text.contains("\"state\":\"done\"") {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    panic!("job {job_hex} did not finish in time");
+}
+
+#[test]
+fn a_served_job_reports_the_bytes_run_sweep_writes() {
+    let (text, spec, expected) = retrying_job();
+    let state = temp_dir("served-vs-sweep");
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    let addr = server.addr();
+    let accepted = exchange(addr, Method::Post, "/jobs", text.as_bytes());
+    assert_eq!(accepted.status, 202, "{}", body_text(&accepted));
+    let job_hex = jobs::id_hex(jobs::job_id(&spec));
+    wait_done(addr, &job_hex);
+    let served = exchange(addr, Method::Get, &format!("/jobs/{job_hex}/report"), b"");
+    assert_eq!(served.status, 200);
+    assert_eq!(
+        body_text(&served),
+        expected,
+        "a served job is the same sweep as `run_sweep` over its members"
+    );
+    drain_within(server, Duration::from_secs(60));
+}
+
+#[test]
+fn a_journal_from_another_sweep_is_discarded_and_the_job_reruns() {
+    let (text, spec, expected) = retrying_job();
+    let state = temp_dir("foreign-journal");
+    let id = jobs::job_id(&spec);
+    let paths = jobs::paths(&state, id);
+    std::fs::create_dir_all(&paths.snapshots).expect("job dir");
+    std::fs::write(&paths.spec, &text).expect("spec planted");
+    // Entries that would change the report if they were trusted, under
+    // a header that names some other sweep.
+    let hashes = spec.member_hashes();
+    let planted: Vec<Option<MemberReport>> = hashes
+        .iter()
+        .enumerate()
+        .map(|(member, &hash)| {
+            Some(MemberReport {
+                member,
+                hash,
+                attempts: Vec::new(),
+            })
+        })
+        .collect();
+    let foreign = sweep::hash::sweep_hash(&hashes) ^ 1;
+    journal::persist(&paths.journal, foreign, None, &planted).expect("journal planted");
+
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    wait_done(server.addr(), &jobs::id_hex(id));
+    let report = std::fs::read_to_string(&paths.report).expect("report written");
+    assert_eq!(report, expected, "the rerun ignores the foreign entries");
+    // The journal was rewritten under this job's own sweep hash.
+    let replay = journal::load(&paths.journal, sweep::hash::sweep_hash(&hashes), &hashes)
+        .expect("the journal now belongs to this job")
+        .expect("the journal exists");
+    assert_eq!((replay.recovered(), replay.quarantined.len()), (2, 0));
+    drain_within(server, Duration::from_secs(60));
 }

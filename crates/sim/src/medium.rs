@@ -89,8 +89,8 @@
 //! observer) pair and memoized, and leakage factors resolve through a
 //! precomputed CFD-grid lookup table ([`AcrLut`]) — node and channel
 //! frequencies live on a small grid, so channel-plan CFDs are table
-//! reads and only off-grid stragglers fall back to a memoized analytic
-//! evaluation. Both caches are bit-exact by construction.
+//! reads and only off-grid stragglers (fractional channel plans) pay
+//! the analytic evaluation. Both caches are bit-exact by construction.
 
 use crate::events::{NodeId, TxId};
 use crate::reach;
@@ -258,7 +258,7 @@ impl AmbientEntry {
 pub struct Medium {
     /// The rejection curve with its CFD-grid lookup table (see
     /// [`AcrLut`]): channel-plan CFDs resolve by table read, anything
-    /// off-grid falls through to `leak_cache`.
+    /// off-grid by the analytic curve.
     acr: AcrLut,
     noise: MilliWatts,
     /// Id-ordered (and id-contiguous) transmission slab.
@@ -271,10 +271,6 @@ pub struct Medium {
     cutoff_mhz: Megahertz,
     /// How long ended transmissions are retained for late segment queries.
     retention: SimDuration,
-    /// Memoized [`AcrCurve::leakage_factor`] keyed by CFD bits, for the
-    /// rare CFDs that miss the [`AcrLut`] grid (fractional channel
-    /// plans): each pays the interpolation + `powf` exactly once.
-    leak_cache: std::cell::RefCell<Vec<(u64, f64)>>,
     /// Reused working buffers for [`Medium::interference_segments`]
     /// (cleared on entry; the returned segment list is still freshly
     /// allocated because it is handed to the caller).
@@ -305,7 +301,6 @@ impl Medium {
             cutoff_mhz,
             // Longest frame is ≈ 4.3 ms; keep 4× that.
             retention: SimDuration::from_millis(20),
-            leak_cache: std::cell::RefCell::new(Vec::new()),
             scratch: std::cell::RefCell::new(SegScratch::default()),
             ambient: Vec::new(),
         }
@@ -336,21 +331,11 @@ impl Medium {
 
     /// Leakage factor at `cfd`: [`AcrLut`] table read for channel-grid
     /// CFDs (the steady-state path — one array index, no interpolation,
-    /// no `powf`), `leak_cache` memo for anything off-grid. Both paths
+    /// no `powf`), the analytic curve for anything off-grid. Both paths
     /// are bit-identical to [`AcrCurve::leakage_factor`].
     #[inline]
     fn leakage(&self, cfd: Megahertz) -> f64 {
-        if let Some(f) = self.acr.grid_leakage(cfd) {
-            return f;
-        }
-        let bits = cfd.value().to_bits();
-        let mut cache = self.leak_cache.borrow_mut();
-        if let Some(&(_, f)) = cache.iter().find(|&&(b, _)| b == bits) {
-            return f;
-        }
-        let f = self.acr.curve().leakage_factor(cfd);
-        cache.push((bits, f));
-        f
+        self.acr.leakage_factor(cfd)
     }
 
     /// The noise floor in linear power.
@@ -451,9 +436,9 @@ impl Medium {
     /// The retained transmission history in slab (id) order — each entry
     /// with whether it is still in its channel's active set — plus the
     /// running airtime maximum. Together these are the medium's complete
-    /// mutable state for checkpointing: the rx-milliwatt and leakage
-    /// caches are pure functions of it, and ambient bursts are
-    /// construction-time state.
+    /// mutable state for checkpointing: the rx-milliwatt cache is a
+    /// pure function of it, and the leakage table and ambient bursts
+    /// are construction-time state.
     pub(crate) fn history(&self) -> (Vec<(Transmission, bool)>, SimDuration) {
         let mut active = std::collections::BTreeSet::new();
         for ch in &self.channels {

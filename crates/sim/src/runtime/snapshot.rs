@@ -964,14 +964,24 @@ impl ShardedSnapshot {
 impl ShardedSnapshot {
     /// Replaces the persisted total event budget, re-splitting it over
     /// the ranks exactly as a fresh bounded run would (earlier ranks
-    /// take the remainder). Ranks already done keep their results —
-    /// their budget share is spent.
+    /// take the remainder). A rank that finished keeps its result,
+    /// unless it stopped on a share the new one exceeds: that rank goes
+    /// back to fresh and reruns under its new share, exactly as a plain
+    /// run at this budget would (ranks are independent).
     pub(crate) fn set_budget(&mut self, max_events: u64) {
         self.max_events = max_events;
         let budgets = split_budget(max_events, self.ranks.len());
-        for (state, budget) in self.ranks.iter_mut().zip(budgets) {
-            if let RankState::Paused { engine, .. } = state {
-                engine.max_events = budget;
+        for ((state, log), budget) in self.ranks.iter_mut().zip(&mut self.logs).zip(budgets) {
+            match state {
+                RankState::Paused { engine, .. } => engine.max_events = budget,
+                RankState::Done {
+                    result,
+                    exhausted: true,
+                } if budget > result.events => {
+                    *state = RankState::Fresh;
+                    log.clear();
+                }
+                RankState::Fresh | RankState::Done { .. } => {}
             }
         }
     }
