@@ -61,11 +61,16 @@ for shards in 1 2 4 8; do
 done
 cargo test -p nomc-integration-tests --test shard_determinism -q --offline
 
-echo "==> ext_fault_recovery runs through the experiment registry"
-# A run smoke of the binary path only: recovery at every jammer duty is
-# asserted by tests/tests/determinism.rs in the cargo test step above.
-cargo run -p nomc-experiments --release --offline --bin all_experiments -- \
-  --quick --only ext_fault_recovery
+echo "==> all_experiments --quick is byte-identical to the committed report"
+# Every registry entry runs through the binary path, and its stdout must
+# match tests/fixtures/all_experiments_quick.txt byte for byte: a change
+# that moves any reported figure, row or label fails here until the
+# fixture is regenerated and the change justified. Recovery at every
+# jammer duty is asserted by tests/tests/determinism.rs in the cargo
+# test step above.
+cargo run -p nomc-experiments --release --offline --quiet --bin all_experiments -- --quick \
+  | diff -u tests/fixtures/all_experiments_quick.txt - \
+  || { echo "all_experiments --quick drifted from tests/fixtures/all_experiments_quick.txt"; exit 1; }
 
 echo "==> calibration anchors hold (quick)"
 cargo run -p nomc-experiments --release --offline --bin calibration_check -- --quick

@@ -63,6 +63,30 @@ impl BerModel {
         ber.clamp(0.0, 0.5)
     }
 
+    /// The linear SINR `R` at or above which [`BerModel::bit_error_rate`]
+    /// is exactly 0.0: the model's total-underflow bound (75 for O-QPSK,
+    /// 750/5.5 for DBPSK) raised by a 76/75 margin.
+    ///
+    /// A caller that knows `signal ≥ R · (interference + noise)` in
+    /// linear milliwatts may skip the BER evaluation outright. The 1.3 %
+    /// margin dwarfs both errors between that linear comparison and the
+    /// value the formula sees: the `log10`/`powf` round trip of a [`Db`]
+    /// SINR (a few ulps), and the rounding of an interference sum taken
+    /// in a different order or over a subset of the same terms (about
+    /// n·2⁻⁵³ relative for n terms).
+    pub fn error_free_sinr(self) -> f64 {
+        self.underflow_snr() * 76.0 / 75.0
+    }
+
+    /// The linear SNR at which the model's formula underflows to exactly
+    /// 0.0 (the shortcut in `oqpsk_dsss_ber` and `dbpsk_ber`).
+    fn underflow_snr(self) -> f64 {
+        match self {
+            BerModel::Oqpsk802154 => OQPSK_UNDERFLOW_SNR,
+            BerModel::Dsss80211b => DBPSK_UNDERFLOW_SNR,
+        }
+    }
+
     /// Probability that `bits` consecutive bits are all received correctly
     /// at the given SINR.
     ///
@@ -112,6 +136,12 @@ impl BerModel {
     }
 }
 
+/// Linear SNR at which every term of `oqpsk_dsss_ber` underflows.
+const OQPSK_UNDERFLOW_SNR: f64 = 75.0;
+
+/// Linear SNR at which `dbpsk_ber`'s exponential underflows.
+const DBPSK_UNDERFLOW_SNR: f64 = 750.0 / 5.5;
+
 /// IEEE 802.15.4 2.4 GHz O-QPSK DSSS bit-error rate.
 ///
 /// `BER = (8/15)·(1/16)·Σ_{k=2}^{16} (−1)^k C(16,k) e^{20·SNR·(1/k − 1)}`
@@ -130,7 +160,7 @@ fn oqpsk_dsss_ber(snr_linear: f64) -> f64 {
     // sum is exactly 0.0 — the same value the loop would produce after
     // fifteen wasted `exp` calls. Receptions at healthy SINR (≥ ~19 dB,
     // the common case) take this path.
-    if snr_linear >= 75.0 {
+    if snr_linear >= OQPSK_UNDERFLOW_SNR {
         return 0.0;
     }
     let mut sum = 0.0;
@@ -149,7 +179,7 @@ fn dbpsk_ber(snr_linear: f64) -> f64 {
     // Same total-underflow shortcut as `oqpsk_dsss_ber`: at
     // SNR ≥ 750/5.5 the exponent is ≤ −750, `exp` is exactly +0.0, and
     // 0.5·0.0 is the 0.0 the full expression would return.
-    if snr_linear >= 750.0 / 5.5 {
+    if snr_linear >= DBPSK_UNDERFLOW_SNR {
         return 0.0;
     }
     0.5 * (-(11.0 / 2.0) * snr_linear).exp()
@@ -204,6 +234,40 @@ mod tests {
             dbpsk_ber(below).to_bits(),
             (0.5 * (-(11.0 / 2.0) * below).exp()).to_bits()
         );
+    }
+
+    #[test]
+    fn error_free_sinr_is_sound_and_tight() {
+        use crate::sinr::sinr_linear;
+        use nomc_units::{Dbm, MilliWatts};
+        for model in [BerModel::Oqpsk802154, BerModel::Dsss80211b] {
+            let r = model.error_free_sinr();
+            let bound = model.underflow_snr();
+            assert!(
+                r >= bound,
+                "{model:?}: R {r} below its underflow bound {bound}"
+            );
+            assert!(
+                r <= 1.02 * bound,
+                "{model:?}: R {r} looser than 1.02 × {bound}"
+            );
+            // Signals across the receiver's range, denominators for
+            // linear ratios from R to R·10⁶: the BER seen through the dB
+            // round trip must be exactly +0.0.
+            for dbm in -100..=0 {
+                let signal = Dbm::new(f64::from(dbm)).to_milliwatts();
+                for step in 0..=600 {
+                    let ratio = r * 10f64.powf(f64::from(step) / 100.0);
+                    let denom = MilliWatts::new(signal.value() / ratio);
+                    let ber = model.bit_error_rate(sinr_linear(signal, denom));
+                    assert_eq!(
+                        ber.to_bits(),
+                        0.0f64.to_bits(),
+                        "{model:?}: BER {ber:e} at {dbm} dBm, ratio {ratio}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

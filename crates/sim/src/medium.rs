@@ -40,11 +40,12 @@
 //! # Channel cutoff
 //!
 //! Power queries ([`Medium::sensed_components`], [`Medium::sensed_total`],
-//! [`Medium::interference_segments`]) skip channels whose CFD to the
-//! observer frequency exceeds [`AcrCurve::saturation_cfd`]: past the
-//! curve's support the rejection is at its ~50 dB floor and the leaked
-//! power (≈1e-5 of an already-weak signal) is physically negligible, so
-//! such channels are treated as fully orthogonal. The predicate itself
+//! [`Medium::interference_segments`], [`Medium::interference_bound`])
+//! skip channels whose CFD to the observer frequency exceeds
+//! [`AcrCurve::saturation_cfd`]: past the curve's support the rejection
+//! is at its ~50 dB floor and the leaked power (≈1e-5 of an
+//! already-weak signal) is physically negligible, so such channels are
+//! treated as fully orthogonal. The predicate itself
 //! lives in [`crate::reach::channel_coupled`] and is shared with the
 //! shard partitioner, so sensing and partitioning can never disagree
 //! about which channels couple. [`Medium::was_collided`]
@@ -60,8 +61,10 @@
 //! `sensed_components` accumulates channel-major (channels in ascending
 //! frequency order, ids ascending within a channel) to keep the hot
 //! path allocation-free; within any single channel the order is still
-//! id order. The per-channel leakage factor is computed once per
-//! channel per query instead of once per transmission.
+//! id order. `interference_bound` sums channel-major too: it is only
+//! ever compared against a margin, never reported. The per-channel
+//! leakage factor is computed once per channel per query instead of
+//! once per transmission.
 //!
 //! # Incremental active sets
 //!
@@ -91,6 +94,26 @@
 //! frequencies live on a small grid, so channel-plan CFDs are table
 //! reads and only off-grid stragglers (fractional channel plans) pay
 //! the analytic evaluation. Both caches are bit-exact by construction.
+//! The BER and sync-probability evaluations themselves are not cached:
+//! a window rarely repeats an interference level, and the bound below
+//! settles nearly every window before they run.
+//!
+//! # Bound-first reception
+//!
+//! Far above the O-QPSK cliff a frame simply survives, and most
+//! receptions sit there. [`Medium::interference_bound`] sums the coupled
+//! power of every interferer overlapping a window — one pass of the same
+//! candidate walk [`Medium::interference_segments_into`] takes, with no
+//! segments built. Every segment's interference is a sum over a subset
+//! of those terms, so when `signal ≥ R · (bound + noise)` for the BER
+//! model's [`BerModel::error_free_sinr`] `R`, every segment's BER is
+//! exactly 0.0: [`sample_segment_errors`] would return no errors without
+//! drawing, and [`sync_success_probability`] would return exactly 1.0.
+//! `R` sits 76/75 above the formula's underflow point, which covers the
+//! `log10`/`powf` round trip and the rounding of a differently-ordered
+//! sum many times over. The engine asks the bound first and builds
+//! segments only for the few windows where a bit can fail, so the RNG
+//! stream and every output bit are those of the segment path.
 
 use crate::events::{NodeId, TxId};
 use crate::reach;
@@ -713,57 +736,24 @@ impl Medium {
     ) {
         debug_assert!(from <= to);
         segments.clear();
-        let (from_ns, to_ns) = (from.as_nanos(), to.as_nanos());
         let mut scratch = self.scratch.borrow_mut();
         let SegScratch {
             interferers,
             bounds,
         } = &mut *scratch;
         // Collect overlapping interferers with their coupled powers,
-        // then restore id order so the per-segment floating-point sums
-        // match a flat id-ordered scan bit for bit.
+        // then restore id order among the registered ones so the
+        // per-segment floating-point sums match a flat id-ordered scan
+        // bit for bit. Ambient bursts follow the registered entries, so
+        // the per-segment sums stay `registered ids ascending, then
+        // ambient bursts in plan order`, and with no bursts they are
+        // bit-identical to the fault-free scan.
         interferers.clear();
-        for ch in &self.channels {
-            let cfd = ch.freq.distance_to(freq);
-            if !reach::channel_coupled(cfd, self.cutoff_mhz) {
-                continue;
-            }
-            let (lo, hi) = self.window(ch, from_ns, to_ns);
-            let mut leak: Option<f64> = None;
-            for ce in &ch.ids[lo..hi] {
-                if ce.id == subject
-                    || ce.tx_node == observer
-                    || ce.start_ns.max(from_ns) >= ce.end_ns.min(to_ns)
-                {
-                    continue;
-                }
-                let Some(entry) = self.entry(ce.id) else {
-                    continue;
-                };
-                let Some((s, e)) = entry.tx.overlap(from, to) else {
-                    continue;
-                };
-                let factor = *leak.get_or_insert_with(|| self.leakage(cfd));
-                let coupled = entry.rx_milliwatts(observer) * factor;
-                interferers.push((ce.id, s, e, coupled));
-            }
-        }
-        interferers.sort_unstable_by_key(|&(id, ..)| id);
-        // Ambient (jammer) energy joins *after* the id-order sort: the
-        // per-segment sums stay `registered ids ascending, then ambient
-        // bursts in plan order`, and with no bursts they are bit-identical
-        // to the fault-free scan. Jammers have no id and belong to no
-        // node, so the subject/observer exclusions do not apply.
-        for a in &self.ambient {
-            if !reach::channel_coupled(a.freq.distance_to(freq), self.cutoff_mhz) {
-                continue;
-            }
-            let Some((s, e)) = a.overlap(from, to) else {
-                continue;
-            };
-            let coupled = a.rx_mw * self.leakage(a.freq.distance_to(freq));
-            interferers.push((TxId::MAX, s, e, coupled));
-        }
+        let registered =
+            self.for_each_interferer(subject, observer, freq, from, to, |id, s, e, p| {
+                interferers.push((id, s, e, p));
+            });
+        interferers[..registered].sort_unstable_by_key(|&(id, ..)| id);
         // Build segment boundaries.
         bounds.clear();
         bounds.push(from);
@@ -796,6 +786,89 @@ impl Medium {
                 interference: MilliWatts::ZERO,
             });
         }
+    }
+
+    /// An upper bound on the interference any segment of
+    /// [`Medium::interference_segments`] over the same arguments can
+    /// carry: the coupled powers of *every* interferer overlapping
+    /// `[from, to]`, summed as if they all overlapped at once. Noise is
+    /// not included. Each segment sums a subset of these terms, so the
+    /// bound holds up to the rounding of a differently-ordered sum (see
+    /// [`BerModel::error_free_sinr`] for the margin that covers it).
+    pub fn interference_bound(
+        &self,
+        subject: TxId,
+        observer: NodeId,
+        freq: Megahertz,
+        from: SimTime,
+        to: SimTime,
+    ) -> MilliWatts {
+        let mut total = MilliWatts::ZERO;
+        self.for_each_interferer(subject, observer, freq, from, to, |_, _, _, p| total += p);
+        total
+    }
+
+    /// The interferer walk behind [`Medium::interference_segments_into`]
+    /// and [`Medium::interference_bound`]: calls `visit(id, start, end,
+    /// coupled)` for every transmission overlapping `[from, to]` on a
+    /// coupled channel — except `subject` and the observer's own
+    /// emissions — with its overlap and its power coupled into `freq`,
+    /// then for every coupled ambient burst overlapping the window (id
+    /// [`TxId::MAX`]; jammers have no id and belong to no node, so the
+    /// exclusions do not apply). Registered transmissions come
+    /// channel-major, ids ascending within a channel; the return value
+    /// is how many of them were visited before the ambient bursts.
+    fn for_each_interferer(
+        &self,
+        subject: TxId,
+        observer: NodeId,
+        freq: Megahertz,
+        from: SimTime,
+        to: SimTime,
+        mut visit: impl FnMut(TxId, SimTime, SimTime, MilliWatts),
+    ) -> usize {
+        let (from_ns, to_ns) = (from.as_nanos(), to.as_nanos());
+        let mut registered = 0;
+        for ch in &self.channels {
+            let cfd = ch.freq.distance_to(freq);
+            if !reach::channel_coupled(cfd, self.cutoff_mhz) {
+                continue;
+            }
+            let (lo, hi) = self.window(ch, from_ns, to_ns);
+            let mut leak: Option<f64> = None;
+            for ce in &ch.ids[lo..hi] {
+                if ce.id == subject
+                    || ce.tx_node == observer
+                    || ce.start_ns.max(from_ns) >= ce.end_ns.min(to_ns)
+                {
+                    continue;
+                }
+                let Some(entry) = self.entry(ce.id) else {
+                    continue;
+                };
+                let Some((s, e)) = entry.tx.overlap(from, to) else {
+                    continue;
+                };
+                let factor = *leak.get_or_insert_with(|| self.leakage(cfd));
+                visit(ce.id, s, e, entry.rx_milliwatts(observer) * factor);
+                registered += 1;
+            }
+        }
+        for a in &self.ambient {
+            if !reach::channel_coupled(a.freq.distance_to(freq), self.cutoff_mhz) {
+                continue;
+            }
+            let Some((s, e)) = a.overlap(from, to) else {
+                continue;
+            };
+            visit(
+                TxId::MAX,
+                s,
+                e,
+                a.rx_mw * self.leakage(a.freq.distance_to(freq)),
+            );
+        }
+        registered
     }
 
     /// Whether any *other* transmission overlapped `[from, to]` with a
@@ -843,10 +916,11 @@ pub const BIT_DURATION: SimDuration = SimDuration::from_micros(4);
 /// Samples bit errors over `segments` for a signal of `signal` dBm,
 /// returning `(error_bits, total_bits)`.
 ///
-/// Bits are allotted to segments proportionally to duration; the total is
-/// the true bit count of the window (durations rounded per segment, which
-/// is exact when segment boundaries fall on bit boundaries and off by at
-/// most one bit otherwise).
+/// Bits are allotted to segments proportionally to duration, each
+/// segment flooring its own count (`⌊duration / 4 µs⌋`). The total is
+/// the true bit count of the window when segment boundaries fall on bit
+/// boundaries; otherwise it can fall short by up to one bit per interior
+/// boundary.
 pub fn sample_segment_errors<R: Rng + ?Sized>(
     rng: &mut R,
     segments: &[Segment],
@@ -857,30 +931,13 @@ pub fn sample_segment_errors<R: Rng + ?Sized>(
     let signal_mw = signal.to_milliwatts();
     let mut errors = 0u32;
     let mut bits = 0u32;
-    // Within one window the same interference power recurs (quiet
-    // stretches between the same interferer set); BER is a pure function
-    // of (signal, interference), so a small per-call memo skips the
-    // log/pow/exp chain on repeats without changing a bit.
-    let mut memo = [(0u64, 0.0f64); 8];
-    let mut memo_len = 0usize;
     for seg in segments {
         let n = (seg.duration.as_nanos() / BIT_DURATION.as_nanos()) as u32;
         if n == 0 {
             continue;
         }
-        let key = seg.interference.value().to_bits();
-        let ber = match memo[..memo_len].iter().find(|&&(k, _)| k == key) {
-            Some(&(_, b)) => b,
-            None => {
-                let sinr = nomc_phy::sinr::sinr_linear(signal_mw, seg.interference + noise);
-                let b = model.bit_error_rate(sinr);
-                if memo_len < memo.len() {
-                    memo[memo_len] = (key, b);
-                    memo_len += 1;
-                }
-                b
-            }
-        };
+        let sinr = nomc_phy::sinr::sinr_linear(signal_mw, seg.interference + noise);
+        let ber = model.bit_error_rate(sinr);
         errors += nomc_phy::biterror::sample_bit_errors(rng, n, ber);
         bits += n;
     }
@@ -897,33 +954,13 @@ pub fn sync_success_probability(
 ) -> f64 {
     let signal_mw = signal.to_milliwatts();
     let mut p = 1.0;
-    // Same pure-function memo as in [`sample_segment_errors`], keyed by
-    // (interference, bit count) since the success probability depends on
-    // both.
-    let mut memo = [(0u64, 0u32, 0.0f64); 8];
-    let mut memo_len = 0usize;
     for seg in segments {
         let n = (seg.duration.as_nanos() / BIT_DURATION.as_nanos()) as u32;
         if n == 0 {
             continue;
         }
-        let key = seg.interference.value().to_bits();
-        let ps = match memo[..memo_len]
-            .iter()
-            .find(|&&(k, m, _)| k == key && m == n)
-        {
-            Some(&(.., v)) => v,
-            None => {
-                let sinr = nomc_phy::sinr::sinr_linear(signal_mw, seg.interference + noise);
-                let v = model.frame_success_probability(sinr, n);
-                if memo_len < memo.len() {
-                    memo[memo_len] = (key, n, v);
-                    memo_len += 1;
-                }
-                v
-            }
-        };
-        p *= ps;
+        let sinr = nomc_phy::sinr::sinr_linear(signal_mw, seg.interference + noise);
+        p *= model.frame_success_probability(sinr, n);
     }
     p
 }
@@ -1050,7 +1087,7 @@ mod tests {
         );
         let total: SimDuration = segs.iter().map(|s| s.duration).sum();
         assert_eq!(total, SimDuration::from_micros(3000));
-        // Expect 5 segments: [0,500) quiet, [500,1000) A, [1000,1200) A+B,
+        // Expect 4 segments: [0,500) quiet, [500,1000) A, [1000,1200) A+B,
         // [1200,3000) B.
         assert_eq!(segs.len(), 4);
         assert_eq!(segs[0].interference, MilliWatts::ZERO);

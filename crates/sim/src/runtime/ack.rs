@@ -7,7 +7,7 @@
 
 use super::Engine;
 use crate::events::{Event, NodeId, TxId};
-use crate::medium::{self, Transmission};
+use crate::medium::Transmission;
 use crate::trace::TraceKind;
 use nomc_mac::MacEvent;
 use nomc_rngcore::Rng;
@@ -67,35 +67,18 @@ impl Engine<'_, '_, '_> {
         // margin applies as for any sync.
         let signal = ack.rx_power[sender];
         let freq = self.nodes[sender].freq;
-        self.medium.interference_segments_into(
+        let (sync, payload) = (
+            (ack.start, ack.start + self.sync_dur),
+            (ack.mpdu_start, ack.end),
+        );
+        let p_sync = self.window_sync_probability(
             ack_id,
             sender,
             freq,
-            ack.start,
-            ack.start + self.sync_dur,
-            &mut self.seg_buf,
-        );
-        let p_sync = medium::sync_success_probability(
-            &self.seg_buf,
+            sync,
             signal + self.sc.radio.sync_margin,
-            self.medium.noise(),
-            self.sc.radio.ber_model,
         );
-        self.medium.interference_segments_into(
-            ack_id,
-            sender,
-            freq,
-            ack.mpdu_start,
-            ack.end,
-            &mut self.seg_buf,
-        );
-        let (errors, _) = medium::sample_segment_errors(
-            &mut self.rng,
-            &self.seg_buf,
-            signal,
-            self.medium.noise(),
-            self.sc.radio.ber_model,
-        );
+        let (errors, _) = self.window_errors(ack_id, sender, freq, payload, signal);
         let decoded = errors == 0 && self.rng.gen::<f64>() < p_sync;
         if decoded {
             self.nodes[sender].awaiting_ack = None;

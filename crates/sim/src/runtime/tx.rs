@@ -15,7 +15,7 @@ use crate::trace::TraceKind;
 use nomc_mac::MacEvent;
 use nomc_radio::timing;
 use nomc_rngcore::Rng;
-use nomc_units::SimTime;
+use nomc_units::{Dbm, Megahertz, SimTime};
 
 /// Engine-side metadata for an in-flight transmission.
 #[derive(Debug)]
@@ -178,20 +178,8 @@ impl Engine<'_, '_, '_> {
         // The preamble correlator detects its known sequence several dB
         // below the payload decoding threshold (sync_margin).
         let coupled = t.rx_power[o] - self.medium.acr().rejection(cfd) + self.sc.radio.sync_margin;
-        self.medium.interference_segments_into(
-            tx_id,
-            o,
-            self.nodes[o].freq,
-            t.start,
-            t.start + self.sync_dur,
-            &mut self.seg_buf,
-        );
-        let p = medium::sync_success_probability(
-            &self.seg_buf,
-            coupled,
-            self.medium.noise(),
-            self.sc.radio.ber_model,
-        );
+        let window = (t.start, t.start + self.sync_dur);
+        let p = self.window_sync_probability(tx_id, o, self.nodes[o].freq, window, coupled);
         if self.rng.gen::<f64>() < p {
             self.nodes[o].rx = Some(RxAttempt {
                 tx_id,
@@ -305,26 +293,13 @@ impl Engine<'_, '_, '_> {
         if cfd.value() >= 0.5 {
             return;
         }
-        let signal = t.rx_power[o];
+        let (signal, seq, src) = (t.rx_power[o], t.seq, t.tx_node as u32);
+        let window = (t.mpdu_start, t.end);
         let (measured, intended_rx) = match self.tx_meta.get(&tx_id) {
             Some(m) => (m.measured, m.intended_rx),
             None => (false, usize::MAX),
         };
-        self.medium.interference_segments_into(
-            tx_id,
-            o,
-            obs_freq,
-            t.mpdu_start,
-            t.end,
-            &mut self.seg_buf,
-        );
-        let (errors, bits) = medium::sample_segment_errors(
-            &mut self.rng,
-            &self.seg_buf,
-            signal,
-            self.medium.noise(),
-            self.sc.radio.ber_model,
-        );
+        let (errors, bits) = self.window_errors(tx_id, o, obs_freq, window, signal);
         let mut new_record = None;
         let decoded = if errors == 0 {
             true
@@ -332,9 +307,7 @@ impl Engine<'_, '_, '_> {
             // Full-fidelity path: flip sampled bit positions in the real
             // MPDU image and run the real FCS check (a corrupted frame
             // passes CRC only with probability ≈ 2⁻¹⁶).
-            let tx_node_seq = t.seq;
-            let src = t.tx_node as u32;
-            let mut mpdu = self.sc.frame.build_mpdu(src, tx_node_seq);
+            let mut mpdu = self.sc.frame.build_mpdu(src, seq);
             let positions =
                 nomc_phy::biterror::sample_error_positions(&mut self.rng, bits, errors.min(bits));
             for &p in &positions {
@@ -363,7 +336,7 @@ impl Engine<'_, '_, '_> {
             false
         };
         if o == intended_rx {
-            let duplicate = decoded && self.nodes[o].last_rx_seq == Some(t.seq);
+            let duplicate = decoded && self.nodes[o].last_rx_seq == Some(seq);
             if let Some(m) = self.tx_meta.get_mut(&tx_id) {
                 m.outcome = Some(if decoded {
                     TxOutcome::Received
@@ -374,7 +347,6 @@ impl Engine<'_, '_, '_> {
                 m.error_record = new_record;
             }
             if decoded {
-                let seq = t.seq;
                 self.nodes[o].last_rx_seq = Some(seq);
             }
             if decoded && !duplicate {
@@ -414,5 +386,79 @@ impl Engine<'_, '_, '_> {
             let rssi = self.rssi_read(o, signal);
             self.provider_mutate(o, |p, now| p.on_cochannel_packet(rssi, now));
         }
+    }
+
+    /// Bit errors sampled over `window` of `subject` as received by `o`
+    /// (tuned to `freq`) at `signal`, as `(errors, bits)`.
+    ///
+    /// Bound-first (see the `medium` module notes): a window whose
+    /// interference bound leaves `signal` at or above the BER model's
+    /// error-free SINR answers `(0, 0)` without building segments or
+    /// drawing, exactly as the segment path would draw nothing for it.
+    /// The bit count is reported only when the segments are built; no
+    /// caller reads it for an error-free window.
+    pub(super) fn window_errors(
+        &mut self,
+        subject: TxId,
+        o: NodeId,
+        freq: Megahertz,
+        window: (SimTime, SimTime),
+        signal: Dbm,
+    ) -> (u32, u32) {
+        if !self.build_segments(subject, o, freq, window, signal) {
+            return (0, 0);
+        }
+        medium::sample_segment_errors(
+            &mut self.rng,
+            &self.seg_buf,
+            signal,
+            self.medium.noise(),
+            self.sc.radio.ber_model,
+        )
+    }
+
+    /// Probability that `o` (tuned to `freq`) acquires sync on `subject`
+    /// over `window` at `signal`: exactly 1.0 when the interference bound
+    /// proves every bit error-free, the segment product otherwise.
+    pub(super) fn window_sync_probability(
+        &mut self,
+        subject: TxId,
+        o: NodeId,
+        freq: Megahertz,
+        window: (SimTime, SimTime),
+        signal: Dbm,
+    ) -> f64 {
+        if !self.build_segments(subject, o, freq, window, signal) {
+            return 1.0;
+        }
+        medium::sync_success_probability(
+            &self.seg_buf,
+            signal,
+            self.medium.noise(),
+            self.sc.radio.ber_model,
+        )
+    }
+
+    /// The bound-first test shared by both window questions: `false` when
+    /// `signal ≥ R · (interference bound + noise)` settles the window as
+    /// error-free; otherwise fills `seg_buf` with the window's segments
+    /// and returns `true`.
+    fn build_segments(
+        &mut self,
+        subject: TxId,
+        o: NodeId,
+        freq: Megahertz,
+        (from, to): (SimTime, SimTime),
+        signal: Dbm,
+    ) -> bool {
+        let bound = self.medium.interference_bound(subject, o, freq, from, to);
+        let floor =
+            (bound + self.medium.noise()).value() * self.sc.radio.ber_model.error_free_sinr();
+        if signal.to_milliwatts().value() >= floor {
+            return false;
+        }
+        self.medium
+            .interference_segments_into(subject, o, freq, from, to, &mut self.seg_buf);
+        true
     }
 }

@@ -9,12 +9,17 @@
 //! results **bit-identical** to a flat scan of the same registry in the
 //! documented summation orders (channel-major for
 //! [`Medium::sensed_components`], id order for
-//! [`Medium::interference_segments`]).
+//! [`Medium::interference_segments`]). The bound-first reception
+//! cutoff is pinned here too: whenever [`Medium::interference_bound`]
+//! puts a signal at or above the BER model's error-free SINR, the
+//! segment path draws nothing and succeeds with certainty.
 
-use nomc_rngcore::check::{forall, range, vec_of, zip2, zip3, zip4, G};
-use nomc_rngcore::{check, check_eq};
+use nomc_phy::BerModel;
+use nomc_rngcore::check::{boolean, forall, range, vec_of, zip2, zip3, zip4, G};
+use nomc_rngcore::{check, check_eq, RngCore, SeedableRng};
 use nomc_sim::events::{NodeId, TxId};
-use nomc_sim::medium::{Medium, Segment, Transmission};
+use nomc_sim::medium::{self, Medium, Segment, Transmission};
+use nomc_sim::rng::Xoshiro256StarStar;
 use nomc_units::{Dbm, Megahertz, MilliWatts, SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -273,6 +278,64 @@ fn collision_predicate_matches_full_scan() {
             );
             Ok(())
         },
+    );
+}
+
+/// The bound-first cutoff is sound: whenever `signal ≥ R · (bound +
+/// noise)`, sampling the window's segments yields no errors and consumes
+/// no randomness, and the sync probability is exactly 1.0. Signals are
+/// placed within a few dB of the cutoff on both sides, so the implication
+/// is exercised at its edge; only the implication is asserted, never an
+/// ordering between the bound and a differently-summed segment.
+#[test]
+fn interference_bound_settles_only_error_free_windows() {
+    let settled = std::sync::atomic::AtomicU32::new(0);
+    let g = zip4(
+        arb_specs(),
+        zip3(range(0usize..NODES), range(0usize..8), boolean()),
+        zip2(range(0u64..45), range(-1.0f64..3.0)),
+        zip2(range(0u64..36_000), range(1u64..6_000)),
+    );
+    forall(
+        "interference_bound_settles_only_error_free_windows",
+        192,
+        &g,
+        |(specs, (observer, obs_k, dbpsk), (subject, offset_db), (from_us, len_us))| {
+            let (medium, _) = build(specs);
+            let freq = grid(*obs_k);
+            let (from, to) = (
+                SimTime::from_micros(*from_us),
+                SimTime::from_micros(*from_us + *len_us),
+            );
+            let model = if *dbpsk {
+                BerModel::Dsss80211b
+            } else {
+                BerModel::Oqpsk802154
+            };
+            let noise = medium.noise();
+            let bound = medium.interference_bound(*subject, *observer, freq, from, to);
+            let floor = (bound + noise).value() * model.error_free_sinr();
+            let signal = Dbm::new(10.0 * floor.log10() + offset_db);
+            if signal.to_milliwatts().value() < floor {
+                return Ok(());
+            }
+            settled.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let segments = medium.interference_segments(*subject, *observer, freq, from, to);
+            let mut rng = Xoshiro256StarStar::seed_from_u64(*from_us);
+            let mut untouched = rng.clone();
+            let (errors, _) =
+                medium::sample_segment_errors(&mut rng, &segments, signal, noise, model);
+            check_eq!(errors, 0);
+            check_eq!(rng.next_u64(), untouched.next_u64());
+            let p = medium::sync_success_probability(&segments, signal, noise, model);
+            check_eq!(p.to_bits(), 1.0f64.to_bits());
+            Ok(())
+        },
+    );
+    let settled = settled.into_inner();
+    assert!(
+        settled >= 48,
+        "only {settled} of 192 cases reached the cutoff"
     );
 }
 
