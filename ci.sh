@@ -8,6 +8,17 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
+echo "==> examples: every examples/ binary runs and exits 0"
+# `cargo test` compiles the examples but never runs them; running each
+# once (about a second in total) catches a broken engine call that only
+# shows at run time.
+cargo build -p nomc-experiments --examples --release --offline
+for src in examples/*.rs; do
+  example="$(basename "$src" .rs)"
+  echo "    $example"
+  "./target/release/examples/$example" > /dev/null
+done
+
 echo "==> cargo test"
 cargo test --workspace -q --offline
 
@@ -114,6 +125,8 @@ echo "==> bench smoke (single iteration, no report written)"
 cargo bench -p nomc-bench --bench sim --offline -- --test
 cargo bench -p nomc-bench --bench lint --offline -- --test
 cargo bench -p nomc-bench --bench serve --offline -- --test
+cargo bench -p nomc-bench --bench micro --offline -- --test
+cargo bench -p nomc-bench --bench paper_figures --offline -- --test
 
 echo "==> bench guard (every committed BENCH_*.json within its committed budget)"
 # The committed BENCH_<group>.json files are the perf-trajectory record;

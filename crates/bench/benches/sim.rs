@@ -18,7 +18,7 @@
 //!   multi-core machine the ratio is the shard-parallelism speedup, and
 //!   the 1-thread run pins the merge/relay overhead.
 //! * `sharded_saturated` — the deliberately-coupled counterpart: the
-//!   `power_sense_heavy` six-network 3 MHz grid through `run_sharded`,
+//!   `power_sense_heavy` six-network 3 MHz grid through the sharded engine,
 //!   which collapses to a single component, so the bench pins the
 //!   partition-planning + delegation overhead on coupled workloads.
 //! * `snapshot_roundtrip` — one mid-run engine checkpoint priced end to
@@ -40,7 +40,7 @@ use nomc_bench::{criterion_group, criterion_main, run_shrunk, shrink};
 use nomc_phy::Shadowing;
 use nomc_sim::scenario::Propagation;
 use nomc_sim::{
-    engine, CrashFault, DriftFault, FaultPlan, JammerFault, NetworkBehavior, Scenario,
+    engine, CrashFault, DriftFault, FaultPlan, JammerFault, NetworkBehavior, RunSpec, Scenario,
     StuckCcaFault,
 };
 use nomc_topology::spectrum::ChannelPlan;
@@ -162,7 +162,11 @@ fn run_checkpointed(sc: &Scenario, dir: &std::path::Path, cadence: u64) -> nomc_
     use nomc_experiments::sweep::checkpoint;
     const KEY: u64 = 0xbe7c_0de5;
     let mut target = cadence;
-    let mut progress = engine::run_until(sc, &mut [], u64::MAX, target);
+    let spec = RunSpec {
+        pause_at: target,
+        ..RunSpec::default()
+    };
+    let mut progress = engine::execute(sc, &spec, &mut []);
     loop {
         match progress {
             engine::RunProgress::Paused(snap) => {
@@ -208,15 +212,22 @@ fn bench_sim(c: &mut Criterion) {
         ("sharded_saturated", &coupled, 1),
     ] {
         let shrunk = shrink(sc.clone());
-        g.throughput(engine::run_sharded(&shrunk, threads).events);
-        g.bench_function(name, |b| {
-            b.iter(|| black_box(engine::run_sharded(&shrunk, threads)))
-        });
+        let spec = RunSpec {
+            shards: Some(threads),
+            ..RunSpec::default()
+        };
+        let run = || engine::execute(&shrunk, &spec, &mut []).into_done();
+        g.throughput(run().expect("no pause target").result.events);
+        g.bench_function(name, |b| b.iter(|| black_box(run())));
     }
     // Snapshot/checkpoint kernels (DESIGN.md §14): the serialization
     // round-trip alone, then a fully supervised run.
     let shrunk = shrink(power_sense_heavy_scenario(1));
-    let paused = match engine::run_until(&shrunk, &mut [], u64::MAX, 10_000) {
+    let spec = RunSpec {
+        pause_at: 10_000,
+        ..RunSpec::default()
+    };
+    let paused = match engine::execute(&shrunk, &spec, &mut []) {
         engine::RunProgress::Paused(p) => p,
         engine::RunProgress::Done(_) => panic!("the shrunken bench run has well over 10k events"),
     };

@@ -2,7 +2,7 @@
 
 use nomc_phy::planning::CprrModel;
 use nomc_phy::{LogDistance, PathLoss};
-use nomc_sim::{engine, FaultPlan, JsonlTracer, NetworkBehavior, Scenario, SimObserver};
+use nomc_sim::{engine, FaultPlan, JsonlTracer, NetworkBehavior, RunSpec, Scenario, SimObserver};
 use nomc_topology::paper;
 use nomc_topology::spectrum::{ChannelPlan, FitPolicy};
 use nomc_units::{Db, Dbm, Megahertz};
@@ -20,7 +20,9 @@ USAGE:
                                          injecting a deterministic fault plan;
                                          --shards runs independent network
                                          components on N worker threads
-                                         (results never depend on N);
+                                         (results never depend on N; with
+                                         --checkpoint-every they run one
+                                         at a time on one thread);
                                          --checkpoint-every snapshots engine
                                          state every EVENTS events (atomic
                                          tmp+rename into DIR) and resumes a
@@ -219,23 +221,24 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     if let Some(t) = tracer.as_mut() {
         sinks.push(t);
     }
-    let shards = parse_count::<usize>(args, "--shards", "")?;
-    let result = match parse_count::<u64>(args, "--checkpoint-every", " event")? {
-        Some(every) => {
+    let every = parse_count::<u64>(args, "--checkpoint-every", " event")?;
+    let spec = RunSpec {
+        shards: parse_count::<usize>(args, "--shards", "")?,
+        budget: u64::MAX,
+        pause_at: every.unwrap_or(u64::MAX),
+    };
+    let result = match every {
+        Some(_) => {
             let dir = flag_value(args, "--snapshot-dir")?
                 .ok_or_else(|| CliError::usage("--checkpoint-every needs --snapshot-dir <dir>"))?;
-            checkpointed_run(
-                &scenario,
-                &mut sinks,
-                shards,
-                every,
-                std::path::Path::new(&dir),
-            )?
+            checkpointed_run(&scenario, &mut sinks, &spec, std::path::Path::new(&dir))?
         }
-        None => match shards {
-            Some(threads) => engine::run_sharded_with(&scenario, &mut sinks, threads),
-            None => engine::run_with(&scenario, &mut sinks),
-        },
+        None => {
+            engine::execute(&scenario, &spec, &mut sinks)
+                .into_done()
+                .expect("a run without a pause target finishes")
+                .result
+        }
     };
     if let (Some(t), Some(out)) = (tracer, &trace_path) {
         let records = t.finish().map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -303,7 +306,8 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `nomc run --checkpoint-every`: the sweep's checkpoint leg chain
-/// with no event budget, keyed by scenario content and execution mode.
+/// (pausing every `spec.pause_at` events), keyed by scenario content
+/// and execution mode.
 /// A trustworthy snapshot file is resumed; any defect (corruption,
 /// version skew, a snapshot of a different scenario) degrades to a
 /// clean start with a notice, never a panic. The snapshot file is
@@ -316,17 +320,15 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
 fn checkpointed_run(
     scenario: &Scenario,
     sinks: &mut [&mut dyn SimObserver],
-    shards: Option<usize>,
-    every: u64,
+    spec: &RunSpec,
     dir: &std::path::Path,
 ) -> Result<nomc_sim::SimResult, String> {
     use nomc_experiments::runner::RunOutcome;
     use nomc_experiments::sweep::checkpoint::{self, Notice};
     use nomc_experiments::sweep::hash;
 
-    let key = hash::member_hash_with(scenario, u64::MAX, shards.is_some());
-    let (outcome, notices) =
-        checkpoint::run_legs(scenario, u64::MAX, shards, dir, every, key, 0, sinks);
+    let key = hash::member_hash_with(scenario, spec.budget, spec.shards.is_some());
+    let (outcome, notices) = checkpoint::run_legs(scenario, spec, dir, key, 0, sinks);
     for notice in &notices {
         match notice {
             Notice::Resumed { events_done } => {
@@ -1012,11 +1014,12 @@ mod tests {
 
             // The checkpoint an interrupted run leaves at event 2000.
             let key = hash::member_hash_with(&sc, u64::MAX, shards.is_some());
-            let progress = match shards {
-                Some(_) => engine::run_sharded_until(&sc, &mut [], u64::MAX, 2_000),
-                None => engine::run_until(&sc, &mut [], u64::MAX, 2_000),
+            let spec = RunSpec {
+                shards: shards.map(|_| 2),
+                budget: u64::MAX,
+                pause_at: 2_000,
             };
-            let engine::RunProgress::Paused(snap) = progress else {
+            let engine::RunProgress::Paused(snap) = engine::execute(&sc, &spec, &mut []) else {
                 panic!("the scenario must outlast 2000 events");
             };
             checkpoint::save(&snap_dir, key, 0, 2_000, &engine::snapshot(&snap)).unwrap();

@@ -418,8 +418,10 @@ pub fn measure_fault_recovery(sc: &nomc_sim::Scenario) -> (nomc_sim::RecoveryMet
         SimTime::ZERO + SimDuration::from_secs(FAULT_AT_SECS),
         sc.warmup,
     );
-    let result = nomc_sim::engine::run_with(sc, &mut [&mut meter]);
-    (meter, result)
+    let done = nomc_sim::engine::execute(sc, &nomc_sim::RunSpec::default(), &mut [&mut meter])
+        .into_done()
+        .expect("a run without a pause target finishes");
+    (meter, done.result)
 }
 
 /// Robustness study: kill-and-reboot one DCN sender while a wideband

@@ -15,7 +15,7 @@
 //! reproducible as a completed one.
 
 use crate::ExpConfig;
-use nomc_sim::{engine, pool, Scenario, SimObserver, SimResult};
+use nomc_sim::{engine, pool, BoundedRun, RunSpec, Scenario, SimObserver, SimResult};
 
 /// Mean and (population) standard deviation of a sample.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -127,6 +127,19 @@ impl RunOutcome {
     }
 }
 
+/// A run that exhausted its event budget timed out.
+impl From<BoundedRun> for RunOutcome {
+    fn from(done: BoundedRun) -> Self {
+        if done.exhausted {
+            RunOutcome::TimedOut {
+                events: done.result.events,
+            }
+        } else {
+            RunOutcome::Ok(done.result)
+        }
+    }
+}
+
 /// Runs a batch of scenarios in parallel with per-member isolation:
 /// each member runs under `catch_unwind` and the `max_events` budget,
 /// and the returned outcomes preserve order. Use `u64::MAX` for an
@@ -137,7 +150,11 @@ impl RunOutcome {
 /// still completes.
 pub fn run_outcomes(scenarios: &[Scenario], max_events: u64) -> Vec<RunOutcome> {
     pool::run_indexed(scenarios.len(), pool::default_threads(), |i| {
-        run_isolated(&scenarios[i], max_events, None, &mut [])
+        let spec = RunSpec {
+            budget: max_events,
+            ..RunSpec::default()
+        };
+        run_isolated(&scenarios[i], &spec, &mut [])
     })
 }
 
@@ -148,28 +165,24 @@ pub fn run_outcomes(scenarios: &[Scenario], max_events: u64) -> Vec<RunOutcome> 
 /// are write-only sinks whose partial output is discarded with the
 /// failed attempt.
 ///
-/// With `shards: Some(n)` the member runs through the sharded engine on
-/// `n` worker threads ([`engine::run_sharded_bounded`]); `None` keeps
-/// the legacy serial [`engine::run_bounded`]. `observers` stream the
-/// attempt's progress (batch paths pass `&mut []`; the results server
-/// feeds its per-job event channel through here).
+/// `spec` sets the budget and the engine ([`engine::RunSpec`]); it
+/// must not set a pause target — a member runs to its end. `observers`
+/// stream the attempt's progress (batch paths pass `&mut []`; the
+/// results server feeds its per-job event channel through here).
 ///
 /// Also the attempt primitive of [`crate::sweep`]'s retry loop.
 pub(crate) fn run_isolated(
     sc: &Scenario,
-    max_events: u64,
-    shards: Option<usize>,
+    spec: &RunSpec,
     observers: &mut [&mut dyn SimObserver],
 ) -> RunOutcome {
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match shards {
-        Some(threads) => engine::run_sharded_bounded(sc, observers, max_events, threads),
-        None => engine::run_bounded(sc, observers, max_events),
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine::execute(sc, spec, observers)
+            .into_done()
+            .expect("an isolated member has no pause target")
     }));
     match run {
-        Ok(bounded) if bounded.exhausted => RunOutcome::TimedOut {
-            events: bounded.result.events,
-        },
-        Ok(bounded) => RunOutcome::Ok(bounded.result),
+        Ok(done) => done.into(),
         Err(payload) => RunOutcome::Failed(panic_message(payload.as_ref())),
     }
 }

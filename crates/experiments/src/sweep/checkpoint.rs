@@ -28,7 +28,7 @@ use super::hash::Fnv1a;
 use super::journal::write_atomic;
 use super::SweepError;
 use crate::runner::RunOutcome;
-use nomc_sim::{engine, Scenario, SimObserver};
+use nomc_sim::{engine, RunSpec, Scenario, SimObserver};
 use std::path::{Path, PathBuf};
 
 /// Checkpoint format version; bump on any incompatible layout change.
@@ -317,26 +317,26 @@ pub enum Notice {
 /// The leg chain of one checkpointed attempt: resume from the latest
 /// trustworthy checkpoint under `member_hash` in `dir` (falling back to
 /// a clean start on *any* defect — typed errors all the way down, never
-/// a panic), then alternate run-to-pause every `every` events with
-/// atomic snapshot writes until the engine finishes or exhausts
-/// `budget`.
+/// a panic), then alternate run-to-pause every `spec.pause_at` events
+/// with atomic snapshot writes until the engine finishes or exhausts
+/// `spec.budget`. `spec.shards` picks the engine as for
+/// [`engine::execute`]; a sharded checkpointed run executes its
+/// components one at a time on the calling thread.
 ///
 /// Returns the attempt's outcome, exactly as an uncheckpointed run's,
 /// and the resume, discard and failed-save notices in the order they
 /// happened. The checkpoint is left on disk; the caller discards it
 /// once the run has concluded (a timed-out attempt's checkpoint carries
 /// into the retry).
-#[allow(clippy::too_many_arguments)]
 pub fn run_legs(
     scenario: &Scenario,
-    budget: u64,
-    shards: Option<usize>,
+    spec: &RunSpec,
     dir: &Path,
-    every: u64,
     member_hash: u64,
     attempt: u32,
     observers: &mut [&mut dyn SimObserver],
 ) -> (RunOutcome, Vec<Notice>) {
+    let every = spec.pause_at;
     let mut notices = Vec::new();
     let discard_for = |notices: &mut Vec<Notice>, why: String| {
         discard(dir, member_hash);
@@ -369,7 +369,7 @@ pub fn run_legs(
                     // Graft this attempt's budget onto the saved state
                     // (a retry resumes a timed-out attempt's checkpoint
                     // under the doubled budget).
-                    snap.set_budget(budget);
+                    snap.set_budget(spec.budget);
                     let target = rec.events_done.saturating_add(every);
                     match engine::resume_bounded(scenario, snap, observers, target) {
                         Ok(progress) => {
@@ -388,13 +388,7 @@ pub fn run_legs(
 
     let (mut target, mut progress) = match resumed {
         Some(pair) => pair,
-        None => {
-            let progress = match shards {
-                Some(_) => engine::run_sharded_until(scenario, observers, budget, every),
-                None => engine::run_until(scenario, observers, budget, every),
-            };
-            (every, progress)
-        }
+        None => (every, engine::execute(scenario, spec, observers)),
     };
 
     loop {
@@ -415,16 +409,7 @@ pub fn run_legs(
                     Err(e) => return (RunOutcome::Failed(e.to_string()), notices),
                 }
             }
-            engine::RunProgress::Done(done) => {
-                let outcome = if done.exhausted {
-                    RunOutcome::TimedOut {
-                        events: done.result.events,
-                    }
-                } else {
-                    RunOutcome::Ok(done.result)
-                };
-                return (outcome, notices);
-            }
+            engine::RunProgress::Done(done) => return (done.into(), notices),
         }
     }
 }

@@ -60,7 +60,7 @@ pub use report::{
 };
 
 use crate::runner::{run_isolated, RunOutcome};
-use nomc_sim::{pool, Scenario, SimObserver};
+use nomc_sim::{pool, RunSpec, Scenario, SimObserver};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -197,8 +197,10 @@ pub struct SweepConfig {
     /// Worker threads; `None` uses [`pool::default_threads`].
     pub threads: Option<usize>,
     /// Per-member sharded execution: `Some(n)` runs every member
-    /// through the sharded engine on `n` worker threads
-    /// (`engine::run_sharded_bounded`). Results are independent of `n`,
+    /// through the sharded engine ([`nomc_sim::RunSpec::shards`]) on `n`
+    /// worker threads — except under [`SweepConfig::checkpoint_every`],
+    /// where a member's components run one at a time on its sweep
+    /// worker's thread and `n` is not read. Results are independent of `n`,
     /// but multi-component members follow the componentized-seed
     /// semantics rather than the legacy serial stream, so the member
     /// hash carries a `sharded` marker (see [`hash::member_hash_with`])
@@ -446,21 +448,16 @@ pub fn run_one_member(
     let mut attempts = Vec::new();
     let mut budget = cfg.base_budget;
     for attempt in 0..=cfg.retries {
+        let spec = RunSpec {
+            shards: cfg.shards,
+            budget,
+            pause_at: supervision.map_or(u64::MAX, |(_, every)| every),
+        };
         let run = match supervision {
             // Panic-isolated like `run_isolated`, but run as a chain of
             // pause/snapshot/resume legs.
-            Some((dir, every)) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                checkpoint::run_legs(
-                    scenario,
-                    budget,
-                    cfg.shards,
-                    dir,
-                    every,
-                    member_hash,
-                    attempt,
-                    observers,
-                )
-                .0
+            Some((dir, _)) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                checkpoint::run_legs(scenario, &spec, dir, member_hash, attempt, observers).0
             }))
             .unwrap_or_else(|payload| {
                 // A panicking attempt cannot vouch for what it left on
@@ -468,7 +465,7 @@ pub fn run_one_member(
                 checkpoint::discard(dir, member_hash);
                 RunOutcome::Failed(crate::runner::panic_message(&*payload))
             }),
-            None => run_isolated(scenario, budget, cfg.shards, observers),
+            None => run_isolated(scenario, &spec, observers),
         };
         let (outcome, done) = match run {
             RunOutcome::Ok(result) => (AttemptOutcome::Ok(MemberMetrics::of(&result)), true),

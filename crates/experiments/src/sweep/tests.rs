@@ -8,7 +8,7 @@ use crate::runner;
 use nomc_phy::Shadowing;
 use nomc_rngcore::check::{forall, range, zip2};
 use nomc_sim::scenario::Propagation;
-use nomc_sim::{engine, NetworkBehavior, Scenario};
+use nomc_sim::{engine, NetworkBehavior, RunSpec, Scenario};
 use nomc_topology::{paper, spectrum::ChannelPlan, Deployment, LinkSpec, NetworkSpec, Point};
 use nomc_units::{Dbm, Megahertz, SimDuration};
 use std::path::PathBuf;
@@ -246,9 +246,12 @@ fn planted_mid_member_checkpoint_resumes_to_the_uninterrupted_report() {
     let dir = cfg.snapshot_dir.clone().expect("configured above");
     let first = members.first().expect("two members");
     let mh = hash::member_hash_with(first, cfg.base_budget, false);
-    let engine::RunProgress::Paused(snap) =
-        engine::run_until(first, &mut [], cfg.base_budget, 4_000)
-    else {
+    let spec = RunSpec {
+        shards: None,
+        budget: cfg.base_budget,
+        pause_at: 4_000,
+    };
+    let engine::RunProgress::Paused(snap) = engine::execute(first, &spec, &mut []) else {
         panic!("scenario must outlast one cadence");
     };
     super::checkpoint::save(&dir, mh, 0, 4_000, &engine::snapshot(&snap)).expect("planted");
@@ -276,9 +279,12 @@ fn corrupt_or_alien_checkpoints_degrade_to_a_clean_rerun() {
     assert_eq!(report.to_json_string(), plain.to_json_string());
 
     // A checkpoint from a *later* attempt must not leak into attempt 0.
-    let engine::RunProgress::Paused(snap) =
-        engine::run_until(first, &mut [], cfg.base_budget, 4_000)
-    else {
+    let spec = RunSpec {
+        shards: None,
+        budget: cfg.base_budget,
+        pause_at: 4_000,
+    };
+    let engine::RunProgress::Paused(snap) = engine::execute(first, &spec, &mut []) else {
         panic!("scenario must outlast one cadence");
     };
     super::checkpoint::save(&dir, mh, 3, 4_000, &engine::snapshot(&snap)).expect("planted");
@@ -293,10 +299,12 @@ fn leg_chain_reports_resumes_discards_and_failed_saves() {
     let sc = base_scenario();
     let dir = snapshot_dir("notices");
     let mh = hash::member_hash_with(&sc, u64::MAX, false);
-    let legs = |dir: &std::path::Path| {
-        checkpoint::run_legs(&sc, u64::MAX, None, dir, 4_000, mh, 0, &mut [])
+    let spec = RunSpec {
+        pause_at: 4_000,
+        ..RunSpec::default()
     };
-    let engine::RunProgress::Paused(snap) = engine::run_until(&sc, &mut [], u64::MAX, 4_000) else {
+    let legs = |dir: &std::path::Path| checkpoint::run_legs(&sc, &spec, dir, mh, 0, &mut []);
+    let engine::RunProgress::Paused(snap) = engine::execute(&sc, &spec, &mut []) else {
         panic!("scenario must outlast one cadence");
     };
     checkpoint::save(&dir, mh, 0, 4_000, &engine::snapshot(&snap)).expect("planted");

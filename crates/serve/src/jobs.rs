@@ -44,8 +44,10 @@ pub struct JobSpec {
     /// attempt), capped at [`MAX_RETRIES`].
     pub retries: u32,
     /// `Some(n)`: run members through the sharded engine on `n`
-    /// threads. Folded into the content key (sharded and serial
-    /// results follow different seed semantics).
+    /// threads — but only when `checkpoint_every` is `None`: a
+    /// checkpointed member (the default) runs its shards one at a time
+    /// on one thread and `n` is not read. Folded into the content key
+    /// (sharded and serial results follow different seed semantics).
     pub shards: Option<usize>,
     /// `Some(n)`: checkpoint each attempt every `n` events so a killed
     /// server resumes mid-member instead of replaying it. `None`

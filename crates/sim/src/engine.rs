@@ -1,9 +1,12 @@
-//! The simulation entry points.
+//! The simulation entry point.
 //!
-//! [`run`] executes a [`Scenario`] to completion and returns a
-//! [`SimResult`]; [`run_with`] does the same while streaming typed
-//! notifications to caller-supplied
-//! [`crate::runtime::observer::SimObserver`] sinks.
+//! [`execute`] runs a [`Scenario`] as a [`RunSpec`] says — serial or
+//! sharded, budgeted or not, to completion or to a pause point —
+//! streaming typed notifications to caller-supplied
+//! [`crate::runtime::observer::SimObserver`] sinks; [`run`] is its
+//! serial, unobserved convenience. A paused [`RunSnapshot`] is
+//! serialized by [`snapshot()`], parsed by [`restore`] and continued by
+//! [`resume_bounded`].
 //!
 //! The machinery behind these lives in [`crate::runtime`]: the event
 //! loop ([`runtime`](crate::runtime) dispatch), per-node state and MAC
@@ -13,7 +16,7 @@
 //! write-only: attaching any combination of them cannot change the
 //! simulated outcome.
 //!
-//! [`run_sharded`] (and friends) execute one run as deterministic
+//! With [`RunSpec::shards`] set, one run executes as deterministic
 //! shards: the scenario is partitioned into interaction components
 //! (see [`crate::runtime::shard`]), each component runs to completion
 //! on its own engine with a derived RNG stream on the shared
@@ -27,7 +30,7 @@
 //!
 //! ```
 //! use nomc_sim::runtime::observer::{SimObserver, TxStartInfo};
-//! use nomc_sim::{engine, Scenario};
+//! use nomc_sim::{engine, RunSpec, Scenario};
 //! use nomc_topology::{paper, spectrum::ChannelPlan};
 //! use nomc_units::{Dbm, Megahertz, SimDuration};
 //!
@@ -44,8 +47,11 @@
 //! builder.duration(SimDuration::from_secs(1)).warmup(SimDuration::from_millis(250));
 //! let scenario = builder.build()?;
 //! let mut counter = FrameCounter::default();
-//! let result = engine::run_with(&scenario, &mut [&mut counter]);
-//! assert!(counter.0 >= result.links.iter().map(|l| l.sent).sum::<u64>());
+//! let done = engine::execute(&scenario, &RunSpec::default(), &mut [&mut counter])
+//!     .into_done()
+//!     .expect("a run without a pause target finishes");
+//! assert!(!done.exhausted);
+//! assert!(counter.0 >= done.result.links.iter().map(|l| l.sent).sum::<u64>());
 //! # Ok::<(), String>(())
 //! ```
 
@@ -57,35 +63,41 @@ use crate::scenario::Scenario;
 
 pub use crate::runtime::snapshot::SnapshotError;
 
-/// Runs `scenario` to completion.
-///
-/// # Panics
-///
-/// Panics if the scenario is internally inconsistent in a way
-/// [`Scenario`]'s builder should have rejected (a bug, not an input
-/// condition).
-pub fn run(scenario: &Scenario) -> SimResult {
-    run_with(scenario, &mut [])
+/// How [`execute`] runs a scenario; the default is a serial run to
+/// completion. Both limits count handled events, never wall time, so
+/// they are exactly reproducible; `u64::MAX` disables either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunSpec {
+    /// `Some(n)`: run each interaction component as a deterministic
+    /// shard; `None`: the serial engine. Without a pause target the
+    /// shards run on up to `n` pool threads; with one (checkpointed
+    /// runs) they run one at a time on the calling thread and `n` is
+    /// not read. Results never depend on `n`, and a single-component
+    /// plan runs serially with its seed untouched.
+    pub shards: Option<usize>,
+    /// Stop after this many events and report [`BoundedRun::exhausted`].
+    /// Sharded runs split it over the shards, earlier ones taking the
+    /// remainder, so truncation does not depend on the thread count.
+    pub budget: u64,
+    /// Pause once this many events (summed over shards) have been
+    /// handled, before popping the next, and return a resumable
+    /// [`RunProgress::Paused`] in exactly the state the uninterrupted
+    /// run passes through at that count.
+    pub pause_at: u64,
 }
 
-/// Runs `scenario` to completion, fanning typed notifications out to
-/// `observers` as the simulation progresses.
-///
-/// Observers are write-only sinks: the returned [`SimResult`] is
-/// bit-identical to what [`run`] produces for the same scenario. The
-/// built-in sinks in [`crate::runtime::sinks`] (JSONL streaming tracer,
-/// energy meter, …) plug in here, as can any caller-defined
-/// [`SimObserver`].
-///
-/// # Panics
-///
-/// Panics under the same (builder-rejected) conditions as [`run`].
-pub fn run_with(scenario: &Scenario, observers: &mut [&mut dyn SimObserver]) -> SimResult {
-    Engine::new(scenario, observers).run()
+impl Default for RunSpec {
+    fn default() -> Self {
+        RunSpec {
+            shards: None,
+            budget: u64::MAX,
+            pause_at: u64::MAX,
+        }
+    }
 }
 
-/// A [`run_bounded`] outcome: the result plus whether the event budget
-/// cut the run short.
+/// A finished run: the result plus whether the event budget cut the
+/// run short.
 #[derive(Debug)]
 pub struct BoundedRun {
     /// The (possibly truncated) simulation result.
@@ -95,101 +107,130 @@ pub struct BoundedRun {
     pub exhausted: bool,
 }
 
-/// Runs `scenario` with a deterministic event budget: after handling
-/// `max_events` events the run stops and reports exhaustion.
+/// Runs `scenario` as `spec` describes until it finishes
+/// ([`RunProgress::Done`]) or reaches [`RunSpec::pause_at`]
+/// ([`RunProgress::Paused`]), fanning typed notifications out to
+/// `observers`.
 ///
-/// This is the runaway protection for batch runners. It is purely a
-/// function of the event count — no wall clock is consulted — so a
-/// budget-truncated run is exactly as reproducible as a complete one,
-/// and a budget larger than the run's natural event count changes
-/// nothing at all.
+/// Observers are write-only sinks (the built-ins in
+/// [`crate::runtime::sinks`] or any caller-defined [`SimObserver`]):
+/// the result is bit-identical to an unobserved run. A sharded run
+/// replays the canonical `(time, shard, seq)` merge of its shards'
+/// notes into them, so they observe it exactly as a serial run.
 ///
 /// # Panics
 ///
-/// Panics under the same (builder-rejected) conditions as [`run`].
-pub fn run_bounded(
+/// Panics if the scenario is internally inconsistent in a way
+/// [`Scenario`]'s builder should have rejected (a bug, not an input
+/// condition).
+pub fn execute(
     scenario: &Scenario,
+    spec: &RunSpec,
     observers: &mut [&mut dyn SimObserver],
-    max_events: u64,
-) -> BoundedRun {
+) -> RunProgress {
+    if let Some(threads) = spec.shards {
+        let plan = shard::plan(scenario);
+        if plan.len() > 1 {
+            if spec.pause_at == u64::MAX {
+                let (result, exhausted) =
+                    shard::execute(scenario, &plan, observers, spec.budget, threads);
+                return RunProgress::Done(BoundedRun { result, exhausted });
+            }
+            let fresh = ShardedSnapshot::fresh(scenario, spec.budget, plan.len());
+            // A fresh snapshot always matches its own scenario and plan.
+            let progress = snapshot::run_sharded_leg(scenario, fresh, observers, spec.pause_at)
+                .expect("fresh sharded leg accepts its own snapshot");
+            return sharded_progress(progress);
+        }
+    }
     let mut engine = Engine::new(scenario, observers);
-    engine.max_events = max_events;
-    let (result, exhausted) = engine.run_reporting_exhaustion();
-    BoundedRun { result, exhausted }
+    engine.max_events = spec.budget;
+    engine.bootstrap();
+    serial_leg(engine, spec.pause_at)
 }
 
-/// The canonical shard plan for `scenario`: one
-/// [`shard::ShardSpec`] per interaction component, sorted by minimum
-/// network index. Exposed for tests and tooling that want to inspect
-/// how a scenario partitions; [`run_sharded`] computes the same plan
-/// internally.
-pub fn shard_plan(scenario: &Scenario) -> Vec<shard::ShardSpec> {
-    shard::plan(scenario)
-}
-
-/// Runs `scenario` as deterministic shards on up to `threads` worker
-/// threads.
-///
-/// The scenario is split into its interaction components (see
-/// [`crate::runtime::shard`]); fully-coupled scenarios have one
-/// component and delegate to [`run`] unchanged, so the result is
-/// byte-identical to the serial engine. Multi-component scenarios run
-/// each component as a standalone sub-scenario with a seed derived
-/// from the base seed and the component's minimum network index — the
-/// result is identical to running each component's sub-scenario
-/// serially and composing, whatever `threads` is (`threads` only sizes
-/// the worker pool and is clamped to `1..=components`).
+/// Runs `scenario` to completion on the serial engine, unobserved.
 ///
 /// # Panics
 ///
-/// Panics under the same (builder-rejected) conditions as [`run`].
+/// Panics under the same (builder-rejected) conditions as [`execute`].
+pub fn run(scenario: &Scenario) -> SimResult {
+    finished(execute(scenario, &RunSpec::default(), &mut []))
+}
+
+/// [`execute`] serially to completion. Kept only for `perfbench` until
+/// the benchmark revision moves it onto [`execute`].
+pub fn run_with(scenario: &Scenario, observers: &mut [&mut dyn SimObserver]) -> SimResult {
+    finished(execute(scenario, &RunSpec::default(), observers))
+}
+
+/// [`execute`] sharded on `threads`, to completion. Kept only for
+/// `perfbench` until the benchmark revision moves it onto [`execute`].
 pub fn run_sharded(scenario: &Scenario, threads: usize) -> SimResult {
     run_sharded_with(scenario, &mut [], threads)
 }
 
-/// [`run_sharded`] with external observers: the canonical
-/// `(time, shard, seq)` merge replays one serial-order notification
-/// stream into `observers`, so sinks observe a sharded run exactly as
-/// they would a serial one (transmission ids are minted in merged
-/// order).
-///
-/// # Panics
-///
-/// Panics under the same (builder-rejected) conditions as [`run`].
+/// [`execute`] sharded on `threads`, to completion. Kept only for
+/// `perfbench` until the benchmark revision moves it onto [`execute`].
 pub fn run_sharded_with(
     scenario: &Scenario,
     observers: &mut [&mut dyn SimObserver],
     threads: usize,
 ) -> SimResult {
-    let plan = shard::plan(scenario);
-    if plan.len() <= 1 {
-        return run_with(scenario, observers);
-    }
-    let (result, _) = shard::execute(scenario, &plan, observers, u64::MAX, threads);
-    result
+    let spec = RunSpec {
+        shards: Some(threads),
+        ..RunSpec::default()
+    };
+    finished(execute(scenario, &spec, observers))
 }
 
-/// [`run_bounded`] under sharding: the event budget is split across
-/// shards as evenly as possible (earlier components take the
-/// remainder), so a budget-truncated sharded run stops at the same
-/// per-shard events — and reports the same totals — regardless of
-/// thread count. `exhausted` is set when *any* shard hit its share.
-///
-/// # Panics
-///
-/// Panics under the same (builder-rejected) conditions as [`run`].
-pub fn run_sharded_bounded(
+/// [`execute`] serially. Kept only for `perfbench` until the benchmark
+/// revision moves it onto [`execute`].
+pub fn run_until(
     scenario: &Scenario,
     observers: &mut [&mut dyn SimObserver],
     max_events: u64,
-    threads: usize,
-) -> BoundedRun {
-    let plan = shard::plan(scenario);
-    if plan.len() <= 1 {
-        return run_bounded(scenario, observers, max_events);
-    }
-    let (result, exhausted) = shard::execute(scenario, &plan, observers, max_events, threads);
-    BoundedRun { result, exhausted }
+    pause_after: u64,
+) -> RunProgress {
+    let spec = RunSpec {
+        shards: None,
+        budget: max_events,
+        pause_at: pause_after,
+    };
+    execute(scenario, &spec, observers)
+}
+
+/// [`execute`] sharded. Kept only for `perfbench` until the benchmark
+/// revision moves it onto [`execute`].
+pub fn run_sharded_until(
+    scenario: &Scenario,
+    observers: &mut [&mut dyn SimObserver],
+    max_events: u64,
+    pause_after: u64,
+) -> RunProgress {
+    let spec = RunSpec {
+        shards: Some(1),
+        budget: max_events,
+        pause_at: pause_after,
+    };
+    execute(scenario, &spec, observers)
+}
+
+/// The result of a run started without a pause target.
+fn finished(progress: RunProgress) -> SimResult {
+    progress
+        .into_done()
+        .expect("a run without a pause target runs to the end")
+        .result
+}
+
+/// The canonical shard plan for `scenario`: one
+/// [`shard::ShardSpec`] per interaction component, sorted by minimum
+/// network index. Exposed for tests and tooling that want to inspect
+/// how a scenario partitions; a sharded [`execute`] computes the same
+/// plan internally.
+pub fn shard_plan(scenario: &Scenario) -> Vec<shard::ShardSpec> {
+    shard::plan(scenario)
 }
 
 /// A paused run, opaque to callers: serialize it with [`snapshot()`],
@@ -223,7 +264,7 @@ impl RunSnapshot {
     }
 }
 
-/// A [`run_until`] / [`resume_bounded`] outcome: either the run paused
+/// An [`execute`] / [`resume_bounded`] outcome: either the run paused
 /// at the requested event count, or it finished.
 #[derive(Debug)]
 pub enum RunProgress {
@@ -235,63 +276,14 @@ pub enum RunProgress {
     Done(BoundedRun),
 }
 
-/// Runs `scenario` on the serial engine until `pause_after` events have
-/// been handled, the event budget `max_events` is exhausted, or the run
-/// drains — whichever comes first.
-///
-/// Both limits count *handled events* — no wall clock is consulted — so
-/// the pause point is deterministic. Pausing takes effect before the
-/// `pause_after + 1`-th event is popped: the paused engine has done
-/// exactly what the uninterrupted engine had done after its
-/// `pause_after`-th event, which is what makes the resumed run
-/// byte-identical. Pass `u64::MAX` for either limit to disable it.
-///
-/// # Panics
-///
-/// Panics under the same (builder-rejected) conditions as [`run`].
-pub fn run_until(
-    scenario: &Scenario,
-    observers: &mut [&mut dyn SimObserver],
-    max_events: u64,
-    pause_after: u64,
-) -> RunProgress {
-    let mut engine = Engine::new(scenario, observers);
-    engine.max_events = max_events;
-    engine.bootstrap();
-    serial_leg(engine, pause_after)
-}
-
-/// [`run_until`] under sharding: pauses once the *global* event count
-/// (summed across shards) reaches `pause_after`.
-///
-/// Single-component plans delegate to the serial [`run_until`], exactly
-/// as [`run_sharded`] delegates to [`run`]. Multi-component plans run
-/// rank by rank with the same per-shard budget split as
-/// [`run_sharded_bounded`]; on completion the buffered note stream
-/// replays through the canonical `(time, shard, seq)` merge, so the
-/// merged result and observer stream are byte-identical to an
-/// uninterrupted [`run_sharded_bounded`] whatever the pause pattern
-/// was.
-///
-/// # Panics
-///
-/// Panics under the same (builder-rejected) conditions as [`run`].
-pub fn run_sharded_until(
-    scenario: &Scenario,
-    observers: &mut [&mut dyn SimObserver],
-    max_events: u64,
-    pause_after: u64,
-) -> RunProgress {
-    let plan = shard::plan(scenario);
-    if plan.len() <= 1 {
-        return run_until(scenario, observers, max_events, pause_after);
+impl RunProgress {
+    /// The finished run, or `None` if the run paused.
+    pub fn into_done(self) -> Option<BoundedRun> {
+        match self {
+            RunProgress::Done(done) => Some(done),
+            RunProgress::Paused(_) => None,
+        }
     }
-    let fresh = ShardedSnapshot::fresh(scenario, max_events, plan.len());
-    let progress = snapshot::run_sharded_leg(scenario, fresh, observers, pause_after)
-        // A freshly minted snapshot always matches its own scenario and
-        // plan; a rejection here is an engine bug, not an input condition.
-        .expect("fresh sharded leg accepts its own snapshot");
-    sharded_progress(progress)
 }
 
 /// Serializes a paused run as self-describing, versioned snapshot JSON
@@ -322,7 +314,7 @@ pub fn restore(text: &str) -> Result<RunSnapshot, SnapshotError> {
 ///
 /// The snapshot remembers whether it was a serial or sharded run and
 /// its original `max_events`; `pause_after` is an absolute target on
-/// the same counter [`run_until`] uses (pass `u64::MAX` to run to the
+/// the same counter as [`RunSpec::pause_at`] (pass `u64::MAX` to run to the
 /// end). `observers` attach for the remainder of the run: a resumed
 /// serial run streams them the suffix only, while a resumed sharded
 /// run replays the *complete* buffered note stream at the final merge.

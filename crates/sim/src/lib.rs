@@ -11,7 +11,10 @@
 //! * [`reach`] — the interaction-reachability predicates shared by the
 //!   medium's channel cutoffs and the shard partitioner,
 //! * [`scenario`] — deployment + behaviour + propagation configuration,
-//! * [`engine`] — the [`engine::run`]/[`engine::run_with`] entry points,
+//! * [`engine`] — the one entry point [`engine::execute`] (serial or
+//!   sharded, budgeted, pausable; see [`engine::RunSpec`]), the
+//!   [`engine::run`] convenience, and snapshot/restore/resume of paused
+//!   runs,
 //! * [`runtime`] — the layered event loop behind them (dispatch, node
 //!   state, frame/ACK life cycles, power sensing) plus the pluggable
 //!   [`runtime::observer::SimObserver`] sink layer,
@@ -56,9 +59,8 @@ pub mod scenario;
 pub mod trace;
 
 pub use engine::{
-    restore, resume_bounded, run, run_bounded, run_sharded, run_sharded_bounded, run_sharded_until,
-    run_sharded_with, run_until, run_with, shard_plan, snapshot, BoundedRun, RunProgress,
-    RunSnapshot, SnapshotError,
+    execute, restore, resume_bounded, run, shard_plan, snapshot, BoundedRun, RunProgress,
+    RunSnapshot, RunSpec, SnapshotError,
 };
 pub use metrics::{LinkMetrics, NetworkMetrics, SimResult};
 pub use runtime::observer::{

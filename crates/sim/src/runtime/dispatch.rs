@@ -1,9 +1,10 @@
 //! Bootstrap, the main event loop, and event routing.
 //!
-//! [`Engine::run`] drains the future-event list in `(time, seq)` order
-//! until the post-run drain deadline; every popped event is offered to
-//! the observers (before handling, so sinks see the pristine event) and
-//! routed to its handler in the sibling modules.
+//! [`Engine::bootstrap`] seeds the future-event list and
+//! [`Engine::run_leg`] drains it in `(time, seq)` order until the
+//! post-run drain deadline or a pause target; every popped event is
+//! offered to the observers (before handling, so sinks see the pristine
+//! event) and routed to its handler in the sibling modules.
 //!
 //! The loop is also where the fault layer intercepts: events addressed
 //! to a crashed node — or scheduled in a previous life of a since-
@@ -23,31 +24,12 @@ pub(crate) enum LegEnd {
     Over,
 }
 use crate::events::{Event, NodeId};
-use crate::metrics::SimResult;
 use crate::scenario::TrafficModel;
 use nomc_mac::MacEvent;
 use nomc_rngcore::Rng;
 use nomc_units::{SimDuration, SimTime};
 
 impl Engine<'_, '_, '_> {
-    pub(crate) fn run(mut self) -> SimResult {
-        self.run_loop();
-        self.finalize()
-    }
-
-    /// Like [`Engine::run`], but also reports whether the run stopped on
-    /// the event budget instead of draining naturally.
-    pub(crate) fn run_reporting_exhaustion(mut self) -> (SimResult, bool) {
-        self.run_loop();
-        let exhausted = self.exhausted;
-        (self.finalize(), exhausted)
-    }
-
-    fn run_loop(&mut self) {
-        self.bootstrap();
-        self.run_leg(u64::MAX);
-    }
-
     /// Advances the engine through the queue in `(time, seq)` order
     /// until the run is over (queue drained, drain deadline passed, or
     /// event budget exhausted) or — checked before popping anything,

@@ -14,8 +14,8 @@
 //!   JSONL streaming) and the engine's fan-out,
 //! * [`shard`] — deterministic sharded execution: interaction-component
 //!   partition planning, components run to completion on the worker
-//!   pool, and the canonical boundary-event merge behind
-//!   [`crate::engine::run_sharded`].
+//!   pool, and the canonical boundary-event merge behind a sharded
+//!   [`crate::engine::execute`].
 //!
 //! `Engine` itself lives here (crate-private): the struct is shared
 //! state, the submodules contribute `impl` blocks. All measurement side
@@ -68,8 +68,8 @@ pub(crate) const DRAIN: SimDuration = SimDuration::from_millis(20);
 pub(crate) const TICK_PERIOD: SimDuration = SimDuration::from_millis(250);
 
 /// The simulation engine: event queue, medium, per-node state, and the
-/// observer fan-out. Constructed per run; consumed by
-/// [`Engine::run`].
+/// observer fan-out. Constructed per run (or restored from a snapshot),
+/// advanced by [`Engine::run_leg`], consumed by [`Engine::finalize`].
 pub(crate) struct Engine<'a, 'o, 'e> {
     pub(crate) sc: &'a Scenario,
     pub(crate) now: SimTime,

@@ -3,7 +3,7 @@
 //! The event loop emits a small set of typed notifications; anything
 //! that wants to watch a run — trace recorders, metrics collectors,
 //! energy meters, streaming exporters — implements this trait and is
-//! passed to [`crate::engine::run_with`]. Observers are strictly
+//! passed to [`crate::engine::execute`]. Observers are strictly
 //! *write-only* sinks: nothing they do can feed back into the
 //! simulation, so a run produces bit-identical results whatever
 //! observers are attached.
@@ -99,7 +99,7 @@ pub struct ThresholdSample {
 ///
 /// See the [module docs](self) for the contract. The built-in sinks in
 /// [`crate::runtime::sinks`] implement this same trait; external
-/// observers passed to [`crate::engine::run_with`] get every hook the
+/// observers passed to [`crate::engine::execute`] get every hook the
 /// built-ins do.
 pub trait SimObserver {
     /// Whether this observer consumes [`SimObserver::on_trace`]. Trace

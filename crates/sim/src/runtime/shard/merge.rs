@@ -13,7 +13,7 @@
 //! non-decreasing and `seq` breaks ties).
 //!
 //! Per-category ship flags ([`ShipFlags`]) keep the relay quiet when
-//! nobody consumes a category: a bare `run_sharded` with no observers
+//! nobody consumes a category: a sharded run with no observers
 //! and no trace/timeline recording logs no notes at all, so merge
 //! memory is the buffered notes of runs that asked for them.
 

@@ -26,12 +26,14 @@
 //!
 //! # Determinism contract
 //!
-//! Results of [`crate::engine::run_sharded`] depend only on the
+//! Results of a sharded [`crate::engine::execute`] depend only on the
 //! scenario — never on the thread count (`--shards N` sizes the worker
-//! pool; the partition is canonical) and never on scheduling. A
-//! single-component plan delegates to the serial engine with the seed
-//! untouched, byte-identical to [`crate::engine::run`]. Multi-component
-//! plans run each component exactly as the serial engine would run that
+//! pool of a run without a pause target, while checkpointed legs run
+//! their ranks one at a time on the calling thread; the partition is
+//! canonical) and never on scheduling. A single-component plan
+//! delegates to the serial engine with the seed untouched,
+//! byte-identical to [`crate::engine::run`]. Multi-component plans run
+//! each component exactly as the serial engine would run that
 //! component's sub-scenario, with per-shard seeds derived by the sweep
 //! layer's keyed-`splitmix64` discipline, and merge the observer
 //! streams in canonical order.

@@ -30,7 +30,7 @@
 //! everything that could interact — so sequential execution is
 //! behaviorally identical to running every rank in parallel, and the
 //! merged result, trace, timeline, and observer stream are
-//! byte-identical to [`crate::engine::run_sharded`].
+//! byte-identical to the threaded sharded [`crate::engine::execute`].
 
 use super::node::{Node, Provider, RxAttempt};
 use super::shard::merge::{merge_logs, BoundaryEvent, Note, ShipFlags};
@@ -1003,8 +1003,8 @@ pub(crate) enum ShardedProgress {
 /// relayed notes buffer per rank and replay through the canonical merge
 /// once every rank is done. Shards are fully independent, so the
 /// sequential schedule is behaviorally identical to the threaded one
-/// and the merged output is byte-identical to
-/// [`crate::engine::run_sharded`].
+/// and the merged output is byte-identical to the threaded sharded
+/// [`crate::engine::execute`].
 pub(crate) fn run_sharded_leg(
     sc: &Scenario,
     mut snap: ShardedSnapshot,

@@ -1,6 +1,7 @@
-//! End-to-end engine behavior tests (moved verbatim from the
-//! pre-decomposition `engine.rs` monolith — they exercise the public
-//! [`crate::engine::run`] API and must keep passing unchanged).
+//! End-to-end engine behavior tests: whole scenarios through the public
+//! [`crate::engine::run`] convenience (a serial [`crate::engine::execute`]
+//! to completion): saturation, seeding, CCA policies, ACKs, forwarding,
+//! and trace/timeline recording.
 
 use crate::engine::run;
 use crate::scenario::{NetworkBehavior, Scenario, ThresholdMode, TrafficModel};

@@ -6,13 +6,13 @@
 //! beyond the calendar wheel's horizon (including exact-boundary and
 //! multi-revolution cases, and FIFO survival across overflow
 //! migration), and engine behaviour when the deterministic event budget
-//! of [`nomc_sim::engine::run_bounded`] exhausts before the queue
+//! ([`nomc_sim::RunSpec::budget`]) exhausts before the queue
 //! drains. Every queue-level case runs on the engine's [`BucketQueue`]
 //! and on [`HeapQueue`], a reference binary heap that is trivially
 //! correct.
 
 use nomc_sim::events::{BucketQueue, Event};
-use nomc_sim::{engine, Scenario};
+use nomc_sim::{engine, BoundedRun, RunSpec, Scenario};
 use nomc_topology::{paper, spectrum::ChannelPlan};
 use nomc_units::{Dbm, Megahertz, SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -216,6 +216,17 @@ fn tiny_scenario() -> Scenario {
     b.build().expect("valid scenario")
 }
 
+/// `sc` on the serial engine under an event budget.
+fn budgeted(sc: &Scenario, budget: u64) -> BoundedRun {
+    let spec = RunSpec {
+        budget,
+        ..RunSpec::default()
+    };
+    engine::execute(sc, &spec, &mut [])
+        .into_done()
+        .expect("a run without a pause target finishes")
+}
+
 /// Exhausting the event budget stops the run cleanly mid-queue: the
 /// engine finalizes without draining, reports exhaustion, and the
 /// truncated prefix stays deterministic (same budget → bit-identical
@@ -223,9 +234,9 @@ fn tiny_scenario() -> Scenario {
 #[test]
 fn budget_exhaustion_stops_mid_queue() {
     let sc = tiny_scenario();
-    let bounded = engine::run_bounded(&sc, &mut [], 500);
+    let bounded = budgeted(&sc, 500);
     assert!(bounded.exhausted, "500 events must not finish a 1 s run");
-    let again = engine::run_bounded(&sc, &mut [], 500);
+    let again = budgeted(&sc, 500);
     assert!(again.exhausted);
     assert_eq!(
         bounded.result, again.result,
@@ -233,7 +244,7 @@ fn budget_exhaustion_stops_mid_queue() {
     );
     // A larger budget strictly extends the prefix: sent counters are
     // monotone in the budget.
-    let larger = engine::run_bounded(&sc, &mut [], 5_000);
+    let larger = budgeted(&sc, 5_000);
     let sent = |r: &nomc_sim::SimResult| r.links.iter().map(|l| l.sent).sum::<u64>();
     assert!(sent(&larger.result) >= sent(&bounded.result));
 }
@@ -245,7 +256,7 @@ fn budget_exhaustion_stops_mid_queue() {
 fn oversized_budget_is_identical_to_unbounded() {
     let sc = tiny_scenario();
     let unbounded = engine::run(&sc);
-    let bounded = engine::run_bounded(&sc, &mut [], u64::MAX);
+    let bounded = budgeted(&sc, u64::MAX);
     assert!(!bounded.exhausted, "oversized budget must not trip");
     assert_eq!(
         unbounded, bounded.result,

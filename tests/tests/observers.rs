@@ -10,7 +10,7 @@ use nomc_sim::energy::transmitter_energy;
 use nomc_sim::runtime::observer::{
     PowerSample, SimObserver, ThresholdSample, TxOutcomeInfo, TxStartInfo,
 };
-use nomc_sim::{engine, trace, EnergyMeter, JsonlTracer, NetworkBehavior, Scenario};
+use nomc_sim::{engine, trace, EnergyMeter, JsonlTracer, NetworkBehavior, RunSpec, Scenario};
 use nomc_topology::paper;
 use nomc_topology::spectrum::ChannelPlan;
 use nomc_units::{Dbm, Megahertz, SimDuration};
@@ -100,6 +100,14 @@ impl SimObserver for Counting {
     }
 }
 
+/// `sc` run serially to completion with `observers` attached.
+fn observed_run(sc: &Scenario, observers: &mut [&mut dyn SimObserver]) -> nomc_sim::SimResult {
+    engine::execute(sc, &RunSpec::default(), observers)
+        .into_done()
+        .expect("a run without a pause target finishes")
+        .result
+}
+
 #[test]
 fn observers_do_not_perturb_the_simulation() {
     let baseline = engine::run(&dcn_scenario(11));
@@ -107,7 +115,7 @@ fn observers_do_not_perturb_the_simulation() {
     let mut meter = EnergyMeter::new();
     let mut sink = Vec::new();
     let mut tracer = JsonlTracer::new(&mut sink);
-    let observed = engine::run_with(
+    let observed = observed_run(
         &dcn_scenario(11),
         &mut [&mut counting, &mut meter, &mut tracer],
     );
@@ -124,7 +132,7 @@ fn observers_do_not_perturb_the_simulation() {
 #[test]
 fn counting_observer_sees_every_notification() {
     let mut counting = Counting::default();
-    let result = engine::run_with(&dcn_scenario(5), &mut [&mut counting]);
+    let result = observed_run(&dcn_scenario(5), &mut [&mut counting]);
     assert_eq!(counting.events, result.events, "one on_event per dispatch");
     let sent: u64 = result.links.iter().map(|l| l.sent).sum();
     assert!(
@@ -153,7 +161,7 @@ fn jsonl_tracer_streams_the_exact_buffered_trace() {
     // Streaming: same scenario, but the trace goes through the sink.
     let mut bytes = Vec::new();
     let mut tracer = JsonlTracer::new(&mut bytes);
-    let streamed = engine::run_with(&sc, &mut [&mut tracer]);
+    let streamed = observed_run(&sc, &mut [&mut tracer]);
     let records = tracer.finish().expect("in-memory sink cannot fail");
     assert_eq!(records as usize, buffered.trace.len());
     assert_eq!(
@@ -169,7 +177,7 @@ fn energy_meter_matches_post_hoc_accounting() {
     let sc = small_scenario(7);
     let airtime = sc.frame.airtime();
     let mut meter = EnergyMeter::new();
-    let result = engine::run_with(&sc, &mut [&mut meter]);
+    let result = observed_run(&sc, &mut [&mut meter]);
     assert_eq!(meter.estimates().len(), result.tx_powers.len());
     for (i, est) in meter.estimates().iter().enumerate() {
         let reference = transmitter_energy(
@@ -213,7 +221,7 @@ fn error_record_collection_can_be_opted_out() {
 #[test]
 fn run_with_empty_slice_equals_run() {
     let a = engine::run(&small_scenario(21));
-    let b = engine::run_with(&small_scenario(21), &mut []);
+    let b = observed_run(&small_scenario(21), &mut []);
     assert_eq!(a, b);
 }
 
@@ -241,7 +249,7 @@ fn outcome_links_are_consistent_with_metrics() {
         .seed(13);
     let sc = b.build().expect("builder-validated scenario");
     let mut per_link = PerLink(Vec::new());
-    let result = engine::run_with(&sc, &mut [&mut per_link]);
+    let result = observed_run(&sc, &mut [&mut per_link]);
     per_link.0.resize(result.links.len(), 0);
     for (i, l) in result.links.iter().enumerate() {
         assert_eq!(

@@ -2,11 +2,11 @@
 //!
 //! The sharding contract (DESIGN.md §13) in executable form:
 //!
-//! 1. **Thread independence** — `run_sharded` results, and the merged
+//! 1. **Thread independence** — sharded results, and the merged
 //!    external observer stream, depend only on the scenario, never on
 //!    the worker-thread count.
 //! 2. **Delegation identity** — a single-component plan is executed by
-//!    the serial engine with the seed untouched: `run_sharded == run`,
+//!    the serial engine with the seed untouched: sharded `== run`,
 //!    byte for byte.
 //! 3. **Composition** — a multi-component run equals running every
 //!    component's sub-scenario on the serial engine and scattering the
@@ -25,7 +25,7 @@ use nomc_sim::events::Event;
 use nomc_sim::runtime::observer::{PowerSample, ThresholdSample, TxOutcomeInfo, TxStartInfo};
 use nomc_sim::scenario::Propagation;
 use nomc_sim::trace::TraceRecord;
-use nomc_sim::{engine, NetworkBehavior, Scenario, SimObserver, SimResult};
+use nomc_sim::{engine, BoundedRun, NetworkBehavior, RunSpec, Scenario, SimObserver, SimResult};
 use nomc_topology::spectrum::ChannelPlan;
 use nomc_topology::{paper, Deployment, LinkSpec, NetworkSpec, Point};
 use nomc_units::{Dbm, Megahertz, SimDuration, SimTime};
@@ -129,23 +129,50 @@ impl SimObserver for StreamLog {
     }
 }
 
+/// `sc` run to completion or `budget` through the sharded engine on
+/// `threads` workers, streaming to `observers`.
+fn execute_sharded(
+    sc: &Scenario,
+    threads: usize,
+    budget: u64,
+    observers: &mut [&mut dyn SimObserver],
+) -> BoundedRun {
+    let spec = RunSpec {
+        shards: Some(threads),
+        budget,
+        pause_at: u64::MAX,
+    };
+    engine::execute(sc, &spec, observers)
+        .into_done()
+        .expect("a run without a pause target finishes")
+}
+
+/// `sc` run to completion through the sharded engine on `threads`
+/// workers.
+fn sharded(sc: &Scenario, threads: usize) -> SimResult {
+    execute_sharded(sc, threads, u64::MAX, &mut []).result
+}
+
 #[test]
 fn sharded_results_are_thread_count_independent() {
     let sc = partitionable_scenario(4, 11);
-    let base = engine::run_sharded(&sc, 1);
+    let base = sharded(&sc, 1);
     let mut base_log = StreamLog::default();
-    assert_eq!(base, engine::run_sharded_with(&sc, &mut [&mut base_log], 1));
+    assert_eq!(
+        base,
+        execute_sharded(&sc, 1, u64::MAX, &mut [&mut base_log]).result
+    );
     assert!(base_log.0.len() > 1, "stream must be non-trivial");
     for threads in [2, 4, 8] {
         assert_eq!(
             base,
-            engine::run_sharded(&sc, threads),
+            sharded(&sc, threads),
             "results must not depend on thread count (threads = {threads})"
         );
         // The merged external observer stream is thread-count
         // independent too, callback for callback.
         let mut log = StreamLog::default();
-        engine::run_sharded_with(&sc, &mut [&mut log], threads);
+        execute_sharded(&sc, threads, u64::MAX, &mut [&mut log]);
         assert!(
             log.0 == base_log.0,
             "observer stream must not depend on thread count (threads = {threads})"
@@ -157,7 +184,7 @@ fn sharded_results_are_thread_count_independent() {
 fn single_component_delegates_to_serial_engine() {
     let sc = coupled_scenario(42);
     for threads in [1, 2, 8] {
-        assert_eq!(engine::run(&sc), engine::run_sharded(&sc, threads));
+        assert_eq!(engine::run(&sc), sharded(&sc, threads));
     }
 }
 
@@ -166,7 +193,7 @@ fn merged_results_compose_from_per_component_serial_runs() {
     let sc = partitionable_scenario(3, 5);
     let plan = engine::shard_plan(&sc);
     assert!(plan.len() >= 2);
-    let merged = engine::run_sharded(&sc, 2);
+    let merged = sharded(&sc, 2);
     let mut events = 0;
     for spec in &plan {
         // Each component's slice of the merged result is byte-identical
@@ -193,7 +220,7 @@ fn sharded_trace_merges_in_canonical_time_order() {
     let mut sc = partitionable_scenario(3, 9);
     sc.record_trace = true;
     sc.record_timeline = true;
-    let merged = engine::run_sharded(&sc, 2);
+    let merged = sharded(&sc, 2);
     assert!(!merged.trace.is_empty());
     assert!(!merged.timeline.is_empty());
     assert!(
@@ -205,21 +232,21 @@ fn sharded_trace_merges_in_canonical_time_order() {
         "merged timeline must be time-ordered"
     );
     // And identical across thread counts, like everything else.
-    assert_eq!(merged, engine::run_sharded(&sc, 4));
+    assert_eq!(merged, sharded(&sc, 4));
 }
 
 #[test]
 fn bounded_sharded_runs_exhaust_identically_across_thread_counts() {
     let sc = partitionable_scenario(4, 13);
-    let natural = engine::run_sharded(&sc, 2).events;
+    let natural = sharded(&sc, 2).events;
     // A budget well under the natural event count must exhaust — at the
     // same global totals whatever the thread count.
     let budget = natural / 3;
-    let base = engine::run_sharded_bounded(&sc, &mut [], budget, 1);
+    let base = execute_sharded(&sc, 1, budget, &mut []);
     assert!(base.exhausted, "budget {budget} must exhaust");
     assert!(base.result.events <= budget);
     for threads in [2, 4, 8] {
-        let run = engine::run_sharded_bounded(&sc, &mut [], budget, threads);
+        let run = execute_sharded(&sc, threads, budget, &mut []);
         assert!(run.exhausted);
         assert_eq!(base.result, run.result);
     }
@@ -228,8 +255,8 @@ fn bounded_sharded_runs_exhaust_identically_across_thread_counts() {
 #[test]
 fn bounded_sharded_run_with_ample_budget_matches_unbounded() {
     let sc = partitionable_scenario(3, 17);
-    let unbounded = engine::run_sharded(&sc, 2);
-    let bounded = engine::run_sharded_bounded(&sc, &mut [], u64::MAX, 2);
+    let unbounded = sharded(&sc, 2);
+    let bounded = execute_sharded(&sc, 2, u64::MAX, &mut []);
     assert!(!bounded.exhausted);
     assert_eq!(unbounded, bounded.result);
 }
@@ -282,9 +309,9 @@ fn partition_independence_randomized() {
     let g = arb_scenario();
     forall("partition_independence_randomized", 10, &g, |sc| {
         let plan = engine::shard_plan(sc);
-        let merged = engine::run_sharded(sc, 1);
+        let merged = sharded(sc, 1);
         // Thread independence.
-        check_eq!(merged, engine::run_sharded(sc, 3));
+        check_eq!(merged, sharded(sc, 3));
         if plan.len() == 1 {
             // Delegation identity.
             check_eq!(merged, engine::run(sc));

@@ -20,8 +20,8 @@ use nomc_sim::runtime::observer::{PowerSample, ThresholdSample, TxOutcomeInfo, T
 use nomc_sim::scenario::Propagation;
 use nomc_sim::trace::TraceRecord;
 use nomc_sim::{
-    engine, CrashFault, DriftFault, FaultPlan, JammerFault, NetworkBehavior, Scenario, SimObserver,
-    SimResult, StuckCcaFault,
+    engine, BoundedRun, CrashFault, DriftFault, FaultPlan, JammerFault, NetworkBehavior, RunSpec,
+    Scenario, SimObserver, SimResult, StuckCcaFault,
 };
 use nomc_topology::spectrum::ChannelPlan;
 use nomc_topology::{paper, Deployment, LinkSpec, NetworkSpec, Point};
@@ -118,26 +118,50 @@ fn bytes(result: &SimResult) -> String {
     nomc_json::to_string(result)
 }
 
-/// Pauses at `pause_after` events (asserting the run does pause),
-/// round-trips the snapshot through its JSON wire format, and resumes
-/// to completion.
-fn interrupt_and_resume(sc: &Scenario, sharded: bool, pause_after: u64) -> SimResult {
-    let progress = if sharded {
-        engine::run_sharded_until(sc, &mut [], u64::MAX, pause_after)
-    } else {
-        engine::run_until(sc, &mut [], u64::MAX, pause_after)
-    };
-    let paused = match progress {
-        engine::RunProgress::Paused(p) => p,
-        engine::RunProgress::Done(_) => panic!("run finished before the pause at {pause_after}"),
-    };
-    let text = engine::snapshot(&paused);
-    let restored = engine::restore(&text).expect("snapshot text round-trips");
-    match engine::resume_bounded(sc, restored, &mut [], u64::MAX)
-        .expect("restored snapshot resumes against its own scenario")
-    {
-        engine::RunProgress::Done(done) => done.result,
-        engine::RunProgress::Paused(_) => panic!("unbounded resume cannot pause"),
+/// `spec` run straight through (it must set no pause target).
+fn finish(sc: &Scenario, spec: &RunSpec) -> BoundedRun {
+    engine::execute(sc, spec, &mut [])
+        .into_done()
+        .expect("a run without a pause target finishes")
+}
+
+/// A serial spec that pauses at `pause_at` events.
+fn pausing_at(pause_at: u64) -> RunSpec {
+    RunSpec {
+        pause_at,
+        ..RunSpec::default()
+    }
+}
+
+/// Runs `spec` (asserting it does pause), then resumes leg by leg —
+/// each leg pausing `every` events after the previous pause, or running
+/// to the end when `every` is `u64::MAX` — round-tripping the snapshot
+/// through its JSON wire format at every pause. Returns the finished
+/// run and the number of pauses.
+fn interrupt_and_resume(sc: &Scenario, spec: &RunSpec, every: u64) -> (BoundedRun, u64) {
+    let mut progress = engine::execute(sc, spec, &mut []);
+    let mut pause_at = spec.pause_at;
+    let mut legs = 0;
+    loop {
+        match progress {
+            engine::RunProgress::Done(done) => {
+                assert!(
+                    legs > 0,
+                    "run finished before the pause at {}",
+                    spec.pause_at
+                );
+                return (done, legs);
+            }
+            engine::RunProgress::Paused(paused) => {
+                legs += 1;
+                assert!(legs < 10_000, "runaway pause/resume chain");
+                let text = engine::snapshot(&paused);
+                let restored = engine::restore(&text).expect("snapshot text round-trips");
+                pause_at = pause_at.saturating_add(every);
+                progress = engine::resume_bounded(sc, restored, &mut [], pause_at)
+                    .expect("restored snapshot resumes against its own scenario");
+            }
+        }
     }
 }
 
@@ -148,9 +172,9 @@ fn serial_snapshot_resume_is_byte_identical() {
     let golden = bytes(&baseline);
     assert!(baseline.events > 100, "scenario must be non-trivial");
     for pause_after in [1, 137, baseline.events / 2, baseline.events - 1] {
-        let resumed = interrupt_and_resume(&sc, false, pause_after);
+        let (resumed, _) = interrupt_and_resume(&sc, &pausing_at(pause_after), u64::MAX);
         assert_eq!(
-            bytes(&resumed),
+            bytes(&resumed.result),
             golden,
             "serial resume from event {pause_after} diverged"
         );
@@ -163,56 +187,59 @@ fn serial_resume_chains_across_many_legs() {
     let golden = bytes(&engine::run(&sc));
     // Interrupt every 1000 events, round-tripping the wire format at
     // every leg: the final result must not care how often we stopped.
-    let mut progress = engine::run_until(&sc, &mut [], u64::MAX, 1000);
-    let mut pause_at = 1000;
-    let mut legs = 0;
-    let result = loop {
-        match progress {
-            engine::RunProgress::Done(done) => break done.result,
-            engine::RunProgress::Paused(paused) => {
-                legs += 1;
-                assert!(legs < 10_000, "runaway pause/resume chain");
-                let text = engine::snapshot(&paused);
-                let restored = engine::restore(&text).expect("leg snapshot round-trips");
-                pause_at += 1000;
-                progress =
-                    engine::resume_bounded(&sc, restored, &mut [], pause_at).expect("leg resumes");
-            }
-        }
-    };
+    let (resumed, legs) = interrupt_and_resume(&sc, &pausing_at(1000), 1000);
     assert!(legs > 5, "the chain must actually interrupt repeatedly");
-    assert_eq!(bytes(&result), golden, "chained resume diverged");
+    assert_eq!(bytes(&resumed.result), golden, "chained resume diverged");
 }
 
+/// Every run shape pauses and resumes to the bytes, and the `exhausted`
+/// flag, of the same spec run straight through: a coupled (one
+/// component) and a partitionable (three component) scenario, serial
+/// and sharded, with no budget, about half the natural event count, or
+/// a tiny one, paused once or as a chain of legs.
 #[test]
-fn serial_snapshot_respects_event_budget() {
-    let sc = coupled_scenario(11);
-    let baseline = engine::run(&sc);
-    let budget = baseline.events / 2;
-    let direct = engine::run_bounded(&sc, &mut [], budget);
-    assert!(
-        direct.exhausted,
-        "half the natural event count must truncate"
-    );
-    // Interrupt the bounded run mid-flight: the persisted budget must
-    // exhaust at exactly the same event.
-    let resumed = match engine::run_until(&sc, &mut [], budget, budget / 2) {
-        engine::RunProgress::Paused(paused) => {
-            let restored =
-                engine::restore(&engine::snapshot(&paused)).expect("bounded snapshot round-trips");
-            match engine::resume_bounded(&sc, restored, &mut [], u64::MAX).expect("resumes") {
-                engine::RunProgress::Done(done) => done,
-                engine::RunProgress::Paused(_) => panic!("unbounded resume cannot pause"),
+fn run_spec_table_resumes_byte_identically() {
+    for sc in [coupled_scenario(11), partitionable_scenario(3, 42)] {
+        for shards in [None, Some(1), Some(3)] {
+            let unbounded = RunSpec {
+                shards,
+                ..RunSpec::default()
+            };
+            let natural = finish(&sc, &unbounded).result.events;
+            for budget in [u64::MAX, natural / 2, 5] {
+                let straight = RunSpec {
+                    budget,
+                    ..unbounded
+                };
+                let direct = finish(&sc, &straight);
+                assert_eq!(
+                    direct.exhausted,
+                    budget < natural,
+                    "{shards:?} shards, budget {budget} of {natural}: only a budget below the \
+                     natural event count truncates"
+                );
+                // The persisted budget must exhaust at exactly the same
+                // event whether the run paused once or many times.
+                let limit = budget.min(natural);
+                for every in [u64::MAX, (limit / 6).max(1)] {
+                    let first = if every == u64::MAX { limit / 2 } else { every };
+                    let paused = RunSpec {
+                        pause_at: first,
+                        ..straight
+                    };
+                    let (resumed, legs) = interrupt_and_resume(&sc, &paused, every);
+                    let case = format!("{shards:?} shards, budget {budget}, legs of {every}");
+                    assert!(every == u64::MAX || legs > 1, "{case}: must chain");
+                    assert_eq!(resumed.exhausted, direct.exhausted, "{case}: exhaustion");
+                    assert_eq!(
+                        bytes(&resumed.result),
+                        bytes(&direct.result),
+                        "{case}: resume diverged"
+                    );
+                }
             }
         }
-        engine::RunProgress::Done(_) => panic!("must pause before the budget"),
-    };
-    assert!(resumed.exhausted, "budget must survive the snapshot");
-    assert_eq!(
-        bytes(&resumed.result),
-        bytes(&direct.result),
-        "budget-truncated resume diverged"
-    );
+    }
 }
 
 #[test]
@@ -227,9 +254,9 @@ fn faulted_snapshot_resume_is_byte_identical() {
         baseline.events / 2,
         (baseline.events * 9) / 10,
     ] {
-        let resumed = interrupt_and_resume(&sc, false, pause_after);
+        let (resumed, _) = interrupt_and_resume(&sc, &pausing_at(pause_after), u64::MAX);
         assert_eq!(
-            bytes(&resumed),
+            bytes(&resumed.result),
             golden,
             "faulted resume from event {pause_after} diverged"
         );
@@ -275,8 +302,15 @@ impl SimObserver for StreamLog {
 fn sharded_snapshot_resume_is_byte_identical() {
     let sc = partitionable_scenario(4, 42);
     assert!(engine::shard_plan(&sc).len() == 4, "must actually shard");
+    let sharded = RunSpec {
+        shards: Some(4),
+        ..RunSpec::default()
+    };
     let mut baseline_log = StreamLog::default();
-    let baseline = engine::run_sharded_with(&sc, &mut [&mut baseline_log], 4);
+    let baseline = engine::execute(&sc, &sharded, &mut [&mut baseline_log])
+        .into_done()
+        .expect("a run without a pause target finishes")
+        .result;
     let golden = bytes(&baseline);
     for pause_after in [
         1,
@@ -284,16 +318,24 @@ fn sharded_snapshot_resume_is_byte_identical() {
         baseline.events / 2,
         baseline.events - 1,
     ] {
-        let resumed = interrupt_and_resume(&sc, true, pause_after);
+        let paused = RunSpec {
+            pause_at: pause_after,
+            ..sharded
+        };
+        let (resumed, _) = interrupt_and_resume(&sc, &paused, u64::MAX);
         assert_eq!(
-            bytes(&resumed),
+            bytes(&resumed.result),
             golden,
             "sharded resume from event {pause_after} diverged"
         );
     }
     // External observers attached at resume time see the *complete*
     // merged stream, byte-identical to the threaded run's.
-    let paused = match engine::run_sharded_until(&sc, &mut [], u64::MAX, baseline.events / 2) {
+    let halfway = RunSpec {
+        pause_at: baseline.events / 2,
+        ..sharded
+    };
+    let paused = match engine::execute(&sc, &halfway, &mut []) {
         engine::RunProgress::Paused(p) => p,
         engine::RunProgress::Done(_) => panic!("must pause mid-run"),
     };
@@ -316,18 +358,35 @@ fn sharded_snapshot_resume_is_byte_identical() {
 #[test]
 fn sharded_single_component_plan_snapshots_serially() {
     // A one-component plan delegates to the serial engine, exactly as
-    // `run_sharded` does: the snapshot kind is serial and resumes fine.
+    // an unpaused sharded run does: the snapshot kind is serial and
+    // resumes fine.
     let sc = coupled_scenario(3);
-    let golden = bytes(&engine::run_sharded(&sc, 4));
-    let resumed = interrupt_and_resume(&sc, true, 500);
-    assert_eq!(bytes(&resumed), golden);
+    let sharded = RunSpec {
+        shards: Some(4),
+        ..RunSpec::default()
+    };
+    let golden = bytes(&finish(&sc, &sharded).result);
+    let paused = RunSpec {
+        pause_at: 500,
+        ..sharded
+    };
+    let (resumed, _) = interrupt_and_resume(&sc, &paused, u64::MAX);
+    assert_eq!(bytes(&resumed.result), golden);
 }
 
 /// A four-shard run paused halfway, as snapshot JSON: the early ranks
 /// are done, and every rank so far has buffered its note log.
 fn paused_sharded_snapshot(sc: &Scenario) -> Json {
-    let total = engine::run_sharded(sc, 1).events;
-    match engine::run_sharded_until(sc, &mut [], u64::MAX, total / 2) {
+    let sharded = RunSpec {
+        shards: Some(1),
+        ..RunSpec::default()
+    };
+    let total = finish(sc, &sharded).result.events;
+    let halfway = RunSpec {
+        pause_at: total / 2,
+        ..sharded
+    };
+    match engine::execute(sc, &halfway, &mut []) {
         engine::RunProgress::Paused(p) => engine::snapshot(&p).parse().expect("valid JSON"),
         engine::RunProgress::Done(_) => panic!("must pause mid-run"),
     }
@@ -449,7 +508,7 @@ fn sharded_snapshot_ids_are_bounds_checked() {
 fn snapshot_rejects_scenario_mismatch() {
     let sc = coupled_scenario(42);
     let other = coupled_scenario(43);
-    let paused = match engine::run_until(&sc, &mut [], u64::MAX, 100) {
+    let paused = match engine::execute(&sc, &pausing_at(100), &mut []) {
         engine::RunProgress::Paused(p) => p,
         engine::RunProgress::Done(_) => panic!("must pause"),
     };
@@ -465,7 +524,7 @@ fn snapshot_rejects_scenario_mismatch() {
 #[test]
 fn snapshot_rejects_version_skew() {
     let sc = coupled_scenario(42);
-    let paused = match engine::run_until(&sc, &mut [], u64::MAX, 100) {
+    let paused = match engine::execute(&sc, &pausing_at(100), &mut []) {
         engine::RunProgress::Paused(p) => p,
         engine::RunProgress::Done(_) => panic!("must pause"),
     };
@@ -487,7 +546,7 @@ fn snapshot_rejects_version_skew() {
 #[test]
 fn truncated_snapshots_fail_typed() {
     let sc = coupled_scenario(42);
-    let paused = match engine::run_until(&sc, &mut [], u64::MAX, 200) {
+    let paused = match engine::execute(&sc, &pausing_at(200), &mut []) {
         engine::RunProgress::Paused(p) => p,
         engine::RunProgress::Done(_) => panic!("must pause"),
     };
@@ -513,7 +572,7 @@ fn truncated_snapshots_fail_typed() {
 #[test]
 fn byte_flipped_snapshots_never_panic() {
     let sc = coupled_scenario(42);
-    let paused = match engine::run_until(&sc, &mut [], u64::MAX, 200) {
+    let paused = match engine::execute(&sc, &pausing_at(200), &mut []) {
         engine::RunProgress::Paused(p) => p,
         engine::RunProgress::Done(_) => panic!("must pause"),
     };

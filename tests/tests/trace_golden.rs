@@ -18,7 +18,7 @@
 //! NOMC_UPDATE_GOLDEN=1 cargo test -p nomc-integration-tests --test trace_golden
 //! ```
 
-use nomc_sim::{engine, trace, NetworkBehavior, Scenario};
+use nomc_sim::{engine, trace, NetworkBehavior, RunSpec, Scenario};
 use nomc_topology::paper;
 use nomc_topology::spectrum::ChannelPlan;
 use nomc_units::{Dbm, Megahertz, SimDuration};
@@ -45,13 +45,16 @@ fn fixture_path() -> PathBuf {
 /// sit 3 MHz apart — inside the ACR support, one interaction component
 /// — so the fixture must stay byte-identical for every `N`.
 fn run_golden(sc: &Scenario) -> nomc_sim::SimResult {
-    match std::env::var("NOMC_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        Some(threads) => engine::run_sharded(sc, threads),
-        None => engine::run(sc),
-    }
+    let spec = RunSpec {
+        shards: std::env::var("NOMC_SHARDS")
+            .ok()
+            .and_then(|v| v.parse().ok()),
+        ..RunSpec::default()
+    };
+    engine::execute(sc, &spec, &mut [])
+        .into_done()
+        .expect("a run without a pause target finishes")
+        .result
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! pins the *sharded* faulted path: a four-component scenario whose
 //! fault plan is scattered across shards. Multi-component runs use
 //! per-shard derived seeds, so that fixture is recorded and checked
-//! through `engine::run_sharded` at every `NOMC_SHARDS` matrix value —
+//! through the sharded engine at every `NOMC_SHARDS` matrix value —
 //! thread-count independence is what keeps it stable. A third test pins
 //! the snapshot/restore contract against both fixtures: an interrupted
 //! run resumed mid-flight must land on the recorded bytes.
@@ -28,7 +28,7 @@ use nomc_phy::Shadowing;
 use nomc_sim::scenario::Propagation;
 use nomc_sim::{
     engine, trace, CrashFault, DriftFault, FaultPlan, JammerFault, NetworkBehavior, RecoveryMeter,
-    Scenario, SimObserver, StuckCcaFault,
+    RunSpec, Scenario, SimObserver, StuckCcaFault,
 };
 use nomc_topology::spectrum::ChannelPlan;
 use nomc_topology::{paper, Deployment, LinkSpec, NetworkSpec, Point};
@@ -90,7 +90,7 @@ fn faulted_scenario() -> Scenario {
 /// RSSI drift in network 1, and a stuck CCA in network 2. This pins the
 /// *componentized* fault path (per-shard seeds, per-shard fault
 /// routing, jammer replication) the single-component fixture above can
-/// never reach: there, `run_sharded` just delegates to the serial
+/// never reach: there, a sharded run just delegates to the serial
 /// engine.
 fn partitioned_fault_plan() -> FaultPlan {
     FaultPlan {
@@ -168,10 +168,23 @@ fn matrix_threads() -> Option<usize> {
 /// run goes through the sharded engine on `N` worker threads; the
 /// fixture must stay byte-identical for every `N`.
 fn run_golden(sc: &Scenario) -> nomc_sim::SimResult {
-    match matrix_threads() {
-        Some(threads) => engine::run_sharded(sc, threads),
-        None => engine::run(sc),
-    }
+    run_on(sc, matrix_threads(), &mut [])
+}
+
+/// `sc` run to completion, sharded on `shards` threads or serially.
+fn run_on(
+    sc: &Scenario,
+    shards: Option<usize>,
+    observers: &mut [&mut dyn SimObserver],
+) -> nomc_sim::SimResult {
+    let spec = RunSpec {
+        shards,
+        ..RunSpec::default()
+    };
+    engine::execute(sc, &spec, observers)
+        .into_done()
+        .expect("a run without a pause target finishes")
+        .result
 }
 
 /// Re-records `path` under `NOMC_UPDATE_GOLDEN=1`, else compares byte
@@ -245,7 +258,7 @@ fn partitioned_faulted_golden_trace_is_byte_identical() {
     // recorded and checked through the sharded engine. Results are
     // thread-count independent, so any NOMC_SHARDS value — and the
     // env-unset default — must reproduce the same bytes.
-    let result = engine::run_sharded(&sc, matrix_threads().unwrap_or(2));
+    let result = run_on(&sc, Some(matrix_threads().unwrap_or(2)), &mut []);
     assert!(!result.trace.is_empty(), "trace recording must be on");
     let jsonl = trace::to_jsonl(&result.trace);
     for marker in ["\"down\"", "\"up\"", "\"cca_stuck\"", "\"cca_released\""] {
@@ -267,13 +280,13 @@ fn resumed_faulted_runs_reproduce_the_golden_fixtures() {
     if std::env::var_os("NOMC_UPDATE_GOLDEN").is_some() {
         return;
     }
-    let resume = |sc: &Scenario, sharded: bool| -> String {
-        let progress = if sharded {
-            engine::run_sharded_until(sc, &mut [], u64::MAX, 4_000)
-        } else {
-            engine::run_until(sc, &mut [], u64::MAX, 4_000)
+    let resume = |sc: &Scenario, shards: Option<usize>| -> String {
+        let spec = RunSpec {
+            shards,
+            budget: u64::MAX,
+            pause_at: 4_000,
         };
-        let paused = match progress {
+        let paused = match engine::execute(sc, &spec, &mut []) {
             engine::RunProgress::Paused(p) => p,
             engine::RunProgress::Done(_) => panic!("faulted run finished before the pause"),
         };
@@ -286,12 +299,12 @@ fn resumed_faulted_runs_reproduce_the_golden_fixtures() {
         }
     };
     assert_eq!(
-        resume(&faulted_scenario(), false),
+        resume(&faulted_scenario(), None),
         std::fs::read_to_string(fixture_path()).expect("coupled fixture readable"),
         "serial snapshot/resume diverged from the coupled faulted fixture"
     );
     assert_eq!(
-        resume(&partitioned_faulted_scenario(), true),
+        resume(&partitioned_faulted_scenario(), Some(1)),
         std::fs::read_to_string(partitioned_fixture_path()).expect("partitioned fixture readable"),
         "sharded snapshot/resume diverged from the partitioned faulted fixture"
     );
@@ -318,7 +331,7 @@ fn observers_do_not_perturb_faulted_runs() {
     let bare = engine::run(&sc);
     let mut meter = RecoveryMeter::new(0, SimDuration::from_millis(100), at(400), sc.warmup);
     let mut sinks: Vec<&mut dyn SimObserver> = vec![&mut meter];
-    let observed = engine::run_with(&sc, &mut sinks);
+    let observed = run_on(&sc, None, &mut sinks);
     assert_eq!(bare, observed);
     // And the meter saw real traffic around the fault.
     assert!(
