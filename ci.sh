@@ -57,6 +57,16 @@ for threads in 1 2 8; do
   cargo test -p nomc-sim --lib -q --offline pool:: -- --test-threads "$threads"
 done
 
+echo "==> results server: thread handoff at every harness thread count"
+# Connection handler threads park and take over later connections, so
+# the handoff queue is shared state between the accept loop and every
+# handler; the serve suites run under the same 1/2/8 harness-thread
+# matrix as the sweep and pool suites to shake out ordering bugs.
+for threads in 1 2 8; do
+  echo "    --test-threads $threads"
+  cargo test -p nomc-serve -q --offline -- --test-threads "$threads"
+done
+
 echo "==> sharded-engine determinism: golden traces byte-identical at every shard count"
 # The clean and faulted two-network fixtures pin the serial engine's
 # event history; the sharded engine must reproduce them byte for byte on
@@ -86,11 +96,12 @@ cargo run -p nomc-experiments --release --offline --quiet --bin all_experiments 
 echo "==> calibration anchors hold (quick)"
 cargo run -p nomc-experiments --release --offline --bin calibration_check -- --quick
 
-echo "==> serve smoke (submit, wait, resubmit hits cache, SIGTERM drains)"
-# Live end-to-end pass over the results server: a job submitted twice
-# must come back byte-identical without re-simulating, and SIGTERM must
-# drain to exit code 0. The SIGKILL chaos path rides in the
-# serve_chaos test suite (cargo test above).
+echo "==> serve smoke (submit, wait, resubmits hit cache, SIGTERM drains)"
+# Live end-to-end pass over the results server: a job submitted again,
+# once and then four times at once, must come back byte-identical
+# without re-simulating, and SIGTERM must drain to exit code 0. The
+# SIGKILL chaos path rides in the serve_chaos test suite (cargo test
+# above).
 SERVE_STATE="$(mktemp -d)"
 SERVE_SCENARIO="$SERVE_STATE/scenario.json"
 trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SERVE_STATE"' EXIT
@@ -109,6 +120,25 @@ SERVE_ADDR="$(cat "$SERVE_STATE/serve.addr")"
   | grep -q '"cached":true' || { echo "resubmit missed the cache"; exit 1; }
 cmp "$SERVE_STATE/report_a.json" "$SERVE_STATE/report_b.json" \
   || { echo "cached report not byte-identical"; exit 1; }
+# Concurrent resubmits of the cached job: `nomc submit` sends the
+# canonical spec bytes, so these take the known-spec admission path on
+# handler threads that park and are reused between connections.
+SUBMIT_PIDS=()
+for i in 1 2 3 4; do
+  ./target/release/nomc submit "$SERVE_SCENARIO" --addr "$SERVE_ADDR" \
+    --seeds 1,2 --wait --report "$SERVE_STATE/report_c$i.json" \
+    > "$SERVE_STATE/submit_c$i.out" &
+  SUBMIT_PIDS+=("$!")
+done
+for pid in "${SUBMIT_PIDS[@]}"; do
+  wait "$pid" || { echo "concurrent resubmit failed"; exit 1; }
+done
+for i in 1 2 3 4; do
+  grep -q '"cached":true' "$SERVE_STATE/submit_c$i.out" \
+    || { echo "concurrent resubmit $i missed the cache"; exit 1; }
+  cmp "$SERVE_STATE/report_a.json" "$SERVE_STATE/report_c$i.json" \
+    || { echo "concurrent resubmit $i: report not byte-identical"; exit 1; }
+done
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "SIGTERM drain exited nonzero"; exit 1; }
 trap - EXIT

@@ -8,9 +8,14 @@
 //! * `submit_roundtrip` — one full cache-hit submit over a real TCP
 //!   socket against an in-process server with the job already
 //!   completed: connect, POST the spec, read the `cached:true` ack.
-//!   This prices the whole deduplication path (parse → spec decode →
-//!   content hash → registry lookup → render) plus the loopback socket
-//!   round trip — the latency a sweep script sees when its work is
+//!   Its hand-built body is not the canonical spelling (it omits
+//!   `shards` and `checkpoint_every`), so this prices the full
+//!   deduplication path (parse → spec decode → content hash → registry
+//!   lookup → render) plus the loopback socket round trip.
+//! * `submit_cached_canonical` — the same cache hit with the canonical
+//!   body, `nomc_json::to_string(&spec)`, as `nomc submit` sends it:
+//!   the registry recognises the bytes and skips decode and hashing,
+//!   so this is the latency a sweep script sees when its work is
 //!   already done.
 //!
 //! `cargo bench -p nomc-bench --bench serve` writes `BENCH_serve.json`,
@@ -19,7 +24,7 @@
 use nomc_bench::harness::Criterion;
 use nomc_bench::{criterion_group, criterion_main};
 use nomc_serve::http::{self, Method, Parsed};
-use nomc_serve::{ServeConfig, Server};
+use nomc_serve::{jobs, ServeConfig, Server};
 use nomc_sim::Scenario;
 use nomc_topology::{paper, spectrum::ChannelPlan};
 use nomc_units::{Dbm, Megahertz, SimDuration};
@@ -100,13 +105,20 @@ fn bench_serve(c: &mut Criterion) {
     }
     assert!(done, "bench job never finished");
     g.sample_size(20);
-    g.bench_function("submit_roundtrip", |b| {
-        b.iter(|| {
-            let (status, body) = exchange(addr, black_box(&spec));
-            assert_eq!(status, 200);
-            body.len()
-        })
-    });
+    let (_, decoded) = jobs::decode(&spec).expect("bench spec is valid");
+    let canonical = nomc_json::to_string(&decoded).into_bytes();
+    for (name, body) in [
+        ("submit_roundtrip", &spec),
+        ("submit_cached_canonical", &canonical),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let (status, body) = exchange(addr, black_box(body));
+                assert_eq!(status, 200);
+                body.len()
+            })
+        });
+    }
     g.finish();
 
     server.drain();

@@ -185,6 +185,20 @@ pub fn job_id(spec: &JobSpec) -> u64 {
     h.finish()
 }
 
+/// Decodes and validates a `POST /jobs` body into its content key and
+/// spec.
+///
+/// # Errors
+///
+/// The reason the body is refused, as the 400 answer states it.
+pub fn decode(body: &[u8]) -> Result<(u64, JobSpec), String> {
+    let text = std::str::from_utf8(body).map_err(|e| format!("body is not UTF-8: {e}"))?;
+    let spec: JobSpec = nomc_json::from_str(text).map_err(|e| format!("bad job spec: {e}"))?;
+    spec.validate()
+        .map_err(|e| format!("rejected job spec: {e}"))?;
+    Ok((job_id(&spec), spec))
+}
+
 /// A job id rendered the way every URL and directory name spells it:
 /// 16 lowercase hex digits, zero-padded.
 pub fn id_hex(id: u64) -> String {

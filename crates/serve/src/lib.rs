@@ -15,7 +15,8 @@
 //!   in-flight jobs (mid-member, via engine checkpoints) and re-serves
 //!   completed ones byte-identically.
 //! - **Admission control.** Submissions are deduplicated by content
-//!   key and bounded by a queue cap; overflow is shed with
+//!   key (a resubmission of the canonical spec bytes by a byte lookup,
+//!   without decoding it) and bounded by a queue cap; overflow is shed with
 //!   `429 Retry-After`, drain mode refuses new work with `503`, and a
 //!   hostile or broken client can at worst burn one connection until
 //!   its I/O deadline expires.

@@ -8,6 +8,12 @@
 //! typed [`Admission::Shed`] (the HTTP layer turns it into
 //! `429 Retry-After`), it never blocks the accept loop and never
 //! queues unboundedly.
+//!
+//! Admission also remembers the canonical spec text of every job it
+//! admits as new in this process (the bytes written to `spec.json`,
+//! which is what `nomc submit` sends), so a resubmission of those
+//! exact bytes names its job by one map lookup instead of a decode and
+//! a content hash.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -85,7 +91,11 @@ impl EventLog {
 pub enum Admission {
     /// New work: the job was enqueued and the caller owns persisting
     /// its spec.
-    New,
+    New {
+        /// The spec's canonical text, `nomc_json::to_string(&spec)`:
+        /// the bytes to write to `spec.json`.
+        spec_text: String,
+    },
     /// The content key already exists; serve from the registry (and
     /// disk) instead of re-simulating.
     Cached {
@@ -116,6 +126,10 @@ struct Inner {
     jobs: BTreeMap<u64, JobEntry>,
     queue: VecDeque<u64>,
     draining: bool,
+    /// Canonical spec text → job id, for every job admitted as new in
+    /// this process. Jobs never leave `jobs`, so every id here is
+    /// registered; texts are never dropped either.
+    known: BTreeMap<Box<[u8]>, u64>,
 }
 
 /// Live queue / running / done / failed counts for `/healthz`.
@@ -149,6 +163,7 @@ impl Registry {
                 jobs: BTreeMap::new(),
                 queue: VecDeque::new(),
                 draining: false,
+                known: BTreeMap::new(),
             }),
             work: Condvar::new(),
             max_queue,
@@ -159,24 +174,55 @@ impl Registry {
         self.inner.lock().expect("registry lock is never poisoned")
     }
 
-    /// Decides what to do with a submission of job `id`.
-    pub fn admit(&self, id: u64, spec: JobSpec) -> Admission {
+    /// Decides what to do with the submission `body`, returning the
+    /// job it names and the decision.
+    ///
+    /// A body byte-equal to the canonical text of a job admitted in
+    /// this process names that job directly. Any other body goes
+    /// through `decode` (outside the lock), which yields its content
+    /// key and spec, or the error that refuses it. Either way the same
+    /// decision follows: draining refuses, a registered job is cached,
+    /// a full queue sheds, anything else is new.
+    ///
+    /// The text is remembered only when the job is new, which happens
+    /// at most once per job in a process, so a resubmission that varies
+    /// only the checkpoint cadence cannot grow the map.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `decode` returns for an unknown body.
+    pub fn admit<E>(
+        &self,
+        body: &[u8],
+        decode: impl FnOnce(&[u8]) -> Result<(u64, JobSpec), E>,
+    ) -> Result<(u64, Admission), E> {
+        let known = self.lock().known.get(body).copied();
+        let (id, spec) = match known {
+            Some(id) => (id, None),
+            None => {
+                let (id, spec) = decode(body)?;
+                (id, Some(spec))
+            }
+        };
         let mut inner = self.lock();
         if inner.draining {
-            return Admission::Draining;
+            return Ok((id, Admission::Draining));
         }
         if let Some(entry) = inner.jobs.get(&id) {
-            return Admission::Cached {
-                state: entry.state.clone(),
-            };
+            let state = entry.state.clone();
+            return Ok((id, Admission::Cached { state }));
         }
+        let spec = spec.expect("remembered jobs stay registered");
         if inner.queue.len() >= self.max_queue {
             // Scale the hint to the backlog: a longer queue means a
             // longer wait before a retry can possibly be admitted.
-            return Admission::Shed {
-                retry_after_secs: inner.queue.len().max(1) as u64,
-            };
+            let retry_after_secs = inner.queue.len().max(1) as u64;
+            return Ok((id, Admission::Shed { retry_after_secs }));
         }
+        let spec_text = nomc_json::to_string(&spec);
+        inner
+            .known
+            .insert(spec_text.clone().into_bytes().into(), id);
         inner.jobs.insert(
             id,
             JobEntry {
@@ -188,7 +234,7 @@ impl Registry {
         );
         inner.queue.push_back(id);
         self.work.notify_one();
-        Admission::New
+        Ok((id, Admission::New { spec_text }))
     }
 
     /// Registers a job recovered from disk whose report already
@@ -337,8 +383,20 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs;
     use nomc_topology::{paper, spectrum::ChannelPlan};
     use nomc_units::{Dbm, Megahertz, SimDuration};
+
+    /// Admits `spec(id)` as job `id` through the full path: the empty
+    /// body equals no remembered text.
+    fn admit(reg: &Registry, id: u64) -> Admission {
+        let decoded = reg.admit(b"", |_| Ok::<_, ()>((id, spec(id))));
+        decoded.expect("decoding cannot fail").1
+    }
+
+    fn is_new(admission: &Admission) -> bool {
+        matches!(admission, Admission::New { .. })
+    }
 
     fn spec(seed: u64) -> JobSpec {
         let plan = ChannelPlan::with_count(Megahertz::new(2460.0), Megahertz::new(5.0), 1);
@@ -358,22 +416,22 @@ mod tests {
     #[test]
     fn admission_dedupes_sheds_and_drains() {
         let reg = Registry::new(1);
-        assert_eq!(reg.admit(1, spec(1)), Admission::New);
+        assert!(is_new(&admit(&reg, 1)));
         assert_eq!(
-            reg.admit(1, spec(1)),
+            admit(&reg, 1),
             Admission::Cached {
                 state: JobState::Queued
             }
         );
         // Queue is full (job 1 still queued): a *different* job sheds.
         assert_eq!(
-            reg.admit(2, spec(2)),
+            admit(&reg, 2),
             Admission::Shed {
                 retry_after_secs: 1
             }
         );
         reg.drain();
-        assert_eq!(reg.admit(3, spec(3)), Admission::Draining);
+        assert_eq!(admit(&reg, 3), Admission::Draining);
         // Draining also wakes pollers with None.
         assert!(reg.next_job().is_none());
     }
@@ -381,7 +439,7 @@ mod tests {
     #[test]
     fn lifecycle_flows_through_the_registry() {
         let reg = Registry::new(4);
-        assert_eq!(reg.admit(7, spec(7)), Admission::New);
+        assert!(is_new(&admit(&reg, 7)));
         let (id, job) = reg.next_job().expect("queued work");
         assert_eq!(id, 7);
         assert_eq!(job.seeds, vec![7]);
@@ -401,7 +459,7 @@ mod tests {
     #[test]
     fn a_spec_is_handed_out_once_and_then_released() {
         let reg = Registry::new(4);
-        assert_eq!(reg.admit(5, spec(5)), Admission::New);
+        assert!(is_new(&admit(&reg, 5)));
         let (id, job) = reg.next_job().expect("queued work");
         assert_eq!((id, job.seeds), (5, vec![5]));
         let inner = reg.lock();
@@ -411,7 +469,7 @@ mod tests {
         // The job keeps its place in the registry, so a resubmission
         // still dedupes against it.
         assert_eq!(
-            reg.admit(5, spec(5)),
+            admit(&reg, 5),
             Admission::Cached {
                 state: JobState::Queued
             }
@@ -423,7 +481,7 @@ mod tests {
     #[test]
     fn failed_jobs_keep_their_message_and_close_their_log() {
         let reg = Registry::new(4);
-        reg.admit(9, spec(9));
+        admit(&reg, 9);
         let log = reg.events(9).expect("registered");
         reg.fail(9, "disk full".into());
         let (state, error) = reg.state(9).expect("registered");
@@ -455,7 +513,7 @@ mod tests {
     #[test]
     fn restored_jobs_join_the_registry_correctly() {
         let reg = Registry::new(0); // cap of zero: nothing new admits…
-        assert!(matches!(reg.admit(1, spec(1)), Admission::Shed { .. }));
+        assert!(matches!(admit(&reg, 1), Admission::Shed { .. }));
         // …but recovered pending work bypasses the cap.
         reg.restore_pending(2, spec(2));
         reg.restore_done(3);
@@ -468,5 +526,72 @@ mod tests {
         assert!(closed);
         let (id, _) = reg.next_job().expect("restored job is queued");
         assert_eq!(id, 2);
+    }
+
+    /// The canonical text of `spec(seed)` with checkpoint cadence
+    /// `every`: one job, whatever `every` is.
+    fn canonical(seed: u64, every: u64) -> String {
+        let mut spec = spec(seed);
+        spec.checkpoint_every = Some(every);
+        nomc_json::to_string(&spec)
+    }
+
+    fn no_decode(_: &[u8]) -> Result<(u64, JobSpec), String> {
+        panic!("a remembered body must not be decoded")
+    }
+
+    fn remembered(reg: &Registry) -> usize {
+        reg.lock().known.len()
+    }
+
+    #[test]
+    fn a_known_body_is_admitted_without_decoding() {
+        let reg = Registry::new(4);
+        let body = canonical(1, 100);
+        let (id, admission) = reg.admit(body.as_bytes(), jobs::decode).expect("valid");
+        assert_eq!(
+            admission,
+            Admission::New {
+                spec_text: body.clone()
+            }
+        );
+        assert_eq!(
+            reg.admit(body.as_bytes(), no_decode),
+            Ok((
+                id,
+                Admission::Cached {
+                    state: JobState::Queued
+                }
+            ))
+        );
+        reg.drain();
+        assert_eq!(
+            reg.admit(body.as_bytes(), no_decode),
+            Ok((id, Admission::Draining))
+        );
+    }
+
+    #[test]
+    fn one_job_resubmitted_at_fifty_cadences_remembers_one_text() {
+        let reg = Registry::new(4);
+        let first = canonical(1, 1);
+        let (id, admission) = reg.admit(first.as_bytes(), jobs::decode).expect("valid");
+        assert!(is_new(&admission));
+        for every in 2..=51 {
+            let (same, admission) = reg
+                .admit(canonical(1, every).as_bytes(), jobs::decode)
+                .expect("valid");
+            assert_eq!(
+                (same, admission),
+                (
+                    id,
+                    Admission::Cached {
+                        state: JobState::Queued
+                    }
+                )
+            );
+        }
+        assert_eq!(remembered(&reg), 1);
+        assert!(reg.admit(first.as_bytes(), no_decode).is_ok());
     }
 }

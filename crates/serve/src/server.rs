@@ -9,6 +9,13 @@
 //! served from cache byte-identically, jobs without one re-enter the
 //! queue and resume from their journal (and mid-member checkpoints).
 //!
+//! Connections are served one exchange each, by handler threads that
+//! outlive their connection: a handler that finishes parks for the next
+//! one (up to `MAX_PARKED` park; the rest exit), so a burst of short
+//! requests costs a condition-variable handoff instead of a thread
+//! spawn each. A slow client, or an `/events` stream that lasts a whole
+//! job, holds only its own handler; the next connection gets another.
+//!
 //! A job is a sweep: the worker opens the sweep's own journaled state
 //! ([`sweep::Sweep`]), drives [`sweep::run_one_member`] in slot order
 //! and concludes each member through it, so the journal and report are
@@ -17,6 +24,7 @@
 //! wall-clock reads in the crate are at the socket edge
 //! ([`crate::deadline`]).
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs;
 use std::io::ErrorKind;
@@ -42,6 +50,10 @@ use crate::registry::{Admission, Registry};
 const PROGRESS_EVERY: u64 = 100_000;
 /// Concurrent connection cap; excess connections get a best-effort 503.
 const MAX_CONNS: usize = 64;
+/// Connection handlers kept parked for reuse once their connection
+/// ends; any more exit. Small, so the idle thread count and RSS stay
+/// near those of a thread per connection.
+const MAX_PARKED: usize = 2;
 /// Pause after a failed `accept` (EMFILE and the like), so an fd
 /// shortage cannot spin the loop.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
@@ -294,15 +306,19 @@ fn recover(state_dir: &Path, registry: &Registry) {
 
 /// Accepts connections until a drain is requested (via the handle or a
 /// signal), then runs the drain protocol: stop accepting, drain the
-/// registry (workers exit, event streams end), and give in-flight
-/// connections a bounded window to finish.
+/// registry (workers exit, event streams end), give in-flight
+/// connections a bounded window to finish, and release the parked
+/// handlers.
 ///
 /// The listener blocks in `accept`, so a connection is taken the moment
-/// it arrives. A drain request wakes it with a connection of its own
-/// ([`wake`]); the flag is re-checked after every `accept` returns, and
-/// the wake-up connection is dropped unanswered.
+/// it arrives. Each accepted connection, with its slot, goes to a
+/// parked handler thread ([`Handlers`]); a thread is spawned only when
+/// none is free. A drain request wakes the loop with a connection of
+/// its own ([`wake`]); the flag is re-checked after every `accept`
+/// returns, and the wake-up connection is dropped unanswered.
 fn accept_loop(listener: TcpListener, ctx: &Arc<Ctx>, drain: &AtomicBool) {
     let active = Arc::new(Active::default());
+    let handlers = Arc::new(Handlers::default());
     loop {
         let accepted = listener.accept();
         if drain.load(Ordering::SeqCst) || signals::drain_requested() {
@@ -315,11 +331,11 @@ fn accept_loop(listener: TcpListener, ctx: &Arc<Ctx>, drain: &AtomicBool) {
                     let _ = overloaded(stream, ctx.io_budget);
                     continue;
                 };
-                let ctx = Arc::clone(ctx);
-                thread::spawn(move || {
-                    handle_conn(&ctx, stream);
-                    drop(slot);
-                });
+                if let Some(conn) = handlers.hand_off((stream, slot)) {
+                    let ctx = Arc::clone(ctx);
+                    let handlers = Arc::clone(&handlers);
+                    thread::spawn(move || handler(&ctx, &handlers, conn));
+                }
             }
             // The peer gave up before we took it: nothing to back off
             // from.
@@ -332,6 +348,93 @@ fn accept_loop(listener: TcpListener, ctx: &Arc<Ctx>, drain: &AtomicBool) {
     drop(listener);
     ctx.registry.drain();
     active.wait_idle(DRAIN_GRACE);
+    handlers.close();
+}
+
+/// One accepted connection and the slot it holds.
+type Conn = (TcpStream, Slot);
+
+/// A connection handler thread: serves its first connection, then
+/// parks for the next one until [`Handlers::park`] sends it away.
+fn handler(ctx: &Ctx, handlers: &Handlers, mut conn: Conn) {
+    loop {
+        let (stream, slot) = conn;
+        handle_conn(ctx, stream);
+        // Release the slot before parking: a parked thread is not an
+        // in-flight connection, so it never holds up a drain.
+        drop(slot);
+        match handlers.park() {
+            Some(next) => conn = next,
+            None => return,
+        }
+    }
+}
+
+/// The parked connection handlers and the connections handed to them.
+/// Every queued connection has a parked handler waiting for it:
+/// `queued.len() <= parked` always holds.
+#[derive(Default)]
+struct Handlers {
+    state: Mutex<HandlerState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct HandlerState {
+    queued: VecDeque<Conn>,
+    /// Handler threads waiting in [`Handlers::park`].
+    parked: usize,
+    /// Set once the drain is over: parked handlers exit.
+    closed: bool,
+}
+
+impl Handlers {
+    fn state(&self) -> MutexGuard<'_, HandlerState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `conn` for a parked handler, or gives it back when none
+    /// is free (the caller spawns one).
+    fn hand_off(&self, conn: Conn) -> Option<Conn> {
+        let mut state = self.state();
+        if state.parked <= state.queued.len() {
+            return Some(conn);
+        }
+        state.queued.push_back(conn);
+        self.ready.notify_one();
+        None
+    }
+
+    /// Parks the calling handler until a connection is handed to it.
+    /// `None` sends it away: [`MAX_PARKED`] are already parked, or the
+    /// drain is over and nothing is left queued.
+    fn park(&self) -> Option<Conn> {
+        let mut state = self.state();
+        if state.closed || state.parked >= MAX_PARKED {
+            return None;
+        }
+        state.parked += 1;
+        loop {
+            if let Some(conn) = state.queued.pop_front() {
+                state.parked -= 1;
+                return Some(conn);
+            }
+            if state.closed {
+                state.parked -= 1;
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Wakes every parked handler to exit once the queue is empty.
+    fn close(&self) {
+        self.state().closed = true;
+        self.ready.notify_all();
+    }
 }
 
 /// Turns SIGTERM/SIGINT into a drain. The handler may only flip an
@@ -418,7 +521,9 @@ fn overloaded(stream: TcpStream, budget: Duration) -> std::io::Result<()> {
 
 /// Serves one connection: read a request under the deadline, route it,
 /// write the response. Exactly one exchange per connection
-/// (`Connection: close`), so resource lifetimes are trivially bounded.
+/// (`Connection: close`), each with its own deadline, so resource
+/// lifetimes are trivially bounded; the handler thread that runs it is
+/// reused for later connections ([`handler`]).
 fn handle_conn(ctx: &Ctx, stream: TcpStream) {
     let Ok(mut conn) = DeadlineStream::new(stream, ctx.io_budget) else {
         return;
@@ -517,25 +622,22 @@ fn healthz(ctx: &Ctx) -> Response {
     )
 }
 
-/// `POST /jobs`: parse, validate, content-address, admit.
+/// `POST /jobs`: admit the body. A body byte-equal to the canonical
+/// spec text of a job admitted as new in this process is looked up
+/// directly;
+/// any other is decoded, validated and content-addressed
+/// ([`jobs::decode`]) first. Both reach the same admission decision,
+/// so both answer the same bytes; the spec text is rendered and
+/// persisted only for new work.
 fn submit(ctx: &Ctx, body: &[u8]) -> Response {
-    let bad_request =
-        |reason: String| Response::json(400, &Json::object([("error", Json::Str(reason))]));
-    let text = match std::str::from_utf8(body) {
-        Ok(text) => text,
-        Err(e) => return bad_request(format!("body is not UTF-8: {e}")),
+    let (id, admission) = match ctx.registry.admit(body, jobs::decode) {
+        Ok(admitted) => admitted,
+        Err(reason) => {
+            return Response::json(400, &Json::object([("error", Json::Str(reason))]));
+        }
     };
-    let spec: JobSpec = match nomc_json::from_str(text) {
-        Ok(spec) => spec,
-        Err(e) => return bad_request(format!("bad job spec: {e}")),
-    };
-    if let Err(e) = spec.validate() {
-        return bad_request(format!("rejected job spec: {e}"));
-    }
-    let id = jobs::job_id(&spec);
     let hex = jobs::id_hex(id);
-    let spec_text = nomc_json::to_string(&spec);
-    match ctx.registry.admit(id, spec) {
+    match admission {
         Admission::Cached { state } => Response::json(
             200,
             &Json::object([
@@ -556,7 +658,7 @@ fn submit(ctx: &Ctx, body: &[u8]) -> Response {
             503,
             &Json::object([("error", Json::Str("server is draining".into()))]),
         ),
-        Admission::New => {
+        Admission::New { spec_text } => {
             // The job is only acknowledged once its spec is durable:
             // an ack followed by a crash must still produce the report
             // on the next boot.

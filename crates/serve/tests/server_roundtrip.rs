@@ -66,6 +66,26 @@ fn try_exchange(
     read_response(stream)
 }
 
+/// One exchange, returning the response's raw bytes (status line,
+/// headers and body), for byte-identity checks.
+fn raw_exchange(addr: std::net::SocketAddr, method: Method, target: &str, body: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(&http::render_request(method, target, body))
+        .expect("send request");
+    read_raw(stream)
+}
+
+/// Reads `stream` to its end.
+fn read_raw(mut stream: TcpStream) -> Vec<u8> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout settable");
+    let mut bytes = Vec::new();
+    stream.read_to_end(&mut bytes).expect("read response");
+    bytes
+}
+
 /// Reads `stream` to its end and parses the one response on it.
 fn read_response(mut stream: TcpStream) -> std::io::Result<ClientResponse> {
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
@@ -347,7 +367,102 @@ fn connections_over_the_cap_get_503() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(served, "closed connections must release their slots");
+    // Once every hung-up handler is done, concurrent bursts are
+    // answered in full again: the 62 handlers beyond the parked ones
+    // have exited, and new connections get fresh ones.
+    let mut answered = false;
+    for _ in 0..100 {
+        if burst(addr, 16, 1).iter().all(|&status| status == 200) {
+            answered = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(answered, "the server must answer normally after the burst");
+    assert!(burst(addr, 8, 4).iter().all(|&status| status == 200));
     drain_within(server, Duration::from_secs(10));
+}
+
+/// `clients` concurrent clients each make `each` sequential
+/// `GET /healthz` exchanges; returns every status (0 for a failed
+/// exchange).
+fn burst(addr: std::net::SocketAddr, clients: usize, each: usize) -> Vec<u16> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|_| {
+                scope.spawn(move || {
+                    (0..each)
+                        .map(|_| {
+                            try_exchange(addr, Method::Get, "/healthz", b"")
+                                .map_or(0, |resp| resp.status)
+                        })
+                        .collect::<Vec<u16>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect()
+    })
+}
+
+#[test]
+fn a_burst_wider_than_the_parked_handlers_is_answered_in_full() {
+    let state = temp_dir("burst");
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    let addr = server.addr();
+    for round in 0..3 {
+        let statuses = burst(addr, 24, 5);
+        assert_eq!(statuses.len(), 24 * 5);
+        assert!(
+            statuses.iter().all(|&status| status == 200),
+            "round {round}: {statuses:?}"
+        );
+    }
+    drain_within(server, Duration::from_secs(10));
+}
+
+#[test]
+fn a_stalled_client_does_not_delay_other_requests() {
+    let state = temp_dir("stalled");
+    let mut cfg = ServeConfig::new("127.0.0.1:0", &state);
+    cfg.io_budget = Duration::from_secs(5);
+    let server = Server::start(cfg).expect("server boots");
+    let addr = server.addr();
+    // Park handlers, then occupy more of them than park with silent
+    // clients; each holds its handler until the I/O deadline.
+    assert!(burst(addr, 4, 1).iter().all(|&status| status == 200));
+    let stalled: Vec<TcpStream> = (0..3)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        assert_eq!(exchange(addr, Method::Get, "/healthz", b"").status, 200);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(2500),
+        "20 exchanges beside stalled clients took {elapsed:?}"
+    );
+    drop(stalled);
+    drain_within(server, Duration::from_secs(10));
+}
+
+#[test]
+fn a_server_with_parked_handlers_drains_and_reboots() {
+    let state = temp_dir("parked-drain");
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    assert!(burst(server.addr(), 8, 2)
+        .iter()
+        .all(|&status| status == 200));
+    drain_within(server, Duration::from_secs(5));
+    let again = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server reboots");
+    assert_eq!(
+        exchange(again.addr(), Method::Get, "/healthz", b"").status,
+        200
+    );
+    drain_within(again, Duration::from_secs(5));
 }
 
 /// A two-member job whose budget is below the longer member's natural
@@ -454,5 +569,176 @@ fn a_journal_from_another_sweep_is_discarded_and_the_job_reruns() {
         .expect("the journal now belongs to this job")
         .expect("the journal exists");
     assert_eq!((replay.recovered(), replay.quarantined.len()), (2, 0));
+    drain_within(server, Duration::from_secs(60));
+}
+
+/// The canonical spelling of `spec_json(seeds)` (what `nomc submit`
+/// sends) and two other spellings of the same job: keys reordered, and
+/// pretty-printed.
+fn spellings(seeds: &[u64]) -> (String, String, String) {
+    let spec: JobSpec = nomc_json::from_str(&spec_json(seeds)).expect("valid spec");
+    let scenario = nomc_json::to_string(&spec.scenario);
+    let seed_list = nomc_json::to_string(&spec.seeds);
+    let reordered = format!(
+        "{{\"seeds\":{seed_list},\"checkpoint_every\":50000,\"retries\":1,\"budget\":200000,\"scenario\":{scenario}}}"
+    );
+    (
+        nomc_json::to_string(&spec),
+        reordered,
+        nomc_json::to_string_pretty(&spec),
+    )
+}
+
+/// Submits `body` as new work and waits for it to finish; returns the
+/// job's hex id.
+fn run_to_done(addr: std::net::SocketAddr, body: &str) -> String {
+    let accepted = exchange(addr, Method::Post, "/jobs", body.as_bytes());
+    assert_eq!(accepted.status, 202, "{}", body_text(&accepted));
+    let (id, _) = jobs::decode(body.as_bytes()).expect("valid spec");
+    let hex = jobs::id_hex(id);
+    wait_done(addr, &hex);
+    hex
+}
+
+#[test]
+fn every_spelling_of_a_job_gets_the_same_answer() {
+    let (canonical, reordered, pretty) = spellings(&[1, 2]);
+    assert_ne!(
+        canonical,
+        spec_json(&[1, 2]),
+        "the hand-built spec is not canonical"
+    );
+    let state = temp_dir("spellings");
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    let addr = server.addr();
+    // Admitted through a non-canonical spelling: the server remembers
+    // the canonical text it writes to spec.json.
+    let hex = run_to_done(addr, &spec_json(&[1, 2]));
+    let on_disk =
+        std::fs::read_to_string(state.join("jobs").join(&hex).join("spec.json")).expect("spec");
+    assert_eq!(on_disk, canonical);
+    let answer = raw_exchange(addr, Method::Post, "/jobs", canonical.as_bytes());
+    let text = String::from_utf8_lossy(&answer).into_owned();
+    assert!(text.starts_with("HTTP/1.1 200 "), "{text}");
+    assert!(
+        text.ends_with(&format!(
+            "{{\"job\":\"{hex}\",\"state\":\"done\",\"cached\":true}}"
+        )),
+        "{text}"
+    );
+    for body in [&canonical, &reordered, &pretty, &spec_json(&[1, 2])] {
+        assert_eq!(
+            raw_exchange(addr, Method::Post, "/jobs", body.as_bytes()),
+            answer,
+            "{body}"
+        );
+    }
+    drain_within(server, Duration::from_secs(60));
+}
+
+#[test]
+fn a_known_body_gets_503_while_draining() {
+    let (canonical, reordered, _) = spellings(&[4]);
+    let state = temp_dir("known-draining");
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    let addr = server.addr();
+    run_to_done(addr, &canonical);
+    // Connections accepted before the drain are still served while it
+    // runs. Accept is first-come, so once the probe is answered the
+    // held ones are in.
+    let mut held: Vec<TcpStream> = (0..6)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    assert_eq!(exchange(addr, Method::Get, "/healthz", b"").status, 200);
+    let draining = std::thread::spawn(move || {
+        server.drain();
+        server.join();
+    });
+    // The listener closes just before the registry drains; ask the
+    // held connections until one sees the drain.
+    while TcpStream::connect(addr).is_ok() {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut seen = false;
+    while held.len() > 2 {
+        let mut probe = held.pop().expect("held connection");
+        probe
+            .write_all(&http::render_request(Method::Get, "/healthz", b""))
+            .expect("send");
+        if String::from_utf8_lossy(&read_raw(probe)).contains("\"draining\":true") {
+            seen = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert!(seen, "the registry never reported the drain");
+    let mut answers = Vec::new();
+    for (mut conn, body) in held.into_iter().zip([&canonical, &reordered]) {
+        conn.write_all(&http::render_request(
+            Method::Post,
+            "/jobs",
+            body.as_bytes(),
+        ))
+        .expect("send");
+        answers.push(read_raw(conn));
+    }
+    let text = String::from_utf8_lossy(&answers[0]).into_owned();
+    assert!(text.starts_with("HTTP/1.1 503 "), "{text}");
+    assert!(text.contains("server is draining"), "{text}");
+    assert_eq!(answers[0], answers[1], "both paths refuse alike");
+    draining.join().expect("drain");
+}
+
+#[test]
+fn a_failed_job_answers_the_same_on_both_paths() {
+    let (canonical, reordered, _) = spellings(&[5]);
+    let state = temp_dir("failed-job");
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    let addr = server.addr();
+    // A file where the job's directory belongs: persisting its spec
+    // fails, and so does the worker, so the job ends failed.
+    let (id, _) = jobs::decode(canonical.as_bytes()).expect("valid spec");
+    let hex = jobs::id_hex(id);
+    std::fs::write(state.join("jobs").join(&hex), b"in the way").expect("plant file");
+    let first = exchange(addr, Method::Post, "/jobs", canonical.as_bytes());
+    assert_eq!(first.status, 500, "{}", body_text(&first));
+    assert!(body_text(&first).contains("persisting spec"));
+    let status = body_text(&exchange(addr, Method::Get, &format!("/jobs/{hex}"), b""));
+    assert!(status.contains("\"state\":\"failed\""), "{status}");
+    let known = raw_exchange(addr, Method::Post, "/jobs", canonical.as_bytes());
+    let text = String::from_utf8_lossy(&known).into_owned();
+    assert!(
+        text.ends_with(&format!(
+            "{{\"job\":\"{hex}\",\"state\":\"failed\",\"cached\":true}}"
+        )),
+        "{text}"
+    );
+    assert_eq!(
+        raw_exchange(addr, Method::Post, "/jobs", reordered.as_bytes()),
+        known
+    );
+    drain_within(server, Duration::from_secs(60));
+}
+
+#[test]
+fn after_a_restart_resubmits_answer_the_same_bytes() {
+    let (canonical, reordered, _) = spellings(&[6, 7]);
+    let state = temp_dir("restart-known");
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    run_to_done(server.addr(), &canonical);
+    let before = raw_exchange(server.addr(), Method::Post, "/jobs", canonical.as_bytes());
+    drain_within(server, Duration::from_secs(60));
+
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server reboots");
+    let addr = server.addr();
+    // Nothing is remembered across a restart, so every resubmission
+    // takes the full path, and each answers the pre-restart bytes.
+    for body in [&canonical, &canonical, &reordered, &canonical] {
+        assert_eq!(
+            raw_exchange(addr, Method::Post, "/jobs", body.as_bytes()),
+            before,
+            "{body}"
+        );
+    }
     drain_within(server, Duration::from_secs(60));
 }

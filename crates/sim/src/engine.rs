@@ -138,8 +138,9 @@ pub fn execute(
             }
             let fresh = ShardedSnapshot::fresh(scenario, spec.budget, plan.len());
             // A fresh snapshot always matches its own scenario and plan.
-            let progress = snapshot::run_sharded_leg(scenario, fresh, observers, spec.pause_at)
-                .expect("fresh sharded leg accepts its own snapshot");
+            let progress =
+                snapshot::run_sharded_leg(scenario, &plan, fresh, observers, spec.pause_at)
+                    .expect("fresh sharded leg accepts its own snapshot");
             return sharded_progress(progress);
         }
     }
@@ -340,7 +341,9 @@ pub fn resume_bounded(
             Ok(serial_leg(engine, pause_after))
         }
         SnapInner::Sharded(sharded) => {
-            let progress = snapshot::run_sharded_leg(scenario, sharded, observers, pause_after)?;
+            let plan = shard::plan(scenario);
+            let progress =
+                snapshot::run_sharded_leg(scenario, &plan, sharded, observers, pause_after)?;
             Ok(sharded_progress(progress))
         }
     }

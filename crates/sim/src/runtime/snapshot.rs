@@ -1004,9 +1004,11 @@ pub(crate) enum ShardedProgress {
 /// once every rank is done. Shards are fully independent, so the
 /// sequential schedule is behaviorally identical to the threaded one
 /// and the merged output is byte-identical to the threaded sharded
-/// [`crate::engine::execute`].
+/// [`crate::engine::execute`]. `plan` is `shard::plan(sc)`, computed
+/// once by the caller.
 pub(crate) fn run_sharded_leg(
     sc: &Scenario,
+    plan: &[ShardSpec],
     mut snap: ShardedSnapshot,
     externals: &mut [&mut dyn SimObserver],
     pause_after: u64,
@@ -1018,7 +1020,6 @@ pub(crate) fn run_sharded_leg(
             expected,
         });
     }
-    let plan = shard::plan(sc);
     if snap.ranks.len() != plan.len() || snap.logs.len() != plan.len() {
         return Err(SnapshotError::Malformed(format!(
             "snapshot has {} ranks, plan has {}",
@@ -1069,7 +1070,7 @@ pub(crate) fn run_sharded_leg(
         .ok_or_else(|| {
             SnapshotError::Malformed("rank left unfinished after completion sweep".into())
         })?;
-    let (result, exhausted) = merge_logs(sc, &plan, snap.logs, results, externals);
+    let (result, exhausted) = merge_logs(sc, plan, snap.logs, results, externals);
     Ok(ShardedProgress::Done(result, exhausted))
 }
 
