@@ -96,23 +96,38 @@ cargo run -p nomc-experiments --release --offline --quiet --bin all_experiments 
 echo "==> calibration anchors hold (quick)"
 cargo run -p nomc-experiments --release --offline --bin calibration_check -- --quick
 
-echo "==> serve smoke (submit, wait, resubmits hit cache, SIGTERM drains)"
+echo "==> serve smoke (submit, wait, resubmits hit cache, SIGTERM drains, reboot answers alike)"
 # Live end-to-end pass over the results server: a job submitted again,
 # once and then four times at once, must come back byte-identical
-# without re-simulating, and SIGTERM must drain to exit code 0. The
+# without re-simulating, and SIGTERM must drain to exit code 0. A
+# server rebooted on the same state directory must then answer the done
+# job's status and report with the same bytes, read back from disk. The
 # SIGKILL chaos path rides in the serve_chaos test suite (cargo test
 # above).
+# One raw HTTP/1.1 GET through bash's /dev/tcp: prints the whole
+# response (status line, headers, body).
+serve_get() {
+  exec 3<>"/dev/tcp/${1%:*}/${1##*:}"
+  printf 'GET %s HTTP/1.1\r\nConnection: close\r\n\r\n' "$2" >&3
+  cat <&3
+  exec 3<&-
+}
+# Boots `nomc serve` on $SERVE_STATE and waits for its published address.
+serve_boot() {
+  rm -f "$SERVE_STATE/serve.addr"
+  ./target/release/nomc serve --state-dir "$SERVE_STATE" --addr 127.0.0.1:0 &
+  SERVE_PID=$!
+  for _ in $(seq 1 100); do
+    [ -s "$SERVE_STATE/serve.addr" ] && break
+    sleep 0.1
+  done
+  SERVE_ADDR="$(cat "$SERVE_STATE/serve.addr")"
+}
 SERVE_STATE="$(mktemp -d)"
 SERVE_SCENARIO="$SERVE_STATE/scenario.json"
 trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SERVE_STATE"' EXIT
 ./target/release/nomc generate line "$SERVE_SCENARIO"
-./target/release/nomc serve --state-dir "$SERVE_STATE" --addr 127.0.0.1:0 &
-SERVE_PID=$!
-for _ in $(seq 1 100); do
-  [ -s "$SERVE_STATE/serve.addr" ] && break
-  sleep 0.1
-done
-SERVE_ADDR="$(cat "$SERVE_STATE/serve.addr")"
+serve_boot
 ./target/release/nomc submit "$SERVE_SCENARIO" --addr "$SERVE_ADDR" \
   --seeds 1,2 --wait --report "$SERVE_STATE/report_a.json"
 ./target/release/nomc submit "$SERVE_SCENARIO" --addr "$SERVE_ADDR" \
@@ -139,8 +154,25 @@ for i in 1 2 3 4; do
   cmp "$SERVE_STATE/report_a.json" "$SERVE_STATE/report_c$i.json" \
     || { echo "concurrent resubmit $i: report not byte-identical"; exit 1; }
 done
+SERVE_JOB="$(sed -n 's/.*"job":"\([0-9a-f]\{16\}\)".*/\1/p' "$SERVE_STATE/submit_c1.out")"
+serve_get "$SERVE_ADDR" "/jobs/$SERVE_JOB" > "$SERVE_STATE/status_before.http"
+serve_get "$SERVE_ADDR" "/jobs/$SERVE_JOB/report" > "$SERVE_STATE/report_before.http"
+grep -q '"state":"done","report":{' "$SERVE_STATE/status_before.http" \
+  || { echo "done status lost its report"; exit 1; }
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "SIGTERM drain exited nonzero"; exit 1; }
+# Reboot on the same state: the done job stays on disk until asked for,
+# and its answers are the pre-restart bytes (report asked first, so the
+# report route reads it back; then the status route).
+serve_boot
+serve_get "$SERVE_ADDR" "/jobs/$SERVE_JOB/report" > "$SERVE_STATE/report_after.http"
+serve_get "$SERVE_ADDR" "/jobs/$SERVE_JOB" > "$SERVE_STATE/status_after.http"
+cmp "$SERVE_STATE/status_before.http" "$SERVE_STATE/status_after.http" \
+  || { echo "rebooted server: status not byte-identical"; exit 1; }
+cmp "$SERVE_STATE/report_before.http" "$SERVE_STATE/report_after.http" \
+  || { echo "rebooted server: report not byte-identical"; exit 1; }
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID" || { echo "SIGTERM drain after reboot exited nonzero"; exit 1; }
 trap - EXIT
 rm -rf "$SERVE_STATE"
 

@@ -17,6 +17,11 @@
 //!   the registry recognises the bytes and skips decode and hashing,
 //!   so this is the latency a sweep script sees when its work is
 //!   already done.
+//! * `status_done` and `report_done` — `GET /jobs/<id>` and
+//!   `GET /jobs/<id>/report` of that completed job, the two reads that
+//!   follow a cache hit. Both answer bytes rendered once when the job
+//!   finished, so they price the registry lookup and the loopback round
+//!   trip.
 //!
 //! `cargo bench -p nomc-bench --bench serve` writes `BENCH_serve.json`,
 //! the perf-trajectory record ci.sh smoke-checks.
@@ -48,12 +53,16 @@ fn spec_bytes() -> Vec<u8> {
 }
 
 fn exchange(addr: std::net::SocketAddr, body: &[u8]) -> (u16, Vec<u8>) {
+    send(addr, Method::Post, "/jobs", body)
+}
+
+fn send(addr: std::net::SocketAddr, method: Method, target: &str, body: &[u8]) -> (u16, Vec<u8>) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout settable");
     stream
-        .write_all(&http::render_request(Method::Post, "/jobs", body))
+        .write_all(&http::render_request(method, target, body))
         .expect("send");
     let mut bytes = Vec::new();
     stream.read_to_end(&mut bytes).expect("read");
@@ -107,13 +116,19 @@ fn bench_serve(c: &mut Criterion) {
     g.sample_size(20);
     let (_, decoded) = jobs::decode(&spec).expect("bench spec is valid");
     let canonical = nomc_json::to_string(&decoded).into_bytes();
-    for (name, body) in [
-        ("submit_roundtrip", &spec),
-        ("submit_cached_canonical", &canonical),
+    let hex = jobs::id_hex(jobs::job_id(&decoded));
+    let status_target = format!("/jobs/{hex}");
+    let report_target = format!("/jobs/{hex}/report");
+    let empty = Vec::new();
+    for (name, method, target, body) in [
+        ("submit_roundtrip", Method::Post, "/jobs", &spec),
+        ("submit_cached_canonical", Method::Post, "/jobs", &canonical),
+        ("status_done", Method::Get, status_target.as_str(), &empty),
+        ("report_done", Method::Get, report_target.as_str(), &empty),
     ] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let (status, body) = exchange(addr, black_box(body));
+                let (status, body) = send(addr, method, black_box(target), black_box(body));
                 assert_eq!(status, 200);
                 body.len()
             })

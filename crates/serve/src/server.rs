@@ -5,9 +5,13 @@
 //! (`jobs/<id>/{spec.json,journal.jsonl,report.json,snapshots/}`), all
 //! of it written with the sweep subsystem's atomic replace — so a
 //! SIGKILL at any instant leaves only complete files. Boot replays the
-//! directory into the in-memory [`Registry`]: jobs with a report are
-//! served from cache byte-identically, jobs without one re-enter the
-//! queue and resume from their journal (and mid-member checkpoints).
+//! directory into the in-memory [`Registry`]: jobs without a report
+//! re-enter the queue and resume from their journal (and mid-member
+//! checkpoints); jobs with one are counted and stay on disk. A done job
+//! is answered from bytes rendered once, when its report is written or
+//! first read back, and kept while it is among the most recently
+//! answered ([`crate::registry::MAX_RESIDENT_DONE`]); any other done
+//! job is answered from its files, byte-identically.
 //!
 //! Connections are served one exchange each, by handler threads that
 //! outlive their connection: a handler that finishes parks for the next
@@ -44,7 +48,7 @@ use nomc_units::SimTime;
 use crate::deadline::DeadlineStream;
 use crate::http::{self, Method, Parsed, Request, Response};
 use crate::jobs::{self, JobEvent, JobSpec};
-use crate::registry::{Admission, Registry};
+use crate::registry::{Admission, Lookup, Registry, Unready};
 
 /// Emit a progress event line every this many simulation events.
 const PROGRESS_EVERY: u64 = 100_000;
@@ -198,7 +202,7 @@ impl Server {
         fs::create_dir_all(cfg.state_dir.join("jobs"))
             .map_err(|e| io_err("creating state directory", &e))?;
 
-        let registry = Registry::new(cfg.max_queue);
+        let registry = Registry::new(cfg.max_queue, &cfg.state_dir);
         recover(&cfg.state_dir, &registry);
 
         let listener =
@@ -268,10 +272,11 @@ impl Server {
     }
 }
 
-/// Replays the state directory into a fresh registry: reports are
-/// cache entries, spec-only jobs re-enter the queue (in id order, so
-/// recovery is deterministic). Unreadable entries are warned about and
-/// skipped — recovery never takes the server down.
+/// Replays the state directory into a fresh registry: jobs with a
+/// report are counted (and read when asked for), spec-only jobs
+/// re-enter the queue (in id order, so recovery is deterministic).
+/// Unreadable entries are warned about and skipped — recovery never
+/// takes the server down.
 fn recover(state_dir: &Path, registry: &Registry) {
     let jobs_dir = state_dir.join("jobs");
     let entries = match fs::read_dir(&jobs_dir) {
@@ -286,7 +291,7 @@ fn recover(state_dir: &Path, registry: &Registry) {
     for id in ids {
         let paths = jobs::paths(state_dir, id);
         if paths.report.exists() {
-            registry.restore_done(id);
+            registry.restore_done();
             continue;
         }
         let parsed = fs::read_to_string(&paths.spec)
@@ -685,14 +690,18 @@ fn submit(ctx: &Ctx, body: &[u8]) -> Response {
     }
 }
 
-/// `GET /jobs/<id>`: lifecycle status; embeds the parsed report once
-/// done.
+/// `GET /jobs/<id>`: lifecycle status; embeds the report once done.
 fn job_status(ctx: &Ctx, id_text: &str) -> Response {
     let Some(id) = jobs::parse_id(id_text) else {
         return not_found();
     };
-    let Some((state, error)) = ctx.registry.state(id) else {
-        return not_found();
+    // A done job's answer is its ready bytes; only a report that cannot
+    // be read back is rendered here.
+    let (state, error, report_error) = match ctx.registry.lookup(id) {
+        Some(Lookup::Done(ready)) => return Response::raw_json(200, ready.status.clone()),
+        Some(Lookup::Unready(unready)) => (jobs::JobState::Done, None, Some(unready.reason)),
+        Some(Lookup::Live { state, error }) => (state, error, None),
+        None => return not_found(),
     };
     let mut fields: Vec<(&'static str, Json)> = vec![
         ("job", Json::Str(jobs::id_hex(id))),
@@ -705,15 +714,8 @@ fn job_status(ctx: &Ctx, id_text: &str) -> Response {
     if let Some(message) = error {
         fields.push(("error", Json::Str(message)));
     }
-    if matches!(state, jobs::JobState::Done) {
-        let paths = jobs::paths(&ctx.state_dir, id);
-        match fs::read_to_string(&paths.report).map_err(|e| e.to_string()) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(report) => fields.push(("report", report)),
-                Err(e) => fields.push(("report_error", Json::Str(e.to_string()))),
-            },
-            Err(e) => fields.push(("report_error", Json::Str(e))),
-        }
+    if let Some(message) = report_error {
+        fields.push(("report_error", Json::Str(message)));
     }
     Response::json(200, &Json::object(fields))
 }
@@ -724,22 +726,21 @@ fn job_report(ctx: &Ctx, id_text: &str) -> Response {
     let Some(id) = jobs::parse_id(id_text) else {
         return not_found();
     };
-    let Some((state, _error)) = ctx.registry.state(id) else {
-        return not_found();
-    };
-    if !matches!(state, jobs::JobState::Done) {
-        return Response::json(
+    match ctx.registry.lookup(id) {
+        Some(Lookup::Done(ready)) => Response::raw_json(200, ready.report.clone()),
+        // Served as it is: the route never re-serializes a report.
+        Some(Lookup::Unready(Unready {
+            bytes: Some(bytes), ..
+        })) => Response::raw_json(200, bytes),
+        Some(Lookup::Unready(Unready { reason, .. })) => Response::json(
+            500,
+            &Json::object([("error", Json::Str(format!("reading report: {reason}")))]),
+        ),
+        Some(Lookup::Live { state, .. }) => Response::json(
             409,
             &Json::object([("state", Json::Str(state.name().into()))]),
-        );
-    }
-    let paths = jobs::paths(&ctx.state_dir, id);
-    match fs::read(&paths.report) {
-        Ok(bytes) => Response::raw_json(200, bytes),
-        Err(e) => Response::json(
-            500,
-            &Json::object([("error", Json::Str(format!("reading report: {e}")))]),
         ),
+        None => not_found(),
     }
 }
 
@@ -945,13 +946,14 @@ fn run_job(ctx: &Ctx, id: u64, spec: &JobSpec) {
         ));
     }
 
-    let report = sweep.into_report();
-    if let Err(e) = journal::write_atomic(&paths.report, &report.to_json_string()) {
+    let report = sweep.into_report().to_json_string();
+    if let Err(e) = journal::write_atomic(&paths.report, &report) {
         ctx.registry.fail(id, format!("persisting report: {e}"));
         finish(tx, forwarder);
         return;
     }
-    ctx.registry.apply(id, &JobEvent::Finish);
+    // The done answers are rendered once, from the bytes just written.
+    ctx.registry.finish(id, report.into_bytes());
     let _ = tx.send("{\"event\":\"done\"}".to_string());
     finish(tx, forwarder);
     log.close();

@@ -742,3 +742,159 @@ fn after_a_restart_resubmits_answer_the_same_bytes() {
     }
     drain_within(server, Duration::from_secs(60));
 }
+
+/// Every answer a client can get about a done job, as raw response
+/// bytes, asked in the order given: `report_first` reads the report
+/// before the status, so a job that is not resident is read back from
+/// disk by the report route instead of the status route.
+fn done_answers(
+    addr: std::net::SocketAddr,
+    hex: &str,
+    bodies: &[&String],
+    report_first: bool,
+) -> Vec<Vec<u8>> {
+    let mut answers: Vec<Vec<u8>> = bodies
+        .iter()
+        .map(|body| raw_exchange(addr, Method::Post, "/jobs", body.as_bytes()))
+        .collect();
+    let mut reads = [format!("/jobs/{hex}"), format!("/jobs/{hex}/report")];
+    if report_first {
+        reads.reverse();
+    }
+    for target in &reads {
+        answers.push(raw_exchange(addr, Method::Get, target, b""));
+    }
+    if report_first {
+        let n = answers.len();
+        answers.swap(n - 2, n - 1);
+    }
+    answers
+}
+
+/// The bytes and modification time of each file in a job's directory.
+fn job_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>, std::time::SystemTime)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("job dir")
+        .flatten()
+        .filter(|e| e.path().is_file())
+        .map(|e| {
+            let path = e.path();
+            let modified = e.metadata().and_then(|m| m.modified()).expect("mtime");
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("job file"), modified)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_done_job_answers_the_same_bytes_resident_evicted_and_restarted() {
+    use nomc_serve::registry::MAX_RESIDENT_DONE;
+    let (canonical, reordered, pretty) = spellings(&[8, 9]);
+    let bodies = [&canonical, &reordered, &pretty];
+    let state = temp_dir("evicted");
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    let addr = server.addr();
+    let hex = run_to_done(addr, &canonical);
+    let dir = state.join("jobs").join(&hex);
+    let resident = done_answers(addr, &hex, &bodies, false);
+    let report = std::fs::read(dir.join("report.json")).expect("report file");
+    assert!(resident[bodies.len() + 1].ends_with(&report));
+    let status = String::from_utf8_lossy(&resident[bodies.len()]).into_owned();
+    assert!(
+        status.contains("\"state\":\"done\",\"report\":{"),
+        "{status}"
+    );
+
+    // More done jobs than stay resident send this one out of memory.
+    let fillers: Vec<String> = (0..MAX_RESIDENT_DONE as u64)
+        .map(|i| {
+            let body = spec_json(&[100 + i]);
+            let accepted = exchange(addr, Method::Post, "/jobs", body.as_bytes());
+            assert_eq!(accepted.status, 202, "{}", body_text(&accepted));
+            let (id, _) = jobs::decode(body.as_bytes()).expect("valid spec");
+            jobs::id_hex(id)
+        })
+        .collect();
+    for filler in &fillers {
+        wait_done(addr, filler);
+    }
+    let done = MAX_RESIDENT_DONE + 1;
+    let health = raw_exchange(addr, Method::Get, "/healthz", b"");
+    assert!(
+        String::from_utf8_lossy(&health).ends_with(&format!(
+            "{{\"status\":\"ok\",\"queued\":0,\"running\":0,\"done\":{done},\"failed\":0,\"draining\":false}}"
+        )),
+        "{}",
+        String::from_utf8_lossy(&health)
+    );
+
+    // Evicted: its event stream is a header and a close, resubmits of
+    // any spelling are cache hits that write nothing, and the status
+    // (read back from disk) and report answer the resident bytes.
+    let events_target = format!("/jobs/{hex}/events");
+    let events = raw_exchange(addr, Method::Get, &events_target, b"");
+    assert_eq!(
+        events,
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n"
+    );
+    let files = job_files(&dir);
+    let jobs_before = std::fs::read_dir(state.join("jobs")).expect("jobs").count();
+    assert_eq!(done_answers(addr, &hex, &bodies, false), resident);
+    assert_eq!(job_files(&dir), files, "a cache hit wrote to the job");
+    let jobs_after = std::fs::read_dir(state.join("jobs")).expect("jobs").count();
+    assert_eq!(jobs_after, jobs_before);
+    assert_eq!(raw_exchange(addr, Method::Get, "/healthz", b""), health);
+    drain_within(server, Duration::from_secs(60));
+
+    // Restarted: the same bytes again, the report read back first; and
+    // the event stream of a done job is the evicted one's.
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server reboots");
+    let addr = server.addr();
+    assert_eq!(raw_exchange(addr, Method::Get, "/healthz", b""), health);
+    assert_eq!(raw_exchange(addr, Method::Get, &events_target, b""), events);
+    assert_eq!(done_answers(addr, &hex, &bodies, true), resident);
+    assert_eq!(job_files(&dir), files, "a cache hit wrote to the job");
+    assert_eq!(raw_exchange(addr, Method::Get, "/healthz", b""), health);
+    drain_within(server, Duration::from_secs(60));
+}
+
+#[test]
+fn a_done_job_with_a_bad_report_answers_as_it_always_has() {
+    let state = temp_dir("bad-report");
+    let ids = [0x0bad_0001_u64, 0x0bad_0002];
+    for (id, report) in ids.iter().zip([&b"{\"cut\":"[..], &b"\xff\xfe"[..]]) {
+        let paths = jobs::paths(&state, *id);
+        std::fs::create_dir_all(&paths.dir).expect("job dir");
+        std::fs::write(&paths.report, report).expect("report planted");
+    }
+    let server = Server::start(ServeConfig::new("127.0.0.1:0", &state)).expect("server boots");
+    let addr = server.addr();
+    let health = body_text(&exchange(addr, Method::Get, "/healthz", b""));
+    assert!(health.contains("\"done\":2"), "{health}");
+    let parse_error = nomc_json::Json::parse("{\"cut\":")
+        .expect_err("a cut document")
+        .to_string();
+    for (id, reason) in ids
+        .iter()
+        .zip([parse_error.as_str(), "stream did not contain valid UTF-8"])
+    {
+        let hex = jobs::id_hex(*id);
+        // Twice each: a report that does not parse never becomes
+        // resident, so both answers stay the disk path's.
+        for _ in 0..2 {
+            let status = exchange(addr, Method::Get, &format!("/jobs/{hex}"), b"");
+            let want = nomc_json::Json::object([
+                ("job", nomc_json::Json::Str(hex.clone())),
+                ("state", nomc_json::Json::Str("done".into())),
+                ("report_error", nomc_json::Json::Str(reason.into())),
+            ]);
+            assert_eq!((status.status, body_text(&status)), (200, want.dump()));
+            let report = exchange(addr, Method::Get, &format!("/jobs/{hex}/report"), b"");
+            let on_disk = std::fs::read(jobs::paths(&state, *id).report).expect("report");
+            assert_eq!((report.status, report.body), (200, on_disk));
+        }
+    }
+    drain_within(server, Duration::from_secs(60));
+}
