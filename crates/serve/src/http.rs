@@ -13,6 +13,8 @@
 //! chunked transfer encoding, continuation lines, and methods other
 //! than `GET`/`POST`.
 
+use std::sync::Arc;
+
 /// Largest accepted request/status line + header block, in bytes.
 /// Anything still headerless past this is load, not a client.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -442,7 +444,29 @@ pub struct Response {
     /// `Content-Length` and `Connection: close`).
     pub headers: Vec<(&'static str, String)>,
     /// Response body.
-    pub body: Vec<u8>,
+    pub body: Body,
+}
+
+/// A response body: bytes rendered for this one answer, or bytes shared
+/// with a cache (a done job's resident answers), which are copied only
+/// when the response is rendered for the wire.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Body {
+    /// Rendered for this answer.
+    Owned(Vec<u8>),
+    /// Shared with whoever keeps the bytes resident.
+    Shared(Arc<[u8]>),
+}
+
+impl std::ops::Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Body::Owned(bytes) => bytes,
+            Body::Shared(bytes) => bytes,
+        }
+    }
 }
 
 impl Response {
@@ -452,13 +476,13 @@ impl Response {
             status,
             content_type: "application/json",
             headers: Vec::new(),
-            body: value.dump().into_bytes(),
+            body: Body::Owned(value.dump().into_bytes()),
         }
     }
 
     /// A JSON response from pre-rendered bytes (served byte-identically
-    /// to what is on disk).
-    pub fn raw_json(status: u16, body: Vec<u8>) -> Response {
+    /// to what is on disk), owned or shared.
+    pub fn raw_json(status: u16, body: Body) -> Response {
         Response {
             status,
             content_type: "application/json",
@@ -483,7 +507,9 @@ impl Response {
 
     /// Renders the response bytes (always `Connection: close`: one
     /// exchange per connection keeps the server's resource lifecycle
-    /// trivially bounded).
+    /// trivially bounded). Head and body go into one buffer, sized up
+    /// front, so the body is copied once and the caller sends the
+    /// whole answer with a single write.
     pub fn render(&self) -> Vec<u8> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
@@ -499,7 +525,8 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        let mut out = head.into_bytes();
+        let mut out = Vec::with_capacity(head.len() + self.body.len());
+        out.extend_from_slice(head.as_bytes());
         out.extend_from_slice(&self.body);
         out
     }
@@ -726,7 +753,7 @@ mod tests {
         assert_eq!(parsed.status, 429);
         assert_eq!(parsed.header("retry-after"), Some("2"));
         assert_eq!(parsed.header("connection"), Some("close"));
-        assert_eq!(parsed.body, resp.body);
+        assert_eq!(parsed.body[..], resp.body[..]);
         // Truncations of the response are Partial, same as requests.
         for cut in 0..bytes.len() {
             assert_eq!(parse_response(&bytes[..cut]), Ok(Parsed::Partial));

@@ -106,10 +106,12 @@ impl EventLog {
 pub struct Ready {
     /// The `GET /jobs/<id>` body:
     /// `{"job":…,"state":"done","report":<the report, compact>}`.
-    pub status: Vec<u8>,
+    /// Shared with the responses that answer it, so an answer copies
+    /// it once, into the bytes it writes.
+    pub status: Arc<[u8]>,
     /// The `GET /jobs/<id>/report` body: the exact bytes of
-    /// `report.json`.
-    pub report: Vec<u8>,
+    /// `report.json`, shared the same way.
+    pub report: Arc<[u8]>,
 }
 
 impl Ready {
@@ -131,7 +133,10 @@ impl Ready {
                 ])
                 .dump()
                 .into_bytes();
-                Ok(Ready { status, report })
+                Ok(Ready {
+                    status: status.into(),
+                    report: report.into(),
+                })
             }
             Err(reason) => Err(Unready {
                 bytes: Some(report),
@@ -697,7 +702,7 @@ mod tests {
             reg.apply(7, &JobEvent::MemberDone),
             JobState::Running { done: 1, total: 1 }
         );
-        reg.finish(7, ready(7).report);
+        reg.finish(7, ready(7).report.to_vec());
         assert_eq!(reg.lookup(7), Some(Lookup::Done(Arc::new(ready(7)))));
         assert_eq!(reg.stats().done, 1);
     }
@@ -874,7 +879,7 @@ mod tests {
         reg.apply(id, &JobEvent::Start { total: 1 });
         reg.apply(id, &JobEvent::MemberDone);
         plant_done(reg, id);
-        reg.finish(id, ready(id).report);
+        reg.finish(id, ready(id).report.to_vec());
     }
 
     #[test]

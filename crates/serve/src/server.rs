@@ -46,7 +46,7 @@ use nomc_sim::{SimObserver, SimResult};
 use nomc_units::SimTime;
 
 use crate::deadline::DeadlineStream;
-use crate::http::{self, Method, Parsed, Request, Response};
+use crate::http::{self, Body, Method, Parsed, Request, Response};
 use crate::jobs::{self, JobEvent, JobSpec};
 use crate::registry::{Admission, Lookup, Registry, Unready};
 
@@ -698,7 +698,9 @@ fn job_status(ctx: &Ctx, id_text: &str) -> Response {
     // A done job's answer is its ready bytes; only a report that cannot
     // be read back is rendered here.
     let (state, error, report_error) = match ctx.registry.lookup(id) {
-        Some(Lookup::Done(ready)) => return Response::raw_json(200, ready.status.clone()),
+        Some(Lookup::Done(ready)) => {
+            return Response::raw_json(200, Body::Shared(Arc::clone(&ready.status)))
+        }
         Some(Lookup::Unready(unready)) => (jobs::JobState::Done, None, Some(unready.reason)),
         Some(Lookup::Live { state, error }) => (state, error, None),
         None => return not_found(),
@@ -727,11 +729,13 @@ fn job_report(ctx: &Ctx, id_text: &str) -> Response {
         return not_found();
     };
     match ctx.registry.lookup(id) {
-        Some(Lookup::Done(ready)) => Response::raw_json(200, ready.report.clone()),
+        Some(Lookup::Done(ready)) => {
+            Response::raw_json(200, Body::Shared(Arc::clone(&ready.report)))
+        }
         // Served as it is: the route never re-serializes a report.
         Some(Lookup::Unready(Unready {
             bytes: Some(bytes), ..
-        })) => Response::raw_json(200, bytes),
+        })) => Response::raw_json(200, Body::Owned(bytes)),
         Some(Lookup::Unready(Unready { reason, .. })) => Response::json(
             500,
             &Json::object([("error", Json::Str(format!("reading report: {reason}")))]),

@@ -40,12 +40,12 @@
 //! # Channel cutoff
 //!
 //! Power queries ([`Medium::sensed_components`], [`Medium::sensed_total`],
-//! [`Medium::interference_segments`], [`Medium::interference_bound`])
-//! skip channels whose CFD to the observer frequency exceeds
-//! [`AcrCurve::saturation_cfd`]: past the curve's support the rejection
-//! is at its ~50 dB floor and the leaked power (≈1e-5 of an
-//! already-weak signal) is physically negligible, so such channels are
-//! treated as fully orthogonal. The predicate itself
+//! [`Medium::interference_segments`], [`Medium::interference_bound`] and
+//! the running-bound queries below) skip channels whose CFD to the
+//! observer frequency exceeds [`AcrCurve::saturation_cfd`]: past the
+//! curve's support the rejection is at its ~50 dB floor and the leaked
+//! power (≈1e-5 of an already-weak signal) is physically negligible, so
+//! such channels are treated as fully orthogonal. The predicate itself
 //! lives in [`crate::reach::channel_coupled`] and is shared with the
 //! shard partitioner, so sensing and partitioning can never disagree
 //! about which channels couple. [`Medium::was_collided`]
@@ -61,8 +61,9 @@
 //! `sensed_components` accumulates channel-major (channels in ascending
 //! frequency order, ids ascending within a channel) to keep the hot
 //! path allocation-free; within any single channel the order is still
-//! id order. `interference_bound` sums channel-major too: it is only
-//! ever compared against a margin, never reported. The per-channel
+//! id order. `interference_bound` sums channel-major too, and a
+//! reception's running bound in registration order: both are only ever
+//! compared against a margin, never reported. The per-channel
 //! leakage factor is computed once per channel per query instead of
 //! once per transmission.
 //!
@@ -114,6 +115,25 @@
 //! sum many times over. The engine asks the bound first and builds
 //! segments only for the few windows where a bit can fail, so the RNG
 //! stream and every output bit are those of the segment path.
+//!
+//! The engine does not walk for that bound on every sync and decode.
+//! Each reception keeps a running bound with the same terms, fed by
+//! three queries:
+//!
+//! - [`Medium::on_air_interference`] seeds it when the receiver locks:
+//!   everything on air at the frame's start, walked over the short
+//!   `active` lists;
+//! - [`Medium::coupled_power`] is what each later registration adds to
+//!   it while the lock lasts;
+//! - [`Medium::ambient_interference`] adds the jammer bursts over each
+//!   query window, since bursts are not registrations.
+//!
+//! The running bound only grows (nothing is subtracted when a frame
+//! ends), so it is a superset of the walk's terms summed in another
+//! order, which the same margin covers. A looser bound only sends more
+//! windows to the segment path. The walk itself remains for receptions
+//! that hold no lock (an ACK at its original sender) and for re-seeding
+//! a bound after a snapshot restore.
 
 use crate::events::{NodeId, TxId};
 use crate::reach;
@@ -585,38 +605,13 @@ impl Medium {
     ) -> (MilliWatts, MilliWatts) {
         let mut co = MilliWatts::ZERO;
         let mut inter = MilliWatts::ZERO;
-        let now_ns = now.as_nanos();
-        // Incremental path: each channel's `active` list holds exactly
-        // the registered-but-not-retired entries, maintained by
-        // add/retire deltas. The activity predicate still runs per entry
-        // (an engine that never calls `retire`, or a query at a past
-        // instant, must see identical results), but the list being a
-        // live id-ordered subsequence of `ids` means the contributing
-        // set — and therefore the summation order — matches
-        // [`Medium::sensed_components_naive`] bit for bit.
-        for ch in &self.channels {
-            if ch.active.is_empty() {
-                continue;
+        self.for_each_on_air(observer, freq, now, |cfd, coupled| {
+            if cfd.value() < 0.5 {
+                co += coupled;
+            } else {
+                inter += coupled;
             }
-            let cfd = ch.freq.distance_to(freq);
-            if !reach::channel_coupled(cfd, self.cutoff_mhz) {
-                continue;
-            }
-            let mut leak: Option<f64> = None;
-            for ce in &ch.active {
-                if ce.tx_node == observer || !(ce.start_ns <= now_ns && now_ns < ce.end_ns) {
-                    continue;
-                }
-                let Some(e) = self.entry(ce.id) else { continue };
-                let factor = *leak.get_or_insert_with(|| self.leakage(cfd));
-                let coupled = e.rx_milliwatts(observer) * factor;
-                if cfd.value() < 0.5 {
-                    co += coupled;
-                } else {
-                    inter += coupled;
-                }
-            }
-        }
+        });
         // Ambient (jammer) energy last, so the fault-free sum above is
         // untouched bit for bit.
         for a in &self.ambient {
@@ -635,6 +630,95 @@ impl Medium {
             }
         }
         (co, inter)
+    }
+
+    /// The coupled power at `observer` (tuned to `freq`) of every
+    /// registered transmission on air at `now`, the observer's own
+    /// emissions excluded; ambient bursts and noise are not included.
+    /// This seeds a reception's running interference bound when it
+    /// locks (see the module notes on bound-first reception).
+    pub fn on_air_interference(
+        &self,
+        observer: NodeId,
+        freq: Megahertz,
+        now: SimTime,
+    ) -> MilliWatts {
+        let mut total = MilliWatts::ZERO;
+        self.for_each_on_air(observer, freq, now, |_, coupled| total += coupled);
+        total
+    }
+
+    /// The active-set walk behind [`Medium::sensed_components`] and
+    /// [`Medium::on_air_interference`]: calls `visit(cfd, coupled)` for
+    /// every registered transmission on air at `now` on a coupled
+    /// channel, except the observer's own, channel-major with ids
+    /// ascending within a channel.
+    ///
+    /// Each channel's `active` list holds exactly the
+    /// registered-but-not-retired entries, maintained by add/retire
+    /// deltas. The activity predicate still runs per entry (an engine
+    /// that never calls `retire`, or a query at a past instant, must
+    /// see identical results), but the list being a live id-ordered
+    /// subsequence of `ids` means the contributing set — and therefore
+    /// the summation order — matches
+    /// [`Medium::sensed_components_naive`] bit for bit.
+    #[inline]
+    fn for_each_on_air(
+        &self,
+        observer: NodeId,
+        freq: Megahertz,
+        now: SimTime,
+        mut visit: impl FnMut(Megahertz, MilliWatts),
+    ) {
+        let now_ns = now.as_nanos();
+        for ch in &self.channels {
+            if ch.active.is_empty() {
+                continue;
+            }
+            let cfd = ch.freq.distance_to(freq);
+            if !reach::channel_coupled(cfd, self.cutoff_mhz) {
+                continue;
+            }
+            let mut leak: Option<f64> = None;
+            for ce in &ch.active {
+                if ce.tx_node == observer || !(ce.start_ns <= now_ns && now_ns < ce.end_ns) {
+                    continue;
+                }
+                let Some(e) = self.entry(ce.id) else { continue };
+                let factor = *leak.get_or_insert_with(|| self.leakage(cfd));
+                visit(cfd, e.rx_milliwatts(observer) * factor);
+            }
+        }
+    }
+
+    /// The power transmission `id` couples into `observer` tuned to
+    /// `freq`: its received power times the leakage at their CFD, or
+    /// zero when `id` is the observer's own emission, sits on a channel
+    /// past the cutoff, or is not tracked. This is the term every
+    /// overlapping window's [`Medium::interference_bound`] takes for
+    /// `id`, and what a registration adds to the running bound of each
+    /// reception already in progress.
+    pub fn coupled_power(&self, id: TxId, observer: NodeId, freq: Megahertz) -> MilliWatts {
+        let Some(e) = self.entry(id) else {
+            return MilliWatts::ZERO;
+        };
+        let cfd = e.tx.frequency.distance_to(freq);
+        if e.tx.tx_node == observer || !reach::channel_coupled(cfd, self.cutoff_mhz) {
+            return MilliWatts::ZERO;
+        }
+        e.rx_milliwatts(observer) * self.leakage(cfd)
+    }
+
+    /// The coupled power of every ambient burst overlapping `[from,
+    /// to]` at an observer tuned to `freq`, summed as if they all
+    /// overlapped at once — the ambient terms of
+    /// [`Medium::interference_bound`]. Bursts are not registrations, so
+    /// a running bound cannot pick them up as they start; a reception
+    /// adds them per query window instead.
+    pub fn ambient_interference(&self, freq: Megahertz, from: SimTime, to: SimTime) -> MilliWatts {
+        let mut total = MilliWatts::ZERO;
+        self.for_each_ambient(freq, from, to, |_, _, p| total += p);
+        total
     }
 
     /// The pre-incremental reference walk: filters each channel's full
@@ -854,21 +938,30 @@ impl Medium {
                 registered += 1;
             }
         }
+        self.for_each_ambient(freq, from, to, |s, e, p| visit(TxId::MAX, s, e, p));
+        registered
+    }
+
+    /// Calls `visit(start, end, coupled)` for every ambient burst on a
+    /// coupled channel overlapping `[from, to]`, in plan order, with its
+    /// overlap and its power coupled into `freq`.
+    fn for_each_ambient(
+        &self,
+        freq: Megahertz,
+        from: SimTime,
+        to: SimTime,
+        mut visit: impl FnMut(SimTime, SimTime, MilliWatts),
+    ) {
         for a in &self.ambient {
-            if !reach::channel_coupled(a.freq.distance_to(freq), self.cutoff_mhz) {
+            let cfd = a.freq.distance_to(freq);
+            if !reach::channel_coupled(cfd, self.cutoff_mhz) {
                 continue;
             }
             let Some((s, e)) = a.overlap(from, to) else {
                 continue;
             };
-            visit(
-                TxId::MAX,
-                s,
-                e,
-                a.rx_mw * self.leakage(a.freq.distance_to(freq)),
-            );
+            visit(s, e, a.rx_mw * self.leakage(cfd));
         }
-        registered
     }
 
     /// Whether any *other* transmission overlapped `[from, to]` with a

@@ -39,7 +39,7 @@ impl Engine<'_, '_, '_> {
         }
         let start = self.now;
         let end = start + self.ack_airtime;
-        self.medium.add(Transmission {
+        self.register(Transmission {
             id,
             tx_node: o,
             link,
@@ -71,14 +71,23 @@ impl Engine<'_, '_, '_> {
             (ack.start, ack.start + self.sync_dur),
             (ack.mpdu_start, ack.end),
         );
+        // The sender holds no lock on the ACK, so both windows take the
+        // medium walk for their bound.
+        let sync_bound = self
+            .medium
+            .interference_bound(ack_id, sender, freq, sync.0, sync.1);
         let p_sync = self.window_sync_probability(
             ack_id,
             sender,
             freq,
             sync,
             signal + self.sc.radio.sync_margin,
+            sync_bound,
         );
-        let (errors, _) = self.window_errors(ack_id, sender, freq, payload, signal);
+        let payload_bound = self
+            .medium
+            .interference_bound(ack_id, sender, freq, payload.0, payload.1);
+        let (errors, _) = self.window_errors(ack_id, sender, freq, payload, signal, payload_bound);
         let decoded = errors == 0 && self.rng.gen::<f64>() < p_sync;
         if decoded {
             self.nodes[sender].awaiting_ack = None;

@@ -92,6 +92,11 @@ pub(crate) struct Engine<'a, 'o, 'e> {
     /// Reused buffer for interference-segment queries (sync + decode):
     /// one allocation per run instead of one per query.
     pub(crate) seg_buf: Vec<Segment>,
+    /// The receptions whose running bounds each registration feeds, as
+    /// (node, locked frame). Entries go stale when the node drops or
+    /// replaces its lock; the next registration sweeps them out, so
+    /// no other handler that clears a lock has to know about the list.
+    pub(crate) locks: Vec<(NodeId, TxId)>,
     pub(crate) tx_meta: BTreeMap<TxId, TxMeta>,
     /// Upstream link → its forwarding sender node.
     pub(crate) forwarders: BTreeMap<usize, NodeId>,
@@ -266,6 +271,7 @@ impl<'a, 'o, 'e> Engine<'a, 'o, 'e> {
             link_rx,
             sync_candidates,
             seg_buf: Vec::new(),
+            locks: Vec::new(),
             tx_meta: BTreeMap::new(),
             forwarders,
             airtime,

@@ -12,7 +12,7 @@ use crate::scenario::TrafficModel;
 use crate::trace::TraceKind;
 use nomc_core::CcaAdjustor;
 use nomc_mac::{CcaThresholdProvider, FixedThreshold, MacCommand, MacEngine, MacEvent, MacStats};
-use nomc_units::{Dbm, Megahertz, SimTime};
+use nomc_units::{Dbm, Megahertz, MilliWatts, SimTime};
 
 /// CCA-threshold provider dispatch (kept as an enum so nodes stay
 /// `Clone`-free but simple).
@@ -76,6 +76,12 @@ impl Provider {
 pub(crate) struct RxAttempt {
     pub(crate) tx_id: TxId,
     pub(crate) synced: bool,
+    /// Add-only bound on the registered interference the frame can
+    /// meet at this node: seeded with everything on air when the node
+    /// locks, grown by every registration while it stays locked (see
+    /// `Engine::register`). Not part of a snapshot: a restore re-seeds
+    /// it from the medium.
+    pub(crate) bound: MilliWatts,
 }
 
 /// Per-node runtime state.

@@ -50,7 +50,7 @@ use crate::trace::{TraceKind, TraceRecord};
 use nomc_core::AdjustorSnapshot;
 use nomc_json::{Error, FromJson, Json, ToJson};
 use nomc_mac::{MacEngine, MacSnapshot, MacStats};
-use nomc_units::{Dbm, Megahertz, SimDuration, SimTime};
+use nomc_units::{Dbm, Megahertz, MilliWatts, SimDuration, SimTime};
 use std::fmt;
 
 /// Version stamped into every serialized snapshot; bumped whenever the
@@ -512,7 +512,13 @@ fn restore_node(node: &mut Node, st: &NodeState, idx: usize) -> Result<(), Snaps
         }
     }
     node.stats = st.stats;
-    node.rx = st.rx.map(|(tx_id, synced)| RxAttempt { tx_id, synced });
+    // The running bound is re-seeded once the medium is back (see
+    // `Engine::reseed_receptions`).
+    node.rx = st.rx.map(|(tx_id, synced)| RxAttempt {
+        tx_id,
+        synced,
+        bound: MilliWatts::ZERO,
+    });
     node.transmitting = st.transmitting;
     node.next_interval_at = st.next_interval_at;
     node.forced_next = st.forced_next;
@@ -694,6 +700,7 @@ impl<'a, 'o, 'e> Engine<'a, 'o, 'e> {
         engine
             .medium
             .restore_history(snap.medium.history.clone(), snap.medium.max_duration);
+        engine.reseed_receptions();
         engine.obs.metrics.restore_links(snap.metrics.clone());
         match (&mut engine.obs.trace, &snap.trace) {
             (Some(rec), Some(records)) => rec.restore_records(records.clone()),

@@ -15,7 +15,7 @@ use crate::trace::TraceKind;
 use nomc_mac::MacEvent;
 use nomc_radio::timing;
 use nomc_rngcore::Rng;
-use nomc_units::{Dbm, Megahertz, SimTime};
+use nomc_units::{Dbm, Megahertz, MilliWatts, SimTime};
 
 /// Engine-side metadata for an in-flight transmission.
 #[derive(Debug)]
@@ -92,10 +92,17 @@ impl Engine<'_, '_, '_> {
             {
                 continue;
             }
+            // The running bound starts with everything already on air;
+            // this frame is not registered yet, so it is not counted.
+            let bound = self
+                .medium
+                .on_air_interference(o, self.nodes[o].freq, start);
             self.nodes[o].rx = Some(RxAttempt {
                 tx_id: id,
                 synced: false,
+                bound,
             });
+            self.locks.push((o, id));
             self.queue.schedule(sync_at, Event::SyncDone(o, id));
         }
         let intended_busy = {
@@ -139,7 +146,7 @@ impl Engine<'_, '_, '_> {
             at: start,
             end,
         });
-        self.medium.add(Transmission {
+        self.register(Transmission {
             id,
             tx_node: n,
             link,
@@ -179,11 +186,13 @@ impl Engine<'_, '_, '_> {
         // below the payload decoding threshold (sync_margin).
         let coupled = t.rx_power[o] - self.medium.acr().rejection(cfd) + self.sc.radio.sync_margin;
         let window = (t.start, t.start + self.sync_dur);
-        let p = self.window_sync_probability(tx_id, o, self.nodes[o].freq, window, coupled);
+        let freq = self.nodes[o].freq;
+        let bound = self.reception_bound(attempt.bound, tx_id, o, freq, window);
+        let p = self.window_sync_probability(tx_id, o, freq, window, coupled, bound);
         if self.rng.gen::<f64>() < p {
             self.nodes[o].rx = Some(RxAttempt {
-                tx_id,
                 synced: true,
+                ..attempt
             });
         } else {
             self.nodes[o].rx = None;
@@ -219,11 +228,8 @@ impl Engine<'_, '_, '_> {
         // touches another node's lock, so the in-place scan visits the
         // same set a pre-collected list would).
         for o in 0..self.nodes.len() {
-            if self.nodes[o]
-                .rx
-                .is_some_and(|r| r.tx_id == tx_id && r.synced)
-            {
-                self.decode(o, tx_id);
+            if let Some(r) = self.nodes[o].rx.filter(|r| r.tx_id == tx_id && r.synced) {
+                self.decode(o, tx_id, r.bound);
                 self.nodes[o].rx = None;
             }
         }
@@ -281,8 +287,9 @@ impl Engine<'_, '_, '_> {
     }
 
     /// Decodes transmission `tx_id` at node `o` (which stayed locked to
-    /// it until the end).
-    fn decode(&mut self, o: NodeId, tx_id: TxId) {
+    /// it until the end, accumulating the running interference bound
+    /// `running`).
+    fn decode(&mut self, o: NodeId, tx_id: TxId, running: MilliWatts) {
         let Some(t) = self.medium.get(tx_id) else {
             return;
         };
@@ -299,7 +306,8 @@ impl Engine<'_, '_, '_> {
             Some(m) => (m.measured, m.intended_rx),
             None => (false, usize::MAX),
         };
-        let (errors, bits) = self.window_errors(tx_id, o, obs_freq, window, signal);
+        let bound = self.reception_bound(running, tx_id, o, obs_freq, window);
+        let (errors, bits) = self.window_errors(tx_id, o, obs_freq, window, signal, bound);
         let mut new_record = None;
         let decoded = if errors == 0 {
             true
@@ -388,11 +396,86 @@ impl Engine<'_, '_, '_> {
         }
     }
 
+    /// Registers `tx` with the medium and adds its coupled power to the
+    /// running bound of every reception in progress, except those locked
+    /// to `tx` itself. Every registration — data frame or ACK — goes
+    /// through here, so no overlapping frame can escape a bound.
+    ///
+    /// The bound only grows. It is never a running total that must stay
+    /// exact (frames that end are not subtracted): it is compared
+    /// against a margin, and a looser bound only sends a window down the
+    /// segment path, which gives the same bits.
+    pub(super) fn register(&mut self, tx: Transmission) {
+        let id = tx.id;
+        self.medium.add(tx);
+        let (nodes, medium) = (&mut self.nodes, &self.medium);
+        self.locks.retain(|&(o, locked)| {
+            let node = &mut nodes[o];
+            let freq = node.freq;
+            match node.rx.as_mut() {
+                Some(rx) if rx.tx_id == locked => {
+                    if locked != id {
+                        rx.bound += medium.coupled_power(id, o, freq);
+                    }
+                    true
+                }
+                _ => false,
+            }
+        });
+    }
+
+    /// Re-seeds the running bound of every restored reception from one
+    /// walk of the medium over its frame (a snapshot does not carry the
+    /// bound), and rebuilds the list registrations feed. The walk covers
+    /// both query windows whatever the frame's times say, so even a
+    /// corrupted but parseable snapshot keeps the bound sound.
+    pub(super) fn reseed_receptions(&mut self) {
+        self.locks.clear();
+        for o in 0..self.nodes.len() {
+            let Some(rx) = self.nodes[o].rx else {
+                continue;
+            };
+            let bound = self.medium.get(rx.tx_id).map_or(MilliWatts::ZERO, |t| {
+                let from = t.start.min(t.mpdu_start);
+                let to = t.end.max(t.start + self.sync_dur);
+                self.medium
+                    .interference_bound(rx.tx_id, o, self.nodes[o].freq, from, to)
+            });
+            self.nodes[o].rx = Some(RxAttempt { bound, ..rx });
+            self.locks.push((o, rx.tx_id));
+        }
+    }
+
+    /// The interference bound for `window` of a reception of `subject`
+    /// at `o` (tuned to `freq`) whose running bound is `running`: that
+    /// plus the ambient bursts over the window. At least the walk
+    /// [`crate::medium::Medium::interference_bound`] over the same
+    /// window up to the rounding of a differently-ordered sum, which
+    /// debug builds check on every reception.
+    fn reception_bound(
+        &self,
+        running: MilliWatts,
+        subject: TxId,
+        o: NodeId,
+        freq: Megahertz,
+        (from, to): (SimTime, SimTime),
+    ) -> MilliWatts {
+        let bound = running + self.medium.ambient_interference(freq, from, to);
+        debug_assert!(
+            {
+                let walk = self.medium.interference_bound(subject, o, freq, from, to);
+                bound.value() >= walk.value() * (1.0 - 1e-12)
+            },
+            "running bound {bound:?} of tx {subject} at node {o} is below the walk over {from:?}..{to:?}"
+        );
+        bound
+    }
+
     /// Bit errors sampled over `window` of `subject` as received by `o`
     /// (tuned to `freq`) at `signal`, as `(errors, bits)`.
     ///
     /// Bound-first (see the `medium` module notes): a window whose
-    /// interference bound leaves `signal` at or above the BER model's
+    /// interference `bound` leaves `signal` at or above the BER model's
     /// error-free SINR answers `(0, 0)` without building segments or
     /// drawing, exactly as the segment path would draw nothing for it.
     /// The bit count is reported only when the segments are built; no
@@ -404,8 +487,9 @@ impl Engine<'_, '_, '_> {
         freq: Megahertz,
         window: (SimTime, SimTime),
         signal: Dbm,
+        bound: MilliWatts,
     ) -> (u32, u32) {
-        if !self.build_segments(subject, o, freq, window, signal) {
+        if !self.build_segments(subject, o, freq, window, signal, bound) {
             return (0, 0);
         }
         medium::sample_segment_errors(
@@ -418,8 +502,9 @@ impl Engine<'_, '_, '_> {
     }
 
     /// Probability that `o` (tuned to `freq`) acquires sync on `subject`
-    /// over `window` at `signal`: exactly 1.0 when the interference bound
-    /// proves every bit error-free, the segment product otherwise.
+    /// over `window` at `signal`: exactly 1.0 when the interference
+    /// `bound` proves every bit error-free, the segment product
+    /// otherwise.
     pub(super) fn window_sync_probability(
         &mut self,
         subject: TxId,
@@ -427,8 +512,9 @@ impl Engine<'_, '_, '_> {
         freq: Megahertz,
         window: (SimTime, SimTime),
         signal: Dbm,
+        bound: MilliWatts,
     ) -> f64 {
-        if !self.build_segments(subject, o, freq, window, signal) {
+        if !self.build_segments(subject, o, freq, window, signal, bound) {
             return 1.0;
         }
         medium::sync_success_probability(
@@ -440,9 +526,10 @@ impl Engine<'_, '_, '_> {
     }
 
     /// The bound-first test shared by both window questions: `false` when
-    /// `signal ≥ R · (interference bound + noise)` settles the window as
-    /// error-free; otherwise fills `seg_buf` with the window's segments
-    /// and returns `true`.
+    /// `signal ≥ R · (bound + noise)` settles the window as error-free;
+    /// otherwise fills `seg_buf` with the window's segments and returns
+    /// `true`. `bound` must be at least the window's
+    /// [`crate::medium::Medium::interference_bound`].
     fn build_segments(
         &mut self,
         subject: TxId,
@@ -450,8 +537,8 @@ impl Engine<'_, '_, '_> {
         freq: Megahertz,
         (from, to): (SimTime, SimTime),
         signal: Dbm,
+        bound: MilliWatts,
     ) -> bool {
-        let bound = self.medium.interference_bound(subject, o, freq, from, to);
         let floor =
             (bound + self.medium.noise()).value() * self.sc.radio.ber_model.error_free_sinr();
         if signal.to_milliwatts().value() >= floor {

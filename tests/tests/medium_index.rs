@@ -10,9 +10,10 @@
 //! documented summation orders (channel-major for
 //! [`Medium::sensed_components`], id order for
 //! [`Medium::interference_segments`]). The bound-first reception
-//! cutoff is pinned here too: whenever [`Medium::interference_bound`]
-//! puts a signal at or above the BER model's error-free SINR, the
-//! segment path draws nothing and succeeds with certainty.
+//! cutoff is pinned here too: whenever [`Medium::interference_bound`],
+//! or a reception's running bound accumulated the way the engine
+//! accumulates it, puts a signal at or above the BER model's error-free
+//! SINR, the segment path draws nothing and succeeds with certainty.
 
 use nomc_phy::BerModel;
 use nomc_rngcore::check::{boolean, forall, range, vec_of, zip2, zip3, zip4, G};
@@ -54,35 +55,48 @@ fn arb_specs() -> G<Vec<Spec>> {
     )
 }
 
-/// Builds the indexed medium and the flat reference registry from the
-/// same specs. Specs are sorted by start (the engine registers in event
-/// order) and ids minted consecutively from 1; the reference applies
-/// the same prefix-only pruning `Medium::add` applies.
-fn build(specs: &[Spec]) -> (Medium, VecDeque<Transmission>) {
-    let mut sorted = specs.to_vec();
-    sorted.sort_by_key(|&(_, start, ..)| start);
-    let mut medium = Medium::new(
+/// A medium with the CC2420 rejection curve and a −98 dBm noise floor.
+fn new_medium() -> Medium {
+    Medium::new(
         nomc_phy::coupling::AcrCurve::cc2420_calibrated(),
         Dbm::new(-98.0).to_milliwatts(),
-    );
-    let mut flat: VecDeque<Transmission> = VecDeque::new();
-    for (i, &(k, start_us, dur_us, power)) in sorted.iter().enumerate() {
-        let start = SimTime::from_micros(start_us);
-        let tx = Transmission {
+    )
+}
+
+/// The transmissions of `specs` in registration order: sorted by start
+/// (the engine registers in event order), ids minted consecutively
+/// from 1.
+fn transmissions(specs: &[Spec]) -> Vec<Transmission> {
+    let mut sorted = specs.to_vec();
+    sorted.sort_by_key(|&(_, start, ..)| start);
+    sorted
+        .iter()
+        .enumerate()
+        .map(|(i, &(k, start_us, dur_us, power))| Transmission {
             id: (i + 1) as TxId,
             tx_node: i % NODES,
             link: i % NODES,
             frequency: grid(k),
-            start,
+            start: SimTime::from_micros(start_us),
             mpdu_start: SimTime::from_micros(start_us + 192),
             end: SimTime::from_micros(start_us + dur_us),
             seq: 0,
             forced: false,
             rx_power: (0..NODES).map(|n| Dbm::new(power - n as f64)).collect(),
-        };
+        })
+        .collect()
+}
+
+/// Builds the indexed medium and the flat reference registry from the
+/// same specs; the reference applies the same prefix-only pruning
+/// `Medium::add` applies.
+fn build(specs: &[Spec]) -> (Medium, VecDeque<Transmission>) {
+    let mut medium = new_medium();
+    let mut flat: VecDeque<Transmission> = VecDeque::new();
+    for tx in transmissions(specs) {
         while flat
             .front()
-            .is_some_and(|t| start.saturating_since(t.end) > RETENTION)
+            .is_some_and(|t| tx.start.saturating_since(t.end) > RETENTION)
         {
             flat.pop_front();
         }
@@ -90,6 +104,36 @@ fn build(specs: &[Spec]) -> (Medium, VecDeque<Transmission>) {
         medium.add(tx);
     }
     (medium, flat)
+}
+
+/// Registers `specs` in time order while `observer` (tuned to `freq`)
+/// holds a lock on the `pick`-th of them from its start to its end,
+/// and keeps that reception's running bound the way the engine does:
+/// seeded when the lock is taken with everything on air (before the
+/// locked frame itself is registered), then grown by the coupled power
+/// of every registration while the lock lasts. Returns the medium, the
+/// locked frame and its running bound.
+fn build_locked(
+    specs: &[Spec],
+    pick: usize,
+    observer: NodeId,
+    freq: Megahertz,
+) -> (Medium, Transmission, MilliWatts) {
+    let txs = transmissions(specs);
+    let subject = txs[pick % txs.len()].clone();
+    let mut medium = new_medium();
+    let mut running = MilliWatts::ZERO;
+    for tx in txs {
+        let (id, start) = (tx.id, tx.start);
+        if id == subject.id {
+            running = medium.on_air_interference(observer, freq, start);
+        }
+        medium.add(tx);
+        if id > subject.id && start < subject.end {
+            running += medium.coupled_power(id, observer, freq);
+        }
+    }
+    (medium, subject, running)
 }
 
 /// Flat-scan reference for [`Medium::sensed_components`]: channel-major
@@ -281,47 +325,84 @@ fn collision_predicate_matches_full_scan() {
     );
 }
 
-/// The bound-first cutoff is sound: whenever `signal ≥ R · (bound +
-/// noise)`, sampling the window's segments yields no errors and consumes
-/// no randomness, and the sync probability is exactly 1.0. Signals are
-/// placed within a few dB of the cutoff on both sides, so the implication
-/// is exercised at its edge; only the implication is asserted, never an
-/// ordering between the bound and a differently-summed segment.
+/// The bound-first cutoff is sound for both bounds the engine reads: the
+/// medium walk [`Medium::interference_bound`] and a reception's running
+/// bound (its seed, its adds and the ambient bursts over the window),
+/// which must be at least the walk up to the rounding of a
+/// differently-ordered sum. Whenever `signal ≥ R · (bound + noise)`,
+/// sampling the window's segments yields no errors and consumes no
+/// randomness, and the sync probability is exactly 1.0. Windows are
+/// stretches of the locked frame, a jammer burst rides along in about
+/// half the cases, and signals are placed within a few dB of one of the
+/// two cutoffs on both sides, so the implication is exercised at each
+/// edge; only the implication is asserted, never an ordering between a
+/// bound and a differently-summed segment.
 #[test]
 fn interference_bound_settles_only_error_free_windows() {
     let settled = std::sync::atomic::AtomicU32::new(0);
     let g = zip4(
         arb_specs(),
         zip3(range(0usize..NODES), range(0usize..8), boolean()),
-        zip2(range(0u64..45), range(-1.0f64..3.0)),
-        zip2(range(0u64..36_000), range(1u64..6_000)),
+        zip3(range(0usize..40), range(-1.0f64..3.0), boolean()),
+        zip3(
+            zip2(range(0u64..1_001), range(0u64..1_001)),
+            boolean(),
+            zip3(
+                range(0usize..8),
+                range(0u64..36_000),
+                range(-90.0f64..-50.0),
+            ),
+        ),
     );
     forall(
         "interference_bound_settles_only_error_free_windows",
         192,
         &g,
-        |(specs, (observer, obs_k, dbpsk), (subject, offset_db), (from_us, len_us))| {
-            let (medium, _) = build(specs);
+        |(
+            specs,
+            (observer, obs_k, dbpsk),
+            (pick, offset_db, centre_on_walk),
+            ((a, b), jammed, (jam_k, jam_us, jam_dbm)),
+        )| {
             let freq = grid(*obs_k);
-            let (from, to) = (
-                SimTime::from_micros(*from_us),
-                SimTime::from_micros(*from_us + *len_us),
-            );
+            let (mut medium, subject, running) = build_locked(specs, *pick, *observer, freq);
+            if *jammed {
+                let at = SimTime::from_micros(*jam_us);
+                medium.add_ambient(
+                    grid(*jam_k),
+                    Dbm::new(*jam_dbm),
+                    at,
+                    at + SimDuration::from_millis(2),
+                );
+            }
+            let span = (subject.end - subject.start).as_nanos();
+            let (lo, hi) = (*a.min(b), *a.max(b));
+            let from = subject.start + SimDuration::from_nanos(span * lo / 1_000);
+            let to = (subject.start + SimDuration::from_nanos(span * hi / 1_000))
+                .max(from + SimDuration::from_micros(1));
             let model = if *dbpsk {
                 BerModel::Dsss80211b
             } else {
                 BerModel::Oqpsk802154
             };
             let noise = medium.noise();
-            let bound = medium.interference_bound(*subject, *observer, freq, from, to);
-            let floor = (bound + noise).value() * model.error_free_sinr();
-            let signal = Dbm::new(10.0 * floor.log10() + offset_db);
-            if signal.to_milliwatts().value() < floor {
+            let walk = medium.interference_bound(subject.id, *observer, freq, from, to);
+            let bound = running + medium.ambient_interference(freq, from, to);
+            check!(
+                bound.value() >= walk.value() * (1.0 - 1e-12),
+                "running bound {bound:?} below the walk {walk:?}"
+            );
+            let floor = |b: MilliWatts| (b + noise).value() * model.error_free_sinr();
+            let centre = floor(if *centre_on_walk { walk } else { bound });
+            let signal = Dbm::new(10.0 * centre.log10() + offset_db);
+            let signal_mw = signal.to_milliwatts().value();
+            if signal_mw >= floor(bound) {
+                settled.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            } else if signal_mw < floor(walk) {
                 return Ok(());
             }
-            settled.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let segments = medium.interference_segments(*subject, *observer, freq, from, to);
-            let mut rng = Xoshiro256StarStar::seed_from_u64(*from_us);
+            let segments = medium.interference_segments(subject.id, *observer, freq, from, to);
+            let mut rng = Xoshiro256StarStar::seed_from_u64(*jam_us);
             let mut untouched = rng.clone();
             let (errors, _) =
                 medium::sample_segment_errors(&mut rng, &segments, signal, noise, model);
@@ -335,7 +416,7 @@ fn interference_bound_settles_only_error_free_windows() {
     let settled = settled.into_inner();
     assert!(
         settled >= 48,
-        "only {settled} of 192 cases reached the cutoff"
+        "the running bound settled only {settled} of 192 cases"
     );
 }
 
@@ -360,10 +441,7 @@ fn prune_boundary_equal_end_stays_visible_to_indexed_scan() {
     };
     let boundary_end = SimTime::from_micros(1_000);
     let next_start = boundary_end + RETENTION; // now − end == retention exactly
-    let mut medium = Medium::new(
-        nomc_phy::coupling::AcrCurve::cc2420_calibrated(),
-        Dbm::new(-98.0).to_milliwatts(),
-    );
+    let mut medium = new_medium();
     medium.add(mk(1, 0, SimTime::ZERO, boundary_end));
     medium.add(mk(
         2,
@@ -398,10 +476,7 @@ fn prune_boundary_equal_end_stays_visible_to_indexed_scan() {
 
     // One nanosecond past the horizon the entry is pruned from slab and
     // index alike.
-    let mut medium = Medium::new(
-        nomc_phy::coupling::AcrCurve::cc2420_calibrated(),
-        Dbm::new(-98.0).to_milliwatts(),
-    );
+    let mut medium = new_medium();
     medium.add(mk(1, 0, SimTime::ZERO, boundary_end));
     let late_start = next_start + SimDuration::from_nanos(1);
     medium.add(mk(

@@ -594,3 +594,98 @@ fn byte_flipped_snapshots_never_panic() {
         }
     }
 }
+
+/// Finds, in a run's observer stream, the first frame whose intended
+/// receiver synced but failed the FCS, as the event counts of its
+/// TxStart and its TxEnd. Such a decode drew bit errors, so its window
+/// took the segment path: the interference bound could not settle it.
+#[derive(Default)]
+struct CrcFailure {
+    events: u64,
+    starts: std::collections::BTreeMap<u64, u64>,
+    found: Option<(u64, u64)>,
+}
+
+impl SimObserver for CrcFailure {
+    fn on_event(&mut self, _now: SimTime, _event: &Event) {
+        self.events += 1;
+    }
+    fn on_tx_start(&mut self, info: &TxStartInfo) {
+        self.starts.insert(info.tx, self.events);
+    }
+    fn on_tx_outcome(&mut self, info: &TxOutcomeInfo) {
+        if self.found.is_none() && info.outcome == nomc_sim::metrics::TxOutcome::CrcFailed {
+            self.found = Some((self.starts[&info.tx], self.events));
+        }
+    }
+}
+
+/// Whether each lock a serialized serial snapshot holds has synced.
+fn locks_in(text: &str) -> Vec<bool> {
+    let snap: Json = text.parse().expect("snapshot is JSON");
+    snap["payload"]["nodes"]
+        .as_array()
+        .expect("serial snapshot nodes")
+        .iter()
+        .filter(|node| !node["rx"].is_null())
+        .map(|node| node["rx"][1].as_bool().expect("rx is (frame, synced)"))
+        .collect()
+}
+
+/// A reception's running interference bound is not part of a snapshot:
+/// a restore re-seeds it from the medium. Pausing at every event count
+/// across the life of a frame that fails its FCS under interference —
+/// from before its receivers lock, through unsynced and synced locks in
+/// flight, to its fallback decode, with a hundred events of margin on
+/// either side — and resuming each leg from the serialized snapshot
+/// must give the bytes of the unpaused run.
+#[test]
+fn resume_at_every_event_across_a_fallback_decode_is_byte_identical() {
+    let sc = coupled_scenario(5);
+    let mut finder = CrcFailure::default();
+    let golden = bytes(
+        &engine::execute(&sc, &RunSpec::default(), &mut [&mut finder])
+            .into_done()
+            .expect("a run without a pause target finishes")
+            .result,
+    );
+    let (locked, decoded) = finder.found.expect("some frame fails its FCS");
+    // A hundred events either side: frames before and after it lock,
+    // sync and decode inside the stretch too.
+    let (first, last) = (locked.saturating_sub(100), decoded + 100);
+    let mut progress = engine::execute(&sc, &pausing_at(first), &mut []);
+    let mut pause_at = first;
+    let (mut unsynced, mut synced) = (0, 0);
+    let done = loop {
+        match progress {
+            engine::RunProgress::Done(done) => break done,
+            engine::RunProgress::Paused(paused) => {
+                let text = engine::snapshot(&paused);
+                for is_synced in locks_in(&text) {
+                    if is_synced {
+                        synced += 1;
+                    } else {
+                        unsynced += 1;
+                    }
+                }
+                pause_at = if pause_at < last {
+                    pause_at + 1
+                } else {
+                    u64::MAX
+                };
+                let restored = engine::restore(&text).expect("snapshot text round-trips");
+                progress = engine::resume_bounded(&sc, restored, &mut [], pause_at)
+                    .expect("restored snapshot resumes against its own scenario");
+            }
+        }
+    };
+    assert!(
+        unsynced > 0 && synced > 0,
+        "the stretch must hold unsynced ({unsynced}) and synced ({synced}) locks"
+    );
+    assert_eq!(
+        bytes(&done.result),
+        golden,
+        "resuming at every event from {first} to {last} diverged"
+    );
+}
