@@ -31,8 +31,17 @@ echo "==> snapshot/restore: mid-run checkpoint byte identity"
 # The DESIGN.md §14 contract: run-to-event-K, snapshot, restore,
 # run-to-end is byte-identical to an uninterrupted run — serial,
 # sharded, and with every fault type in flight — and corrupt snapshots
-# are typed errors, never panics.
+# are typed errors, never panics. Checkpoints do not stop the engine:
+# the text a checkpointing observer receives at event K must be byte
+# for byte the snapshot of the same run paused at K. That test is run
+# by name, and the step fails unless it ran, so the path sweeps and
+# `nomc serve` take cannot drop out of the step by a rename.
 cargo test -p nomc-integration-tests --test snapshot_resume -q --offline
+sink_run="$(cargo test -p nomc-integration-tests --test snapshot_resume -q --offline \
+  checkpoint_sink_matches_paused_snapshots -- --exact)"
+echo "$sink_run"
+grep -q "test result: ok. 1 passed" <<<"$sink_run" \
+  || { echo "checkpoint_sink_matches_paused_snapshots did not run"; exit 1; }
 cargo test -p nomc-experiments --lib -q --offline checkpoint::
 
 echo "==> sweep crash safety: kill-and-resume must be byte-identical"

@@ -148,6 +148,41 @@ fn queue_workload(q: &mut BucketQueue) {
     }
 }
 
+/// The queue as a small (4-node, two-sender) network's engine sees it:
+/// two event chains that each move on by one to four 802.15.4 backoff
+/// units (20 symbols, 320 µs) per pop, so consecutive pops sit about 25
+/// of the wheel's 16 µs buckets apart, plus an occasional far-future
+/// provider tick.
+fn sparse_queue_workload(q: &mut BucketQueue) {
+    const BACKOFF_NS: u64 = 320_000;
+    for i in 0..2u64 {
+        q.schedule(
+            SimTime::from_nanos(i * 97_000),
+            Event::BackoffExpired(i as usize),
+        );
+    }
+    for i in 0..512u64 {
+        let Some((t, _, e)) = q.pop_entry() else {
+            break;
+        };
+        black_box(e);
+        let units = 1 + (i * 7919) % 4;
+        q.schedule(
+            SimTime::from_nanos(t.as_nanos() + units * BACKOFF_NS + i % 3 * 16_000),
+            Event::BackoffExpired((i % 2) as usize),
+        );
+        if i % 128 == 0 {
+            q.schedule(
+                SimTime::from_nanos(t.as_nanos() + 250_000_000),
+                Event::ProviderTick(0),
+            );
+        }
+    }
+    while let Some(e) = q.pop() {
+        black_box(e);
+    }
+}
+
 fn bench_queue_and_rng(c: &mut Criterion) {
     let mut g = c.benchmark_group("infra");
     g.bench_function("event_queue_push_pop_64", |b| {
@@ -166,6 +201,9 @@ fn bench_queue_and_rng(c: &mut Criterion) {
     });
     g.bench_function("bucket_queue_mixed_512", |b| {
         b.iter(|| queue_workload(&mut BucketQueue::new()))
+    });
+    g.bench_function("bucket_queue_sparse_512", |b| {
+        b.iter(|| sparse_queue_workload(&mut BucketQueue::new()))
     });
     let mut rng = Xoshiro256StarStar::seed_from_u64(3);
     g.bench_function("xoshiro_next_u64", |b| b.iter(|| black_box(rng.next_u64())));

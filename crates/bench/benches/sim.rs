@@ -24,12 +24,16 @@
 //! * `snapshot_roundtrip` — one mid-run engine checkpoint priced end to
 //!   end: serialize a paused `power_sense_heavy` run to its JSON wire
 //!   format and restore it back.
-//! * `checkpoint_overhead` — the same workload run under full
-//!   checkpoint supervision (pause every 4 000 events, atomic
-//!   save + fsync through the sweep checkpoint store, reload, resume);
-//!   compare against `power_sense_heavy` for the supervision premium.
-//!   With checkpointing off the engine never touches this code, so the
-//!   plain kernels above double as the zero-regression guard.
+//! * `checkpoint_overhead` — the same workload run the way a
+//!   checkpointed sweep member runs it, through
+//!   `sweep::checkpoint::run_legs`: one engine run that encodes its live
+//!   state every 4 000 events and saves it atomically (tmp write +
+//!   fsync + rename) through the sweep checkpoint store, without
+//!   stopping. Compare against `power_sense_heavy` for the supervision
+//!   premium. Reloading and decoding a checkpoint is crash recovery,
+//!   priced by `snapshot_roundtrip`. With checkpointing off the engine
+//!   never touches this code, so the plain kernels above double as the
+//!   zero-regression guard.
 //!
 //! `cargo bench -p nomc-bench --bench sim` writes `BENCH_sim.json` with
 //! wall-clock per run and events/sec, the perf-trajectory record ci.sh
@@ -153,38 +157,21 @@ fn sharded_independent_scenario(seed: u64) -> Scenario {
     b.build().expect("valid bench scenario")
 }
 
-/// One checkpoint-supervised run of `sc`: pause every `cadence`
-/// events, persist the snapshot through the sweep checkpoint store
-/// (atomic tmp + fsync + rename), reload and restore it from disk, and
-/// resume — the exact per-leg cost a `--checkpoint-every` sweep member
-/// pays for durability.
+/// One checkpoint-supervised run of `sc`, exactly as a sweep member
+/// with `--checkpoint-every cadence` runs it: a checkpoint saved every
+/// `cadence` events through the sweep checkpoint store, and the file
+/// discarded once the run concludes.
 fn run_checkpointed(sc: &Scenario, dir: &std::path::Path, cadence: u64) -> nomc_sim::SimResult {
+    use nomc_experiments::runner::RunOutcome;
     use nomc_experiments::sweep::checkpoint;
     const KEY: u64 = 0xbe7c_0de5;
-    let mut target = cadence;
-    let spec = RunSpec {
-        pause_at: target,
-        ..RunSpec::default()
-    };
-    let mut progress = engine::execute(sc, &spec, &mut []);
-    loop {
-        match progress {
-            engine::RunProgress::Paused(snap) => {
-                checkpoint::save(dir, KEY, 0, target, &engine::snapshot(&snap))
-                    .expect("bench checkpoint saves");
-                let rec = checkpoint::load(dir, KEY)
-                    .expect("bench checkpoint loads")
-                    .expect("bench checkpoint exists");
-                let restored = engine::restore(&rec.payload).expect("bench checkpoint restores");
-                target += cadence;
-                progress = engine::resume_bounded(sc, restored, &mut [], target)
-                    .expect("bench checkpoint resumes");
-            }
-            engine::RunProgress::Done(done) => {
-                checkpoint::discard(dir, KEY);
-                return done.result;
-            }
-        }
+    let (outcome, notices) =
+        checkpoint::run_legs(sc, &RunSpec::default(), cadence, dir, KEY, 0, &mut []);
+    assert!(notices.is_empty(), "bench checkpoints save: {notices:?}");
+    checkpoint::discard(dir, KEY);
+    match outcome {
+        RunOutcome::Ok(result) => result,
+        other => panic!("the bench run finishes: {other:?}"),
     }
 }
 

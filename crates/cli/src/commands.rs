@@ -224,14 +224,19 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     let every = parse_count::<u64>(args, "--checkpoint-every", " event")?;
     let spec = RunSpec {
         shards: parse_count::<usize>(args, "--shards", "")?,
-        budget: u64::MAX,
-        pause_at: every.unwrap_or(u64::MAX),
+        ..RunSpec::default()
     };
     let result = match every {
-        Some(_) => {
+        Some(every) => {
             let dir = flag_value(args, "--snapshot-dir")?
                 .ok_or_else(|| CliError::usage("--checkpoint-every needs --snapshot-dir <dir>"))?;
-            checkpointed_run(&scenario, &mut sinks, &spec, std::path::Path::new(&dir))?
+            checkpointed_run(
+                &scenario,
+                &mut sinks,
+                &spec,
+                every,
+                std::path::Path::new(&dir),
+            )?
         }
         None => {
             engine::execute(&scenario, &spec, &mut sinks)
@@ -305,9 +310,9 @@ pub fn run(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `nomc run --checkpoint-every`: the sweep's checkpoint leg chain
-/// (pausing every `spec.pause_at` events), keyed by scenario content
-/// and execution mode.
+/// `nomc run --checkpoint-every`: the sweep's checkpointed run (a
+/// checkpoint every `every` events), keyed by scenario content and
+/// execution mode.
 /// A trustworthy snapshot file is resumed; any defect (corruption,
 /// version skew, a snapshot of a different scenario) degrades to a
 /// clean start with a notice, never a panic. The snapshot file is
@@ -321,6 +326,7 @@ fn checkpointed_run(
     scenario: &Scenario,
     sinks: &mut [&mut dyn SimObserver],
     spec: &RunSpec,
+    every: u64,
     dir: &std::path::Path,
 ) -> Result<nomc_sim::SimResult, String> {
     use nomc_experiments::runner::RunOutcome;
@@ -328,7 +334,7 @@ fn checkpointed_run(
     use nomc_experiments::sweep::hash;
 
     let key = hash::member_hash_with(scenario, spec.budget, spec.shards.is_some());
-    let (outcome, notices) = checkpoint::run_legs(scenario, spec, dir, key, 0, sinks);
+    let (outcome, notices) = checkpoint::run_legs(scenario, spec, every, dir, key, 0, sinks);
     for notice in &notices {
         match notice {
             Notice::Resumed { events_done } => {

@@ -1,12 +1,14 @@
 //! Mid-member engine checkpoints: the sweep-side persistence layer over
 //! [`nomc_sim::engine::snapshot`].
 //!
-//! A checkpointed member pauses its engine every *N events* (an event
-//! cadence, never a wall clock — cadence is part of what makes the
-//! resumed run reproduce the uninterrupted one) and writes the encoded
-//! [`nomc_sim::RunSnapshot`] to `<dir>/<member_hash:016x>.ckpt.json`
-//! with the same atomic tmp-write + `fsync` + `rename` discipline as
-//! the sweep journal. A SIGKILL therefore leaves either the previous
+//! A checkpointed member's engine hands over a snapshot of its live
+//! state every *N events* (an event cadence, never a wall clock —
+//! cadence is part of what makes the resumed run reproduce the
+//! uninterrupted one) and keeps running; the snapshot text is the one a
+//! run paused at that count would give. It is written, synchronously on
+//! the run's thread, to `<dir>/<member_hash:016x>.ckpt.json` with the
+//! same atomic tmp-write, `fsync` and `rename` discipline as the sweep
+//! journal. A SIGKILL therefore leaves either the previous
 //! complete checkpoint or the new complete checkpoint, and a resumed
 //! sweep restarts the member from the latest one instead of from
 //! scratch.
@@ -21,7 +23,7 @@
 //! produces byte-identical results anyway — corruption costs time, not
 //! correctness).
 //!
-//! [`run_legs`] is the one pause/snapshot/resume loop: sweep members and
+//! [`run_legs`] is the one checkpointed run: sweep members and
 //! `nomc run --checkpoint-every` both run through it.
 
 use super::hash::Fnv1a;
@@ -141,7 +143,7 @@ struct CheckpointFile {
     /// reconstructed attempt history would diverge from the
     /// uninterrupted sweep's.
     attempt: u32,
-    /// Global engine event count at the pause that wrote this file.
+    /// Global engine event count at the checkpoint that wrote this file.
     events_done: u64,
     /// The encoded [`nomc_sim::RunSnapshot`].
     payload: String,
@@ -309,19 +311,20 @@ pub enum Notice {
     /// The checkpoint on disk could not be used (the text says why) and
     /// was discarded; the attempt started from the beginning.
     Discarded(String),
-    /// A pause's checkpoint could not be written (the text says why);
+    /// A checkpoint could not be written (the text says why);
     /// the run continued with an older one or none.
     SaveFailed(String),
 }
 
-/// The leg chain of one checkpointed attempt: resume from the latest
-/// trustworthy checkpoint under `member_hash` in `dir` (falling back to
-/// a clean start on *any* defect — typed errors all the way down, never
-/// a panic), then alternate run-to-pause every `spec.pause_at` events
-/// with atomic snapshot writes until the engine finishes or exhausts
-/// `spec.budget`. `spec.shards` picks the engine as for
-/// [`engine::execute`]; a sharded checkpointed run executes its
-/// components one at a time on the calling thread.
+/// One checkpointed attempt: resume from the latest trustworthy
+/// checkpoint under `member_hash` in `dir` (falling back to a clean
+/// start on *any* defect — typed errors all the way down, never a
+/// panic), then one engine run that saves a checkpoint atomically every
+/// `every` events (counted from where it starts) until it finishes or
+/// exhausts `spec.budget`. `spec.shards` picks the engine as for
+/// [`engine::execute`], and `spec.pause_at` is not read; a sharded
+/// checkpointed run executes its components one at a time on the
+/// calling thread.
 ///
 /// Returns the attempt's outcome, exactly as an uncheckpointed run's,
 /// and the resume, discard and failed-save notices in the order they
@@ -331,12 +334,12 @@ pub enum Notice {
 pub fn run_legs(
     scenario: &Scenario,
     spec: &RunSpec,
+    every: u64,
     dir: &Path,
     member_hash: u64,
     attempt: u32,
     observers: &mut [&mut dyn SimObserver],
 ) -> (RunOutcome, Vec<Notice>) {
-    let every = spec.pause_at;
     let mut notices = Vec::new();
     let discard_for = |notices: &mut Vec<Notice>, why: String| {
         discard(dir, member_hash);
@@ -355,61 +358,89 @@ pub fn run_legs(
             None
         }
     };
-
-    let mut resumed = None;
-    if let Some(rec) = recovered {
-        // A checkpoint written by a *later* attempt must not leak into
-        // an earlier one: a resumed sweep replays the attempt ladder
-        // from 0, and attempt `k` has to reproduce the uninterrupted
-        // attempt `k` exactly. The file is left in place — this attempt
-        // overwrites it at its own first pause.
-        if rec.attempt <= attempt {
-            match engine::restore(&rec.payload) {
-                Ok(mut snap) => {
-                    // Graft this attempt's budget onto the saved state
-                    // (a retry resumes a timed-out attempt's checkpoint
-                    // under the doubled budget).
-                    snap.set_budget(spec.budget);
-                    let target = rec.events_done.saturating_add(every);
-                    match engine::resume_bounded(scenario, snap, observers, target) {
-                        Ok(progress) => {
-                            notices.push(Notice::Resumed {
-                                events_done: rec.events_done,
-                            });
-                            resumed = Some((target, progress));
-                        }
-                        Err(e) => discard_for(&mut notices, e.to_string()),
-                    }
-                }
-                Err(e) => discard_for(&mut notices, e.to_string()),
+    // A checkpoint written by a *later* attempt must not leak into an
+    // earlier one: a resumed sweep replays the attempt ladder from 0,
+    // and attempt `k` has to reproduce the uninterrupted attempt `k`
+    // exactly. The file is left in place — this attempt overwrites it
+    // at its own first checkpoint.
+    let resumable = recovered
+        .filter(|rec| rec.attempt <= attempt)
+        .and_then(|rec| match engine::restore(&rec.payload) {
+            Ok(mut snap) => {
+                // Graft this attempt's budget onto the saved state (a
+                // retry resumes a timed-out attempt's checkpoint under
+                // the doubled budget).
+                snap.set_budget(spec.budget);
+                Some((rec.events_done, snap))
             }
+            Err(e) => {
+                discard_for(&mut notices, e.to_string());
+                None
+            }
+        });
+
+    let spec = RunSpec {
+        pause_at: u64::MAX,
+        ..*spec
+    };
+    let mut writer = Writer {
+        dir,
+        member_hash,
+        attempt,
+        every,
+        failed: Vec::new(),
+    };
+    let progress = {
+        let mut sinks: Vec<&mut dyn SimObserver> = observers
+            .iter_mut()
+            .map(|o| &mut **o as &mut dyn SimObserver)
+            .collect();
+        sinks.push(&mut writer);
+        let resumed = resumable.map(|(events_done, snap)| {
+            let progress = engine::resume_bounded(scenario, snap, &mut sinks, u64::MAX);
+            (events_done, progress)
+        });
+        match resumed {
+            Some((events_done, Ok(progress))) => {
+                notices.push(Notice::Resumed { events_done });
+                progress
+            }
+            Some((_, Err(e))) => {
+                discard_for(&mut notices, e.to_string());
+                engine::execute(scenario, &spec, &mut sinks)
+            }
+            None => engine::execute(scenario, &spec, &mut sinks),
         }
+    };
+    notices.extend(writer.failed);
+    let done = progress
+        .into_done()
+        .expect("a run without a pause target runs to the end");
+    (done.into(), notices)
+}
+
+/// The checkpoint sink of one attempt: saves every snapshot the running
+/// engine hands over and notes each save that fails.
+struct Writer<'d> {
+    dir: &'d Path,
+    member_hash: u64,
+    attempt: u32,
+    every: u64,
+    /// [`Notice::SaveFailed`] for each checkpoint that was not written.
+    failed: Vec<Notice>,
+}
+
+impl SimObserver for Writer<'_> {
+    fn checkpoint_every(&self) -> u64 {
+        self.every
     }
 
-    let (mut target, mut progress) = match resumed {
-        Some(pair) => pair,
-        None => (every, engine::execute(scenario, spec, observers)),
-    };
-
-    loop {
-        match progress {
-            engine::RunProgress::Paused(snap) => {
-                // A failed save loses durability, not the run: the
-                // member keeps executing with an older (or no)
-                // checkpoint to fall back on after a crash.
-                if let Err(e) = save(dir, member_hash, attempt, target, &engine::snapshot(&snap)) {
-                    notices.push(Notice::SaveFailed(e.to_string()));
-                }
-                target = target.saturating_add(every);
-                match engine::resume_bounded(scenario, *snap, observers, target) {
-                    Ok(next) => progress = next,
-                    // Unreachable in practice (the snapshot came from
-                    // this very scenario moments ago), but a typed
-                    // failure stays a recorded failure, not a panic.
-                    Err(e) => return (RunOutcome::Failed(e.to_string()), notices),
-                }
-            }
-            engine::RunProgress::Done(done) => return (done.into(), notices),
+    fn on_checkpoint(&mut self, events: u64, snapshot: &str) {
+        // A failed save loses durability, not the run: the member keeps
+        // executing with an older (or no) checkpoint to fall back on
+        // after a crash.
+        if let Err(e) = save(self.dir, self.member_hash, self.attempt, events, snapshot) {
+            self.failed.push(Notice::SaveFailed(e.to_string()));
         }
     }
 }

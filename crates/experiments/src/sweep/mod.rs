@@ -14,7 +14,7 @@
 //! * [`checkpoint`] — optional *mid-member* engine snapshots on an
 //!   event cadence ([`SweepConfig::checkpoint_every`]), written with
 //!   the same atomic discipline, so a SIGKILL'd sweep resumes a long
-//!   member from its last pause instead of its first event — and the
+//!   member from its last checkpoint instead of its first event — and the
 //!   resumed member's report is byte-identical to the uninterrupted
 //!   one (the engine's snapshot contract);
 //! * [`hash`] — FNV-1a content keys over (serialized scenario, seed,
@@ -208,8 +208,8 @@ pub struct SweepConfig {
     /// legacy serial engine.
     pub shards: Option<usize>,
     /// Mid-member checkpoint cadence in *events* (never a wall clock):
-    /// `Some(n)` pauses every member each `n` events and persists an
-    /// engine snapshot to [`SweepConfig::snapshot_dir`], so a killed
+    /// `Some(n)` persists every member's engine snapshot each `n` events
+    /// to [`SweepConfig::snapshot_dir`], without stopping it, so a killed
     /// sweep resumes long members mid-flight. Requires `snapshot_dir`;
     /// `None` (the default) runs members straight through.
     pub checkpoint_every: Option<u64>,
@@ -425,8 +425,8 @@ pub fn run_sweep(
 ///
 /// With checkpoint supervision configured
 /// ([`SweepConfig::checkpoint_every`] and [`SweepConfig::snapshot_dir`]),
-/// each attempt pauses every `checkpoint_every` events and persists an
-/// engine snapshot keyed by the member hash; a timed-out attempt's last
+/// each attempt persists an engine snapshot keyed by the member hash
+/// every `checkpoint_every` events, without stopping the engine; a timed-out attempt's last
 /// checkpoint carries into the retry (which resumes it under the
 /// doubled budget instead of replaying the prefix), and the checkpoint
 /// is discarded once the member concludes. The report records nothing
@@ -451,13 +451,12 @@ pub fn run_one_member(
         let spec = RunSpec {
             shards: cfg.shards,
             budget,
-            pause_at: supervision.map_or(u64::MAX, |(_, every)| every),
+            ..RunSpec::default()
         };
         let run = match supervision {
-            // Panic-isolated like `run_isolated`, but run as a chain of
-            // pause/snapshot/resume legs.
-            Some((dir, _)) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                checkpoint::run_legs(scenario, &spec, dir, member_hash, attempt, observers).0
+            // Panic-isolated like `run_isolated`, but checkpointed.
+            Some((dir, every)) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                checkpoint::run_legs(scenario, &spec, every, dir, member_hash, attempt, observers).0
             }))
             .unwrap_or_else(|payload| {
                 // A panicking attempt cannot vouch for what it left on

@@ -303,7 +303,7 @@ fn leg_chain_reports_resumes_discards_and_failed_saves() {
         pause_at: 4_000,
         ..RunSpec::default()
     };
-    let legs = |dir: &std::path::Path| checkpoint::run_legs(&sc, &spec, dir, mh, 0, &mut []);
+    let legs = |dir: &std::path::Path| checkpoint::run_legs(&sc, &spec, 4_000, dir, mh, 0, &mut []);
     let engine::RunProgress::Paused(snap) = engine::execute(&sc, &spec, &mut []) else {
         panic!("scenario must outlast one cadence");
     };

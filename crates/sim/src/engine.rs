@@ -6,7 +6,10 @@
 //! [`crate::runtime::observer::SimObserver`] sinks; [`run`] is its
 //! serial, unobserved convenience. A paused [`RunSnapshot`] is
 //! serialized by [`snapshot()`], parsed by [`restore`] and continued by
-//! [`resume_bounded`].
+//! [`resume_bounded`]. A run need not stop to be checkpointed: an
+//! observer that asks for a cadence
+//! ([`SimObserver::checkpoint_every`]) receives the same snapshot text
+//! at each cadence point while the run carries on.
 //!
 //! The machinery behind these lives in [`crate::runtime`]: the event
 //! loop ([`runtime`](crate::runtime) dispatch), per-node state and MAC
@@ -57,8 +60,9 @@
 
 use crate::metrics::SimResult;
 use crate::runtime::observer::SimObserver;
+use crate::runtime::sinks::checkpoint_every;
 use crate::runtime::snapshot::{self, ShardedProgress, ShardedSnapshot, SnapInner};
-use crate::runtime::{shard, Engine};
+use crate::runtime::{shard, Cadence, Engine};
 use crate::scenario::Scenario;
 
 pub use crate::runtime::snapshot::SnapshotError;
@@ -69,10 +73,10 @@ pub use crate::runtime::snapshot::SnapshotError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSpec {
     /// `Some(n)`: run each interaction component as a deterministic
-    /// shard; `None`: the serial engine. Without a pause target the
-    /// shards run on up to `n` pool threads; with one (checkpointed
-    /// runs) they run one at a time on the calling thread and `n` is
-    /// not read. Results never depend on `n`, and a single-component
+    /// shard; `None`: the serial engine. Without a pause target or a
+    /// checkpointing observer the shards run on up to `n` pool threads;
+    /// with either they run one at a time on the calling thread and `n`
+    /// is not read. Results never depend on `n`, and a single-component
     /// plan runs serially with its seed untouched.
     pub shards: Option<usize>,
     /// Stop after this many events and report [`BoundedRun::exhausted`].
@@ -82,7 +86,10 @@ pub struct RunSpec {
     /// Pause once this many events (summed over shards) have been
     /// handled, before popping the next, and return a resumable
     /// [`RunProgress::Paused`] in exactly the state the uninterrupted
-    /// run passes through at that count.
+    /// run passes through at that count. Checkpointing does not need
+    /// it: an observer's [`SimObserver::checkpoint_every`] gets the
+    /// same snapshot at each cadence point from a run that never
+    /// stops.
     pub pause_at: u64,
 }
 
@@ -116,7 +123,9 @@ pub struct BoundedRun {
 /// [`crate::runtime::sinks`] or any caller-defined [`SimObserver`]):
 /// the result is bit-identical to an unobserved run. A sharded run
 /// replays the canonical `(time, shard, seq)` merge of its shards'
-/// notes into them, so they observe it exactly as a serial run.
+/// notes into them, so they observe it exactly as a serial run. An
+/// observer that asks for checkpoints gets them as the run reaches each
+/// cadence point — for a sharded run, before the merged replay.
 ///
 /// # Panics
 ///
@@ -131,7 +140,7 @@ pub fn execute(
     if let Some(threads) = spec.shards {
         let plan = shard::plan(scenario);
         if plan.len() > 1 {
-            if spec.pause_at == u64::MAX {
+            if spec.pause_at == u64::MAX && checkpoint_every(observers) == u64::MAX {
                 let (result, exhausted) =
                     shard::execute(scenario, &plan, observers, spec.budget, threads);
                 return RunProgress::Done(BoundedRun { result, exhausted });
@@ -315,10 +324,12 @@ pub fn restore(text: &str) -> Result<RunSnapshot, SnapshotError> {
 ///
 /// The snapshot remembers whether it was a serial or sharded run and
 /// its original `max_events`; `pause_after` is an absolute target on
-/// the same counter as [`RunSpec::pause_at`] (pass `u64::MAX` to run to the
-/// end). `observers` attach for the remainder of the run: a resumed
-/// serial run streams them the suffix only, while a resumed sharded
-/// run replays the *complete* buffered note stream at the final merge.
+/// the same counter as [`RunSpec::pause_at`] (pass `u64::MAX` to run to
+/// the end), and a checkpointing observer's cadence counts on from the
+/// snapshot's own event count. `observers` attach for the remainder of
+/// the run: a resumed serial run streams them the suffix only, while a
+/// resumed sharded run replays the *complete* buffered note stream at
+/// the final merge.
 /// Built-in collector state travels inside the snapshot either way, so
 /// the returned result, trace, and timeline are byte-identical to an
 /// uninterrupted run.
@@ -349,9 +360,22 @@ pub fn resume_bounded(
     }
 }
 
-/// Advances a (fresh or restored) serial engine one leg.
+/// Advances a (fresh or restored) serial engine one leg, handing its
+/// observers a checkpoint at every cadence point they ask for, counted
+/// from where the engine starts.
 fn serial_leg(mut engine: Engine<'_, '_, '_>, pause_after: u64) -> RunProgress {
-    match engine.run_leg(pause_after) {
+    let every = engine.obs.checkpoint_every();
+    let emit: &mut dyn FnMut(&mut Engine<'_, '_, '_>) = &mut |e| {
+        let text = snapshot::encode_serial_live(e);
+        e.obs.checkpoint(e.events, &text);
+    };
+    let mut cadence = Cadence {
+        next: engine.events.saturating_add(every),
+        every,
+        emit,
+    };
+    let hook = (every != u64::MAX).then_some(&mut cadence);
+    match engine.run_leg(pause_after, hook) {
         crate::runtime::LegEnd::Paused => RunProgress::Paused(Box::new(RunSnapshot {
             inner: SnapInner::Serial(Box::new(engine.capture())),
         })),

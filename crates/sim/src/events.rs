@@ -7,8 +7,10 @@
 //! [`BucketQueue`] is a calendar queue keyed on 802.15.4 symbol time.
 //! Simulation events cluster within a few milliseconds of *now* (slot
 //! boundaries, CCA windows, frame airtimes), so hashing each event into a
-//! 16 µs-wide bucket on a circular wheel gives `O(1)` amortized
-//! schedule/pop. Far-future events (provider ticks, fault injections)
+//! 16 µs-wide bucket on a circular wheel gives `O(1)` schedule/pop. An
+//! occupancy bitmap (one bit per wheel slot) lets a pop jump straight to
+//! the next non-empty bucket, so its cost does not grow with the gap to
+//! the next event. Far-future events (provider ticks, fault injections)
 //! overflow into a small heap and migrate onto the wheel as time
 //! advances.
 //!
@@ -105,17 +107,20 @@ const WHEEL_SLOTS: usize = 2048;
 ///
 /// Near-term events hash into a circular wheel of 2048 buckets
 /// (`WHEEL_SLOTS`), each one 16 µs symbol period wide
-/// (`BUCKET_WIDTH_NS`); scheduling is a push onto a short `Vec`
-/// and popping scans forward from the current bucket. Events beyond one
-/// wheel revolution sit in an overflow heap and migrate onto the wheel as
-/// the cursor advances. Pop order is strict `(time, seq)` — within a
-/// bucket the minimum entry is selected by scan — so same-instant
-/// events pop in the order they were scheduled, the property the golden
-/// trace fixtures depend on.
+/// (`BUCKET_WIDTH_NS`); scheduling is a push onto a short `Vec` plus one
+/// occupancy bit, and popping jumps the cursor to the first set bit at or
+/// after it. Events beyond one wheel revolution sit in an overflow heap
+/// and migrate onto the wheel as the cursor advances. Pop order is
+/// strict `(time, seq)` — within a bucket the minimum entry is selected
+/// by scan — so same-instant events pop in the order they were
+/// scheduled, the property the golden trace fixtures depend on.
 #[derive(Debug)]
 pub struct BucketQueue {
     /// Circular bucket array; entries within a slot are unordered.
     wheel: Vec<Vec<Scheduled>>,
+    /// Bit `s % 64` of word `s / 64` is set exactly when `wheel[s]` is
+    /// non-empty.
+    occupied: [u64; OCCUPANCY_WORDS],
     /// Events at or beyond `base + WHEEL_SPAN`, in a `(time, seq)` heap.
     overflow: BinaryHeap<Scheduled>,
     /// Start time of the cursor bucket (multiple of [`BUCKET_WIDTH_NS`]).
@@ -127,10 +132,14 @@ pub struct BucketQueue {
 
 const WHEEL_SPAN_NS: u64 = BUCKET_WIDTH_NS * WHEEL_SLOTS as u64;
 
+/// Words in the occupancy bitmap: one bit per wheel slot.
+const OCCUPANCY_WORDS: usize = WHEEL_SLOTS / 64;
+
 impl Default for BucketQueue {
     fn default() -> Self {
         BucketQueue {
             wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            occupied: [0; OCCUPANCY_WORDS],
             overflow: BinaryHeap::new(),
             base_ns: 0,
             wheel_len: 0,
@@ -166,8 +175,7 @@ impl BucketQueue {
             } else {
                 Self::slot_of(ns)
             };
-            self.wheel[slot].push(s);
-            self.wheel_len += 1;
+            self.push_wheel(slot, s);
         }
     }
 
@@ -177,24 +185,34 @@ impl BucketQueue {
     /// so it totally orders *when events were scheduled* — the engine's
     /// fault layer uses it to discard events a crashed node scheduled
     /// in its previous life (see `runtime/faults.rs`).
+    ///
+    /// The cursor jumps straight to the next occupied bucket and
+    /// overflow migrates once for the whole jump, so the cost does not
+    /// depend on how many empty buckets lie in between. Every wheel entry
+    /// is less than one revolution ahead of the cursor, so the first
+    /// occupied slot at or after it (circularly) holds the earliest
+    /// bucket; overflow entries the jump pulls in are at least one
+    /// revolution past the old cursor, later than that bucket.
     pub fn pop_entry(&mut self) -> Option<(SimTime, u64, Event)> {
-        loop {
-            if self.wheel_len == 0 {
-                // Jump the cursor straight to the earliest overflow event.
-                let ns = self.overflow.peek()?.time.as_nanos();
-                self.base_ns = ns - ns % BUCKET_WIDTH_NS;
-                self.migrate_overflow();
-                continue;
-            }
-            let slot = Self::slot_of(self.base_ns);
-            if self.wheel[slot].is_empty() {
-                self.base_ns += BUCKET_WIDTH_NS;
-                self.migrate_overflow();
-                continue;
-            }
-            let s = self.take_min(slot);
-            return Some((s.time, s.seq, s.event));
+        if self.wheel_len == 0 {
+            // Jump the cursor straight to the earliest overflow event.
+            let ns = self.overflow.peek()?.time.as_nanos();
+            self.base_ns = ns - ns % BUCKET_WIDTH_NS;
+            self.migrate_overflow();
         }
+        let cursor = Self::slot_of(self.base_ns);
+        let slot = self.next_occupied(cursor)?;
+        debug_assert!(
+            !self.wheel[slot].is_empty(),
+            "occupancy bit of slot {slot} is set on an empty bucket"
+        );
+        let ahead = (slot + WHEEL_SLOTS - cursor) % WHEEL_SLOTS;
+        if ahead > 0 {
+            self.base_ns += ahead as u64 * BUCKET_WIDTH_NS;
+            self.migrate_overflow();
+        }
+        let s = self.take_min(slot)?;
+        Some((s.time, s.seq, s.event))
     }
 
     /// Pops the earliest event, if any.
@@ -222,6 +240,30 @@ impl BucketQueue {
         ((ns / BUCKET_WIDTH_NS) % WHEEL_SLOTS as u64) as usize
     }
 
+    /// Appends `s` to wheel slot `slot` and marks the slot occupied.
+    fn push_wheel(&mut self, slot: usize, s: Scheduled) {
+        self.wheel[slot].push(s);
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        self.wheel_len += 1;
+    }
+
+    /// The first occupied wheel slot at or after `from`, wrapping once
+    /// around the wheel; `None` when the wheel is empty.
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        let word = from / 64;
+        let head = self.occupied[word] & (!0u64 << (from % 64));
+        if head != 0 {
+            return Some(word * 64 + head.trailing_zeros() as usize);
+        }
+        // The last step comes back to the start word, whose bits at or
+        // after `from` are known clear: what is left are the slots
+        // before `from`.
+        (1..=OCCUPANCY_WORDS)
+            .map(|k| (word + k) % OCCUPANCY_WORDS)
+            .find(|&w| self.occupied[w] != 0)
+            .map(|w| w * 64 + self.occupied[w].trailing_zeros() as usize)
+    }
+
     /// Moves overflow entries that now fit within one wheel revolution of
     /// `base_ns` onto the wheel.
     fn migrate_overflow(&mut self) {
@@ -231,8 +273,7 @@ impl BucketQueue {
                 break;
             }
             let s = self.overflow.pop().expect("peeked");
-            self.wheel[Self::slot_of(ns)].push(s);
-            self.wheel_len += 1;
+            self.push_wheel(Self::slot_of(ns), s);
         }
     }
 
@@ -267,25 +308,29 @@ impl BucketQueue {
             if ns >= q.base_ns.saturating_add(WHEEL_SPAN_NS) {
                 q.overflow.push(s);
             } else {
-                q.wheel[Self::slot_of(ns)].push(s);
-                q.wheel_len += 1;
+                q.push_wheel(Self::slot_of(ns), s);
             }
         }
         q
     }
 
-    /// Removes and returns the minimum `(time, seq)` entry of `slot`.
-    fn take_min(&mut self, slot: usize) -> Scheduled {
-        let bucket = &self.wheel[slot];
-        debug_assert!(!bucket.is_empty());
-        let mut best = 0;
-        for i in 1..bucket.len() {
-            if (bucket[i].time, bucket[i].seq) < (bucket[best].time, bucket[best].seq) {
-                best = i;
-            }
+    /// Removes and returns the minimum `(time, seq)` entry of `slot`,
+    /// clearing the slot's occupancy bit when that empties it; `None`
+    /// when the slot is empty.
+    fn take_min(&mut self, slot: usize) -> Option<Scheduled> {
+        let bucket = &mut self.wheel[slot];
+        let best = (0..bucket.len()).min_by_key(|&i| (bucket[i].time, bucket[i].seq))?;
+        let s = bucket.swap_remove(best);
+        if bucket.is_empty() {
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
         }
+        debug_assert_eq!(
+            self.occupied[slot / 64] >> (slot % 64) & 1 == 1,
+            !self.wheel[slot].is_empty(),
+            "occupancy bit of slot {slot} disagrees with its bucket"
+        );
         self.wheel_len -= 1;
-        self.wheel[slot].swap_remove(best)
+        Some(s)
     }
 }
 

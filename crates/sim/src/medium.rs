@@ -483,16 +483,29 @@ impl Medium {
     /// pure function of it, and the leakage table and ambient bursts
     /// are construction-time state.
     pub(crate) fn history(&self) -> (Vec<(Transmission, bool)>, SimDuration) {
+        let (entries, max_duration) = self.history_refs();
+        (
+            entries.map(|(tx, live)| (tx.clone(), live)).collect(),
+            max_duration,
+        )
+    }
+
+    /// [`Medium::history`] by reference, for encoding it without a copy.
+    pub(crate) fn history_refs(
+        &self,
+    ) -> (
+        impl Iterator<Item = (&Transmission, bool)> + '_,
+        SimDuration,
+    ) {
         let mut active = std::collections::BTreeSet::new();
         for ch in &self.channels {
             active.extend(ch.active.iter().map(|e| e.id));
         }
-        let history = self
+        let entries = self
             .slab
             .iter()
-            .map(|e| (e.tx.clone(), active.contains(&e.tx.id)))
-            .collect();
-        (history, self.max_duration)
+            .map(move |e| (&e.tx, active.contains(&e.tx.id)));
+        (entries, self.max_duration)
     }
 
     /// Rebuilds the slab and channel index from a [`Medium::history`]

@@ -2,9 +2,10 @@
 //!
 //! [`Engine::bootstrap`] seeds the future-event list and
 //! [`Engine::run_leg`] drains it in `(time, seq)` order until the
-//! post-run drain deadline or a pause target; every popped event is
-//! offered to the observers (before handling, so sinks see the pristine
-//! event) and routed to its handler in the sibling modules.
+//! post-run drain deadline or a pause target, handing the live engine
+//! to a checkpoint hook at each cadence point on the way; every popped
+//! event is offered to the observers (before handling, so sinks see the
+//! pristine event) and routed to its handler in the sibling modules.
 //!
 //! The loop is also where the fault layer intercepts: events addressed
 //! to a crashed node — or scheduled in a previous life of a since-
@@ -23,6 +24,19 @@ pub(crate) enum LegEnd {
     /// budget exhausted — the same exits as the serial loop.
     Over,
 }
+
+/// Where a run's checkpoints fall and what happens at each: when the
+/// engine has handled `next` events (its own count) it calls `emit` on
+/// itself, then moves `next` on by `every`, and carries on running.
+pub(crate) struct Cadence<'h> {
+    /// Event count of the next checkpoint.
+    pub(crate) next: u64,
+    /// Events between checkpoints.
+    pub(crate) every: u64,
+    /// Encodes the live engine and hands the text on.
+    pub(crate) emit: &'h mut dyn FnMut(&mut Engine<'_, '_, '_>),
+}
+
 use crate::events::{Event, NodeId};
 use crate::scenario::TrafficModel;
 use nomc_mac::MacEvent;
@@ -38,9 +52,26 @@ impl Engine<'_, '_, '_> {
     /// run passes through after its `pause_at`-th event, which is what
     /// makes snapshots taken at the pause point resumable
     /// bit-identically.
-    pub(crate) fn run_leg(&mut self, pause_at: u64) -> LegEnd {
+    ///
+    /// With a `cadence`, the same point — after the `next`-th event,
+    /// before the next pop — is where the hook sees the engine, so a
+    /// checkpoint taken there is the snapshot a run paused at that count
+    /// would give. A checkpoint falls before a pause at the same count.
+    pub(crate) fn run_leg(
+        &mut self,
+        pause_at: u64,
+        mut cadence: Option<&mut Cadence<'_>>,
+    ) -> LegEnd {
         let deadline = SimTime::ZERO + self.sc.duration + DRAIN;
+        let mut next_checkpoint = cadence.as_ref().map_or(u64::MAX, |c| c.next);
         loop {
+            if self.events == next_checkpoint {
+                if let Some(c) = cadence.as_deref_mut() {
+                    (c.emit)(self);
+                    c.next = c.next.saturating_add(c.every);
+                    next_checkpoint = c.next;
+                }
+            }
             if self.events >= pause_at {
                 return LegEnd::Paused;
             }

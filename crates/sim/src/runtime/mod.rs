@@ -35,7 +35,7 @@ pub mod snapshot;
 
 mod ack;
 mod dispatch;
-pub(crate) use dispatch::LegEnd;
+pub(crate) use dispatch::{Cadence, LegEnd};
 mod faults;
 mod node;
 mod sense;

@@ -9,9 +9,9 @@
 //! observers are attached.
 //!
 //! All hooks have empty default bodies; implement only what you need.
-//! The two `wants_*` methods let the engine skip building payloads
-//! nobody consumes (they are sampled once at startup, so answers must
-//! not change mid-run).
+//! The two `wants_*` methods and [`SimObserver::checkpoint_every`] let
+//! the engine skip building payloads nobody consumes (they are sampled
+//! once at startup, so answers must not change mid-run).
 
 use crate::events::{Event, NodeId, TxId};
 use crate::metrics::{ErrorRecord, SimResult, TxOutcome};
@@ -142,4 +142,23 @@ pub trait SimObserver {
 
     /// The run finished; `result` is the final [`SimResult`].
     fn on_run_end(&mut self, _result: &SimResult) {}
+
+    /// The event cadence at which this observer wants checkpoints of
+    /// the run: [`SimObserver::on_checkpoint`] then fires every `n`
+    /// handled events (summed over shards), counted from where the run
+    /// starts — event 0, or the count a resumed snapshot was taken at.
+    /// `u64::MAX`, the default, wants none. A run uses the smallest
+    /// cadence its observers ask for; sampled once at startup.
+    fn checkpoint_every(&self) -> u64 {
+        u64::MAX
+    }
+
+    /// A checkpoint of the running engine after `events` handled events
+    /// (summed over shards): `snapshot` is exactly the text
+    /// [`crate::engine::snapshot`] gives for the same run paused there,
+    /// so [`crate::engine::restore`] and
+    /// [`crate::engine::resume_bounded`] continue it. The run itself
+    /// does not stop. Fires before the next event is popped, on the
+    /// thread running the engine.
+    fn on_checkpoint(&mut self, _events: u64, _snapshot: &str) {}
 }

@@ -1,6 +1,7 @@
 //! Boundary-event relay and the canonical merge.
 //!
-//! Each rank's engine runs with a [`RelayObserver`] attached; every
+//! Each rank's engine runs with a [`RelayObserver`] attached as a
+//! built-in sink of its observer fan-out; every
 //! observer notification the run cares about is appended, as a
 //! [`Note`], to a log the relay owns. Once every rank has finished,
 //! [`merge_logs`] sorts all logs by the canonical
@@ -129,6 +130,12 @@ impl RelayObserver {
     /// the last relayed popped event.
     pub(crate) fn into_parts(self) -> (Vec<Note>, u64, SimTime) {
         (self.log, self.seq, self.now)
+    }
+
+    /// [`RelayObserver::into_parts`] by reference, for a checkpoint
+    /// taken while the relay is still attached.
+    pub(crate) fn parts(&self) -> (&[Note], u64, SimTime) {
+        (&self.log, self.seq, self.now)
     }
 
     fn send(&mut self, at: SimTime, ev: BoundaryEvent) {

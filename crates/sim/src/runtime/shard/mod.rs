@@ -22,14 +22,16 @@
 //!   `(time, shard rank, seq)` merge that replays one serial-looking
 //!   callback stream into external observers,
 //! * this module — the one per-rank runner behind both the threaded
-//!   executor and the checkpointed legs of [`crate::runtime::snapshot`].
+//!   executor and the sequential (paused or checkpointed) executor of
+//!   [`crate::runtime::snapshot`].
 //!
 //! # Determinism contract
 //!
 //! Results of a sharded [`crate::engine::execute`] depend only on the
 //! scenario — never on the thread count (`--shards N` sizes the worker
-//! pool of a run without a pause target, while checkpointed legs run
-//! their ranks one at a time on the calling thread; the partition is
+//! pool of a run without a pause target or checkpoints, while paused
+//! and checkpointed runs run their ranks one at a time on the calling
+//! thread; the partition is
 //! canonical) and never on scheduling. A single-component plan
 //! delegates to the serial engine with the seed untouched,
 //! byte-identical to [`crate::engine::run`]. Multi-component plans run
@@ -44,8 +46,8 @@ pub mod partition;
 pub(crate) use partition::split_budget;
 pub use partition::{plan, ShardSpec};
 
-use super::snapshot::{EngineSnapshot, RankState, SnapshotError};
-use super::{Engine, LegEnd};
+use super::snapshot::{RankState, SnapshotError};
+use super::{Cadence, Engine, LegEnd};
 use crate::metrics::SimResult;
 use crate::pool;
 use crate::runtime::observer::SimObserver;
@@ -74,6 +76,7 @@ pub(crate) fn execute(
             budgets[rank],
             Vec::new(),
             u64::MAX,
+            None,
         )
         .expect("a fresh rank restores no snapshot, so nothing can reject it");
         let done = state
@@ -88,10 +91,10 @@ pub(crate) fn execute(
 
 /// Runs one rank for one leg: a fresh engine with event budget
 /// `budget`, or one restored from a paused `state`, advances until it
-/// has counted `pause_at` events or its run is over. The rank's relay
-/// appends every shipped note to `log`, which is handed back together
-/// with the rank's new state — paused or done. A done rank is returned
-/// unchanged.
+/// has counted `pause_at` events or its run is over, with `cadence`'s
+/// checkpoint hook seeing it on the way. The rank's relay appends every
+/// shipped note to `log`, which is handed back together with the rank's
+/// new state — paused or done. A done rank is returned unchanged.
 ///
 /// The engine runs with the heavyweight recorders off: the merge
 /// rebuilds the trace and timeline from the relayed notes.
@@ -102,8 +105,9 @@ pub(crate) fn run_rank(
     budget: u64,
     log: Vec<Note>,
     pause_at: u64,
+    cadence: Option<&mut Cadence<'_>>,
 ) -> Result<(Vec<Note>, RankState), SnapshotError> {
-    let (paused, mut relay) = match state {
+    let (paused, relay) = match state {
         RankState::Fresh => (None, RelayObserver::new(log, ship, 0, SimTime::ZERO)),
         RankState::Paused {
             engine,
@@ -118,40 +122,40 @@ pub(crate) fn run_rank(
     let mut sub = spec.scenario.clone();
     sub.record_trace = false;
     sub.record_timeline = false;
-    let leg = {
-        let mut slots: [&mut dyn SimObserver; 1] = [&mut relay];
-        let mut engine = match &paused {
-            Some(snap) => Engine::restore_from(&sub, &mut slots, snap)?,
-            None => {
-                let mut engine = Engine::new(&sub, &mut slots);
-                engine.max_events = budget;
-                engine.bootstrap();
-                engine
-            }
-        };
-        match engine.run_leg(pause_at) {
-            LegEnd::Paused => RankLeg::Paused(engine.capture()),
-            LegEnd::Over => {
-                let exhausted = engine.exhausted;
-                RankLeg::Over(engine.finalize(), exhausted)
-            }
+    let mut engine = match &paused {
+        Some(snap) => {
+            let mut engine = Engine::restore_from(&sub, &mut [], snap)?;
+            engine.obs.attach_relay(relay);
+            engine
+        }
+        None => {
+            let mut engine = Engine::new(&sub, &mut []);
+            engine.obs.attach_relay(relay);
+            engine.max_events = budget;
+            engine.bootstrap();
+            engine
         }
     };
-    // The engine's borrow of the relay has ended: its counters are final.
-    let (log, relay_seq, relay_now) = relay.into_parts();
-    let state = match leg {
-        RankLeg::Paused(engine) => RankState::Paused {
-            engine,
+    let end = engine.run_leg(pause_at, cadence);
+    let (log, relay_seq, relay_now) = engine
+        .obs
+        .relay
+        .take()
+        .map(RelayObserver::into_parts)
+        .expect("the relay stays attached for the whole leg");
+    let state = match end {
+        LegEnd::Paused => RankState::Paused {
+            engine: engine.capture(),
             relay_seq,
             relay_now,
         },
-        RankLeg::Over(result, exhausted) => RankState::Done { result, exhausted },
+        LegEnd::Over => {
+            let exhausted = engine.exhausted;
+            RankState::Done {
+                result: engine.finalize(),
+                exhausted,
+            }
+        }
     };
     Ok((log, state))
-}
-
-/// How one rank's leg ended, before the relay's counters are read.
-enum RankLeg {
-    Paused(EngineSnapshot),
-    Over(SimResult, bool),
 }

@@ -13,6 +13,7 @@ use crate::metrics::{LinkMetrics, SimResult, TimelineRecord, TxOutcome};
 use crate::runtime::observer::{
     PowerSample, SimObserver, ThresholdSample, TxOutcomeInfo, TxStartInfo,
 };
+use crate::runtime::shard::merge::RelayObserver;
 use crate::scenario::Scenario;
 use crate::trace::{TraceKind, TraceRecord};
 use nomc_units::{Db, Dbm, SimDuration, SimTime};
@@ -452,16 +453,20 @@ impl SimObserver for RecoveryMeter {
 /// The engine's observer fan-out: built-in sinks plus external plugins.
 ///
 /// Built-ins are concrete fields (static dispatch on the hot path);
-/// externals are the caller's `&mut dyn SimObserver` slice. The
-/// `wants_trace`/`wants_thresholds` capabilities are sampled once at
-/// construction.
+/// externals are the caller's `&mut dyn SimObserver` slice. A shard
+/// rank's engine also carries its boundary-note relay as a built-in, so
+/// a checkpoint taken mid-rank can read the rank's note log. The
+/// `wants_trace`/`wants_thresholds` capabilities and the checkpoint
+/// cadence are sampled once at construction.
 pub(crate) struct ObserverSet<'o, 'e> {
     pub(crate) metrics: MetricsCollector,
     pub(crate) trace: Option<TraceRecorder>,
     pub(crate) timeline: Option<TimelineRecorder>,
+    pub(crate) relay: Option<RelayObserver>,
     externals: &'o mut [&'e mut dyn SimObserver],
     wants_trace: bool,
     wants_thresholds: bool,
+    checkpoint_every: u64,
 }
 
 impl<'o, 'e> ObserverSet<'o, 'e> {
@@ -472,14 +477,25 @@ impl<'o, 'e> ObserverSet<'o, 'e> {
     ) -> Self {
         let wants_trace = sc.record_trace || externals.iter().any(|o| o.wants_trace());
         let wants_thresholds = externals.iter().any(|o| o.wants_thresholds());
+        let checkpoint_every = checkpoint_every(externals);
         ObserverSet {
             metrics: MetricsCollector::new(links, sc.record_error_records),
             trace: sc.record_trace.then(TraceRecorder::new),
             timeline: sc.record_timeline.then(TimelineRecorder::new),
+            relay: None,
             externals,
             wants_trace,
             wants_thresholds,
+            checkpoint_every,
         }
+    }
+
+    /// Attaches a shard rank's boundary-note relay, before the rank's
+    /// engine handles its first event.
+    pub(crate) fn attach_relay(&mut self, relay: RelayObserver) {
+        self.wants_trace |= relay.wants_trace();
+        self.wants_thresholds |= relay.wants_thresholds();
+        self.relay = Some(relay);
     }
 
     /// Whether any sink consumes threshold-change samples.
@@ -487,7 +503,15 @@ impl<'o, 'e> ObserverSet<'o, 'e> {
         self.wants_thresholds
     }
 
+    /// The smallest checkpoint cadence any external asks for.
+    pub(crate) fn checkpoint_every(&self) -> u64 {
+        self.checkpoint_every
+    }
+
     pub(crate) fn event(&mut self, now: SimTime, ev: &Event) {
+        if let Some(r) = &mut self.relay {
+            r.on_event(now, ev);
+        }
         for o in self.externals.iter_mut() {
             o.on_event(now, ev);
         }
@@ -502,6 +526,9 @@ impl<'o, 'e> ObserverSet<'o, 'e> {
         if let Some(t) = &mut self.trace {
             t.on_trace(&record);
         }
+        if let Some(r) = &mut self.relay {
+            r.on_trace(&record);
+        }
         for o in self.externals.iter_mut() {
             o.on_trace(&record);
         }
@@ -509,6 +536,9 @@ impl<'o, 'e> ObserverSet<'o, 'e> {
 
     pub(crate) fn tx_start(&mut self, info: &TxStartInfo) {
         self.metrics.on_tx_start(info);
+        if let Some(r) = &mut self.relay {
+            r.on_tx_start(info);
+        }
         for o in self.externals.iter_mut() {
             o.on_tx_start(info);
         }
@@ -519,6 +549,9 @@ impl<'o, 'e> ObserverSet<'o, 'e> {
         if let Some(t) = &mut self.timeline {
             t.on_tx_outcome(info);
         }
+        if let Some(r) = &mut self.relay {
+            r.on_tx_outcome(info);
+        }
         for o in self.externals.iter_mut() {
             o.on_tx_outcome(info);
         }
@@ -526,6 +559,9 @@ impl<'o, 'e> ObserverSet<'o, 'e> {
 
     pub(crate) fn abandon(&mut self, link: usize, measured: bool) {
         self.metrics.on_abandon(link, measured);
+        if let Some(r) = &mut self.relay {
+            r.on_abandon(link, measured);
+        }
         for o in self.externals.iter_mut() {
             o.on_abandon(link, measured);
         }
@@ -544,12 +580,18 @@ impl<'o, 'e> ObserverSet<'o, 'e> {
             threshold,
             at,
         };
+        if let Some(r) = &mut self.relay {
+            r.on_threshold_change(&sample);
+        }
         for o in self.externals.iter_mut() {
             o.on_threshold_change(&sample);
         }
     }
 
     pub(crate) fn power_sample(&mut self, sample: &PowerSample) {
+        if let Some(r) = &mut self.relay {
+            r.on_power_sample(sample);
+        }
         for o in self.externals.iter_mut() {
             o.on_power_sample(sample);
         }
@@ -558,6 +600,13 @@ impl<'o, 'e> ObserverSet<'o, 'e> {
     pub(crate) fn run_end(&mut self, result: &SimResult) {
         for o in self.externals.iter_mut() {
             o.on_run_end(result);
+        }
+    }
+
+    /// Hands one checkpoint of the live run to every external.
+    pub(crate) fn checkpoint(&mut self, events: u64, snapshot: &str) {
+        for o in self.externals.iter_mut() {
+            o.on_checkpoint(events, snapshot);
         }
     }
 
@@ -577,4 +626,13 @@ impl<'o, 'e> ObserverSet<'o, 'e> {
                 .unwrap_or_default(),
         )
     }
+}
+
+/// The smallest checkpoint cadence `observers` ask for (`u64::MAX`: none).
+pub(crate) fn checkpoint_every(observers: &[&mut dyn SimObserver]) -> u64 {
+    observers
+        .iter()
+        .map(|o| o.checkpoint_every())
+        .min()
+        .unwrap_or(u64::MAX)
 }

@@ -21,6 +21,11 @@
 //! vector lengths, queue sequence numbers) is bounds-checked here
 //! first.
 //!
+//! Checkpoints of a running engine encode straight from its live state
+//! (`encode_serial_live`, and the sharded executor's per-rank hook) to
+//! the same text a pause at that event count would give, so the run
+//! never stops for a checkpoint.
+//!
 //! Sharded runs snapshot as one [`ShardedSnapshot`]: the checkpoint
 //! executor runs the plan's components *sequentially* (rank order)
 //! through the same per-rank runner the threaded executor uses,
@@ -33,10 +38,10 @@
 //! byte-identical to the threaded sharded [`crate::engine::execute`].
 
 use super::node::{Node, Provider, RxAttempt};
-use super::shard::merge::{merge_logs, BoundaryEvent, Note, ShipFlags};
+use super::shard::merge::{merge_logs, BoundaryEvent, Note, RelayObserver, ShipFlags};
 use super::shard::{self, split_budget, ShardSpec};
 use super::tx::TxMeta;
-use super::Engine;
+use super::{Cadence, Engine};
 use crate::events::BucketQueue;
 use crate::events::{Event, NodeId, TxId};
 use crate::medium::Transmission;
@@ -45,6 +50,7 @@ use crate::rng::Xoshiro256StarStar;
 use crate::runtime::observer::{
     PowerSample, SimObserver, ThresholdSample, TxOutcomeInfo, TxStartInfo,
 };
+use crate::runtime::sinks::checkpoint_every;
 use crate::scenario::Scenario;
 use crate::trace::{TraceKind, TraceRecord};
 use nomc_core::AdjustorSnapshot;
@@ -584,6 +590,66 @@ impl<'a, 'o, 'e> Engine<'a, 'o, 'e> {
         }
     }
 
+    /// The serial snapshot payload of the live engine: the JSON that
+    /// [`Engine::capture`] followed by `to_json` gives, key for key in
+    /// [`EngineSnapshot`]'s field order, built straight from the engine
+    /// so a checkpoint never holds an owned copy of the medium history
+    /// or the collectors beside it.
+    fn state_json(&self) -> Json {
+        let (history, max_duration) = self.medium.history_refs();
+        Json::object([
+            ("fingerprint", scenario_fingerprint(self.sc).to_json()),
+            ("now", self.now.to_json()),
+            ("events", self.events.to_json()),
+            ("max_events", self.max_events.to_json()),
+            ("exhausted", self.exhausted.to_json()),
+            ("rng", RngState(self.rng.state()).to_json()),
+            ("next_tx_id", self.next_tx_id.to_json()),
+            ("queue", self.queue.entries().to_json()),
+            ("next_seq", self.queue.next_seq().to_json()),
+            ("held", self.held.to_json()),
+            (
+                "nodes",
+                Json::Arr(self.nodes.iter().map(|n| node_state(n).to_json()).collect()),
+            ),
+            (
+                "tx_meta",
+                Json::Arr(self.tx_meta.iter().map(|entry| entry.to_json()).collect()),
+            ),
+            (
+                "acks",
+                Json::Arr(
+                    self.acks
+                        .iter()
+                        .map(|(&ack, &(parent, sender))| (ack, parent, sender).to_json())
+                        .collect(),
+                ),
+            ),
+            (
+                "medium",
+                Json::object([
+                    ("history", Json::Arr(history.map(|h| h.to_json()).collect())),
+                    ("max_duration", max_duration.to_json()),
+                ]),
+            ),
+            ("metrics", self.obs.metrics.links().to_json()),
+            (
+                "trace",
+                self.obs
+                    .trace
+                    .as_ref()
+                    .map_or(Json::Null, |t| t.records().to_json()),
+            ),
+            (
+                "timeline",
+                self.obs
+                    .timeline
+                    .as_ref()
+                    .map_or(Json::Null, |t| t.records().to_json()),
+            ),
+        ])
+    }
+
     /// Rebuilds an engine mid-run: constructs a fresh engine from the
     /// scenario (recomputing all derived state), then overwrites every
     /// mutable field from the snapshot. Total — corrupt payloads yield
@@ -873,14 +939,7 @@ impl ToJson for RankState {
                 engine,
                 relay_seq,
                 relay_now,
-            } => Json::object([(
-                "paused",
-                Json::object([
-                    ("engine", engine.to_json()),
-                    ("relay_seq", relay_seq.to_json()),
-                    ("relay_now", relay_now.to_json()),
-                ]),
-            )]),
+            } => paused_rank_json(engine.to_json(), *relay_seq, *relay_now),
             RankState::Done { result, exhausted } => Json::object([(
                 "done",
                 Json::object([
@@ -890,6 +949,19 @@ impl ToJson for RankState {
             )]),
         }
     }
+}
+
+/// A paused rank's JSON from its engine payload and relay counters —
+/// shared by [`RankState`]'s encoding and the live sharded checkpoint.
+fn paused_rank_json(engine: Json, relay_seq: u64, relay_now: SimTime) -> Json {
+    Json::object([(
+        "paused",
+        Json::object([
+            ("engine", engine),
+            ("relay_seq", relay_seq.to_json()),
+            ("relay_now", relay_now.to_json()),
+        ]),
+    )])
 }
 
 impl FromJson for RankState {
@@ -1002,8 +1074,11 @@ pub(crate) enum ShardedProgress {
     Done(SimResult, bool),
 }
 
-/// Advances a checkpointed sharded run until the *global* event count
-/// (summed over ranks) reaches `pause_after`, or to completion.
+/// Advances a sequentially executed sharded run until the *global*
+/// event count (summed over ranks) reaches `pause_after`, or to
+/// completion, handing `externals` a checkpoint of the live run at every
+/// cadence point they ask for ([`SimObserver::checkpoint_every`],
+/// counted from the global count `snap` was taken at) without stopping.
 ///
 /// Ranks run sequentially in rank order through [`shard::run_rank`],
 /// with the same per-rank budget split the threaded executor uses;
@@ -1047,6 +1122,19 @@ pub(crate) fn run_sharded_leg(
             RankState::Fresh | RankState::Paused { .. } => 0,
         })
         .sum();
+    // Checkpoints count on from the global count the run resumes at: the
+    // finished ranks plus how far the first unfinished one, which runs
+    // next, has got.
+    let resumed_at = done_events
+        + (snap.ranks.iter())
+            .find_map(|r| match r {
+                RankState::Done { .. } => None,
+                RankState::Fresh => Some(0),
+                RankState::Paused { engine, .. } => Some(engine.events),
+            })
+            .unwrap_or(0);
+    let every = checkpoint_every(externals);
+    let mut next_checkpoint = resumed_at.saturating_add(every);
     for (rank, spec) in plan.iter().enumerate() {
         if matches!(snap.ranks[rank], RankState::Done { .. }) {
             continue;
@@ -1058,7 +1146,22 @@ pub(crate) fn run_sharded_leg(
         };
         let state = std::mem::replace(&mut snap.ranks[rank], RankState::Fresh);
         let log = std::mem::take(&mut snap.logs[rank]);
-        let (log, state) = shard::run_rank(spec, snap.ship, state, budgets[rank], log, target)?;
+        let (ship, budget) = (snap.ship, budgets[rank]);
+        let view = &snap;
+        let emit: &mut dyn FnMut(&mut Engine<'_, '_, '_>) = &mut |engine| {
+            let text = encode_sharded_live(view, rank, engine);
+            for o in externals.iter_mut() {
+                o.on_checkpoint(done_events + engine.events, &text);
+            }
+        };
+        let mut cadence = Cadence {
+            next: next_checkpoint.saturating_sub(done_events),
+            every,
+            emit,
+        };
+        let hook = (every != u64::MAX).then_some(&mut cadence);
+        let (log, state) = shard::run_rank(spec, ship, state, budget, log, target, hook)?;
+        next_checkpoint = done_events.saturating_add(cadence.next);
         snap.logs[rank] = log;
         let paused = matches!(state, RankState::Paused { .. });
         if let RankState::Done { result, .. } = &state {
@@ -1079,6 +1182,41 @@ pub(crate) fn run_sharded_leg(
         })?;
     let (result, exhausted) = merge_logs(sc, plan, snap.logs, results, externals);
     Ok(ShardedProgress::Done(result, exhausted))
+}
+
+/// The sharded checkpoint text while `engine` runs rank `rank` of
+/// `snap`: `snap` with that rank paused at the engine's live state and
+/// its note log read from the engine's relay — the text [`encode`]
+/// gives for the [`ShardedSnapshot`] a pause at this count returns.
+fn encode_sharded_live(snap: &ShardedSnapshot, rank: usize, engine: &Engine<'_, '_, '_>) -> String {
+    let (log, relay_seq, relay_now) = engine
+        .obs
+        .relay
+        .as_ref()
+        .map(RelayObserver::parts)
+        .expect("a shard rank's engine carries its relay");
+    let ranks = snap.ranks.iter().enumerate().map(|(i, state)| {
+        if i == rank {
+            paused_rank_json(engine.state_json(), relay_seq, relay_now)
+        } else {
+            state.to_json()
+        }
+    });
+    let logs = snap.logs.iter().enumerate().map(|(i, notes)| {
+        if i == rank {
+            log.to_json()
+        } else {
+            notes.to_json()
+        }
+    });
+    let payload = Json::object([
+        ("fingerprint", snap.fingerprint.to_json()),
+        ("ship", snap.ship.to_json()),
+        ("max_events", snap.max_events.to_json()),
+        ("ranks", Json::Arr(ranks.collect())),
+        ("logs", Json::Arr(logs.collect())),
+    ]);
+    envelope("sharded", payload)
 }
 
 /// Bounds-checks everything the final merge will look up in `spec`'s
@@ -1152,10 +1290,20 @@ pub(crate) enum SnapInner {
 
 /// Serializes a paused run as versioned snapshot JSON.
 pub(crate) fn encode(inner: &SnapInner) -> String {
-    let (kind, payload) = match inner {
-        SnapInner::Serial(s) => ("serial", s.to_json()),
-        SnapInner::Sharded(s) => ("sharded", s.to_json()),
-    };
+    match inner {
+        SnapInner::Serial(s) => envelope("serial", s.to_json()),
+        SnapInner::Sharded(s) => envelope("sharded", s.to_json()),
+    }
+}
+
+/// The serial checkpoint text of a running engine: what [`encode`]
+/// gives for its [`Engine::capture`], without the capture.
+pub(crate) fn encode_serial_live(engine: &Engine<'_, '_, '_>) -> String {
+    envelope("serial", engine.state_json())
+}
+
+/// The versioned envelope around a serial or sharded payload.
+fn envelope(kind: &str, payload: Json) -> String {
     Json::object([
         ("version", SNAPSHOT_VERSION.to_json()),
         ("kind", ToJson::to_json(kind)),

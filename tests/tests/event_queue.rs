@@ -263,3 +263,172 @@ fn oversized_budget_is_identical_to_unbounded() {
         "oversized budget perturbed the run"
     );
 }
+
+/// The wheel's slot width (16 µs), mirrored like [`WHEEL_SPAN_NS`].
+const BUCKET_NS: u64 = 16_000;
+
+/// A small deterministic generator for the randomized streams below.
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+}
+
+/// One gap from `now` to a newly scheduled event: zero, within the
+/// current bucket, about 25 buckets (a 4-node network's sparse
+/// backoff grid), anywhere on the wheel, exactly one bucket short of
+/// the horizon, exactly on it, or beyond it.
+fn gap(rng: &mut Lcg) -> u64 {
+    match rng.next() % 8 {
+        0 => 0,
+        1 => rng.next() % BUCKET_NS,
+        2 => 25 * BUCKET_NS + rng.next() % 2_000,
+        3 => rng.next() % WHEEL_SPAN_NS,
+        4 => WHEEL_SPAN_NS - BUCKET_NS,
+        5 => WHEEL_SPAN_NS,
+        6 => WHEEL_SPAN_NS + 1 + rng.next() % (3 * WHEEL_SPAN_NS),
+        _ => 320_000 * (1 + rng.next() % 8),
+    }
+}
+
+/// Drives `queues` through one engine-shaped stream — every pop
+/// schedules zero to three follow-ups at `now + gap` — asserting after
+/// each pop that every queue popped the same entry as the first.
+fn drive_in_lockstep(queues: &mut [&mut dyn Queue], rng: &mut Lcg, pops: usize) -> u64 {
+    let mut now = 0u64;
+    let mut minted = 0usize;
+    for _ in 0..pops {
+        let popped: Vec<_> = queues.iter_mut().map(|q| q.pop_entry()).collect();
+        assert!(
+            popped.iter().all(|p| *p == popped[0]),
+            "queues disagree after {minted} schedules: {popped:?}"
+        );
+        let Some((t, _, _)) = popped[0] else {
+            break;
+        };
+        now = t.as_nanos();
+        for _ in 0..rng.next() % 4 {
+            let at = SimTime::from_nanos(now + gap(rng));
+            let ev = Event::PacketReady(minted);
+            minted += 1;
+            for q in queues.iter_mut() {
+                q.schedule(at, ev);
+            }
+        }
+    }
+    now
+}
+
+/// Randomized streams whose gaps run from zero to several wheel spans,
+/// with pops interleaved with schedules as the engine interleaves them:
+/// the bucket queue's jumps over empty buckets must pop exactly what
+/// the heap pops.
+#[test]
+fn randomized_gaps_up_to_past_the_horizon_match_the_heap() {
+    for seed in 1..=8u64 {
+        let mut heap = HeapQueue::default();
+        let mut bucket = BucketQueue::new();
+        let mut rng = Lcg(seed);
+        for i in 0..16 {
+            let at = SimTime::from_nanos(gap(&mut rng));
+            heap.schedule(at, Event::CcaDone(i));
+            bucket.schedule(at, Event::CcaDone(i));
+        }
+        drive_in_lockstep(&mut [&mut heap, &mut bucket], &mut rng, 20_000);
+        while let Some(a) = heap.pop_entry() {
+            assert_eq!(bucket.pop_entry(), Some(a), "seed {seed}: drain diverged");
+        }
+        assert_eq!(
+            bucket.pop_entry(),
+            None,
+            "seed {seed}: bucket queue kept entries"
+        );
+    }
+}
+
+/// The cursor walks every one of the bitmap's 32 words and wraps the
+/// wheel several times, with single events so that each pop must jump:
+/// steps of one bucket short of a word, exactly one word, and the
+/// largest in-wheel jump (one bucket short of the horizon), then a jump
+/// that lands exactly on the horizon from an empty wheel.
+#[test]
+fn jumps_wrap_across_every_bitmap_word_and_land_on_the_horizon() {
+    for step_buckets in [63, 64, 65, 2047] {
+        for (name, mut q) in both() {
+            let mut now = 7_000u64;
+            q.schedule(SimTime::from_nanos(now), Event::PowerSense(0));
+            // Three revolutions, so every word is visited and the wheel
+            // wraps with the cursor mid-word.
+            let steps = 3 * 2048 / step_buckets + 2;
+            for i in 1..=steps {
+                let (t, _) = q.pop().expect("one event is always pending");
+                assert_eq!(t.as_nanos(), now, "{name}: step {step_buckets} pop {i}");
+                now += step_buckets * BUCKET_NS;
+                q.schedule(SimTime::from_nanos(now), Event::PowerSense(i as usize));
+            }
+            // Drain, then one event exactly a wheel span after the last:
+            // it goes to overflow and the next pop jumps onto it.
+            let (t, _) = q.pop().expect("the last step is pending");
+            let horizon = t.as_nanos() + WHEEL_SPAN_NS;
+            q.schedule(SimTime::from_nanos(horizon), Event::ProviderTick(0));
+            q.schedule(
+                SimTime::from_nanos(horizon - BUCKET_NS),
+                Event::ProviderTick(1),
+            );
+            assert_eq!(
+                q.pop(),
+                Some((
+                    SimTime::from_nanos(horizon - BUCKET_NS),
+                    Event::ProviderTick(1)
+                )),
+                "{name}: one bucket short of the horizon"
+            );
+            assert_eq!(
+                q.pop(),
+                Some((SimTime::from_nanos(horizon), Event::ProviderTick(0))),
+                "{name}: exactly on the horizon"
+            );
+            assert_eq!(q.pop(), None, "{name}: drained");
+        }
+    }
+}
+
+/// `BucketQueue::restore` from the logical state taken mid-stream
+/// rebuilds the occupancy bitmap: the restored queue and the original
+/// then pop identically through the rest of the same stream, and both
+/// match the heap.
+#[test]
+fn restore_mid_stream_pops_identically() {
+    for seed in [3u64, 11, 29] {
+        let mut heap = HeapQueue::default();
+        let mut original = BucketQueue::new();
+        let mut rng = Lcg(seed);
+        for i in 0..12 {
+            let at = SimTime::from_nanos(gap(&mut rng));
+            heap.schedule(at, Event::CcaDone(i));
+            original.schedule(at, Event::CcaDone(i));
+        }
+        drive_in_lockstep(&mut [&mut heap, &mut original], &mut rng, 3_000);
+        let mut restored = BucketQueue::restore(&original.entries(), original.next_seq());
+        assert_eq!(restored.entries(), original.entries(), "seed {seed}");
+        drive_in_lockstep(
+            &mut [&mut heap, &mut original, &mut restored],
+            &mut rng,
+            3_000,
+        );
+        loop {
+            let a = heap.pop_entry();
+            assert_eq!(original.pop_entry(), a, "seed {seed}: original drain");
+            assert_eq!(restored.pop_entry(), a, "seed {seed}: restored drain");
+            if a.is_none() {
+                break;
+            }
+        }
+    }
+}

@@ -689,3 +689,114 @@ fn resume_at_every_event_across_a_fallback_decode_is_byte_identical() {
         "resuming at every event from {first} to {last} diverged"
     );
 }
+
+/// Collects every checkpoint a run hands its observers.
+struct Checkpoints {
+    every: u64,
+    taken: Vec<(u64, String)>,
+}
+
+impl SimObserver for Checkpoints {
+    fn checkpoint_every(&self) -> u64 {
+        self.every
+    }
+    fn on_checkpoint(&mut self, events: u64, snapshot: &str) {
+        self.taken.push((events, snapshot.to_string()));
+    }
+}
+
+/// The snapshot text of `spec` paused at `events`.
+fn paused_text(sc: &Scenario, spec: &RunSpec, events: u64) -> String {
+    let paused = RunSpec {
+        pause_at: events,
+        ..*spec
+    };
+    match engine::execute(sc, &paused, &mut []) {
+        engine::RunProgress::Paused(p) => engine::snapshot(&p),
+        engine::RunProgress::Done(_) => panic!("a run of at least {events} events pauses there"),
+    }
+}
+
+/// Asserts that `taken` holds one checkpoint at each of `from + k·every`
+/// up to `total`, each the very text a run of `spec` paused at that
+/// count gives.
+fn assert_checkpoints_are_pauses(
+    case: &str,
+    sc: &Scenario,
+    spec: &RunSpec,
+    taken: &[(u64, String)],
+    (from, every, total): (u64, u64, u64),
+) {
+    let counts: Vec<u64> = taken.iter().map(|(events, _)| *events).collect();
+    let expected: Vec<u64> = (1..)
+        .map(|k| from + k * every)
+        .take_while(|&c| c <= total)
+        .collect();
+    assert_eq!(counts, expected, "{case}: checkpoint counts");
+    for (events, text) in taken {
+        assert!(
+            *text == paused_text(sc, spec, *events),
+            "{case}: checkpoint at {events} differs from the run paused there"
+        );
+    }
+}
+
+/// The checkpoint an observer receives at each cadence point of a run
+/// that never stops is byte for byte the snapshot of the same run paused
+/// at that count — serial, faulted, sharded and budget-truncated
+/// sharded, at a cadence that leaves a remainder and at one that puts
+/// the only checkpoint on the run's very last count — and the run's
+/// result is the plain run's. A resumed run's checkpoints count on from
+/// the snapshot it resumed.
+#[test]
+fn checkpoint_sink_matches_paused_snapshots() {
+    let sharded = RunSpec {
+        shards: Some(2),
+        ..RunSpec::default()
+    };
+    let split = partitionable_scenario(3, 9);
+    let natural = finish(&split, &sharded).result.events;
+    let cases = [
+        ("serial", coupled_scenario(5), RunSpec::default()),
+        ("faulted", faulted_scenario(42), RunSpec::default()),
+        ("sharded", partitionable_scenario(3, 42), sharded),
+        (
+            "budgeted sharded",
+            split,
+            RunSpec {
+                budget: natural / 2,
+                ..sharded
+            },
+        ),
+    ];
+    for (name, sc, spec) in &cases {
+        let plain = finish(sc, spec);
+        let total = plain.result.events;
+        for every in [total / 5 + 1, total] {
+            let mut sink = Checkpoints {
+                every,
+                taken: Vec::new(),
+            };
+            let done = engine::execute(sc, spec, &mut [&mut sink])
+                .into_done()
+                .expect("checkpoints never pause the run");
+            let case = format!("{name}, every {every}");
+            assert_eq!(done.exhausted, plain.exhausted, "{case}: exhaustion");
+            assert_eq!(bytes(&done.result), bytes(&plain.result), "{case}: result");
+            assert_checkpoints_are_pauses(&case, sc, spec, &sink.taken, (0, every, total));
+        }
+    }
+    for (name, sc, spec) in &cases {
+        let total = finish(sc, spec).result.events;
+        let (from, every) = (total / 3, total / 4);
+        let text = paused_text(sc, spec, from);
+        let restored = engine::restore(&text).expect("snapshot text round-trips");
+        let mut sink = Checkpoints {
+            every,
+            taken: Vec::new(),
+        };
+        engine::resume_bounded(sc, restored, &mut [&mut sink], u64::MAX).expect("resumes");
+        let case = format!("{name}, resumed at {from}");
+        assert_checkpoints_are_pauses(&case, sc, spec, &sink.taken, (from, every, total));
+    }
+}
