@@ -215,7 +215,7 @@ cargo fmt --all --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> nomc-lint: all eight rules, zero findings"
+echo "==> nomc-lint: all nine rules, zero findings"
 cargo run -p nomc-lint --release --offline --quiet -- .
 
 echo "==> nomc-lint --format json vs committed allow inventory"

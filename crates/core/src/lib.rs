@@ -43,9 +43,10 @@
 //!
 //! ## Beyond the paper
 //!
-//! [`classifier`] implements the §VII-C future-work direction: an oracle
-//! that can distinguish co-channel from inter-channel energy at CCA time,
-//! providing an upper bound on DCN's achievable concurrency.
+//! The §VII-C future-work direction, an oracle that tells co-channel
+//! from inter-channel energy at CCA time, lives in the engine as
+//! `ThresholdMode::FixedOracle` (the "DCN + oracle classifier"
+//! ablation), not in this crate.
 //!
 //! # Examples
 //!
@@ -69,9 +70,7 @@
 #![warn(missing_docs)]
 
 pub mod adjustor;
-pub mod classifier;
 pub mod config;
 
 pub use adjustor::{AdjustorSnapshot, AdjustorStats, CcaAdjustor, DcnPhase};
-pub use classifier::OracleClassifierCca;
 pub use config::DcnConfig;

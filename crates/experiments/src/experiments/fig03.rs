@@ -67,19 +67,19 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     vec![report]
 }
 
-/// Used by tests and Fig. 4: fraction of normal-sender packets collided.
-pub fn collision_coverage(result: &nomc_sim::SimResult) -> f64 {
-    let l = &result.links[0];
-    if l.sent == 0 {
-        return 0.0;
-    }
-    l.collided as f64 / l.sent as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner;
+
+    /// Fraction of normal-sender packets collided.
+    fn collision_coverage(result: &nomc_sim::SimResult) -> f64 {
+        let l = &result.links[0];
+        if l.sent == 0 {
+            return 0.0;
+        }
+        l.collided as f64 / l.sent as f64
+    }
 
     #[test]
     fn every_normal_packet_collides() {

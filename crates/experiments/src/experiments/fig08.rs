@@ -78,17 +78,17 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     vec![report]
 }
 
-/// The best received throughput and the received throughput at the most
-/// relaxed threshold — used to assert the collapse.
-pub fn peak_vs_relaxed(points: &[(f64, f64, f64)]) -> (f64, f64) {
-    let peak = points.iter().map(|p| p.2).fold(0.0, f64::max);
-    let relaxed = points.last().expect("non-empty").2;
-    (peak, relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The best received throughput and the received throughput at the
+    /// most relaxed threshold.
+    fn peak_vs_relaxed(points: &[(f64, f64, f64)]) -> (f64, f64) {
+        let peak = points.iter().map(|p| p.2).fold(0.0, f64::max);
+        let relaxed = points.last().expect("non-empty").2;
+        (peak, relaxed)
+    }
 
     #[test]
     fn relaxing_past_min_rss_stops_helping() {

@@ -59,15 +59,15 @@ pub fn run(cfg: &ExpConfig) -> Vec<Report> {
     vec![fig9, fig10]
 }
 
-/// Relaxed-threshold PRR at one power (used by tests and EXPERIMENTS.md).
-pub fn relaxed_prr(cfg: &ExpConfig, power: f64) -> f64 {
-    let sweep = fig06::sweep(cfg, Dbm::new(power));
-    sweep.last().expect("non-empty").prr
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Relaxed-threshold PRR at one power.
+    fn relaxed_prr(cfg: &ExpConfig, power: f64) -> f64 {
+        let sweep = fig06::sweep(cfg, Dbm::new(power));
+        sweep.last().expect("non-empty").prr
+    }
 
     #[test]
     fn prr_ordering_matches_paper() {

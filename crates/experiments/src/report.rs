@@ -138,11 +138,6 @@ pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
-/// Formats a mean ± standard deviation pair.
-pub fn pm(mean: f64, std: f64) -> String {
-    format!("{mean:.1} ± {std:.1}")
-}
-
 /// Renders a horizontal ASCII bar of `value` scaled to `max` over
 /// `width` characters — a poor man's figure.
 pub fn bar(value: f64, max: f64, width: usize) -> String {
@@ -200,7 +195,6 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f1(1.25), "1.2");
         assert_eq!(pct(0.384), "38.4%");
-        assert_eq!(pm(10.0, 0.5), "10.0 ± 0.5");
         assert_eq!(bar(5.0, 10.0, 10), "#####");
         assert_eq!(bar(0.0, 10.0, 10), "");
         assert_eq!(bar(1.0, 0.0, 10), "");

@@ -7,7 +7,7 @@
 //! path: the work-stealing [`nomc_sim::pool`], whose
 //! slot-ordered results are bit-identical for any thread count.
 //!
-//! Batch robustness: [`run_outcomes`] isolates each member behind
+//! Member robustness: `run_isolated` runs one member behind
 //! `catch_unwind` and a deterministic event budget, so one panicking or
 //! runaway scenario is reported as its own [`RunOutcome`] instead of
 //! taking the whole sweep down. The budget counts simulation events —
@@ -41,24 +41,6 @@ impl Stat {
             mean,
             std: var.sqrt(),
         }
-    }
-
-    /// Half-width of the ~95 % confidence interval of the mean
-    /// (`t · s / √n` with a small-sample Student-t table). Zero for
-    /// fewer than two samples.
-    pub fn ci95_half_width(&self, n: usize) -> f64 {
-        if n < 2 {
-            return 0.0;
-        }
-        // Two-sided 95 % t-quantiles for n-1 degrees of freedom.
-        const T: [f64; 10] = [
-            12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
-        ];
-        let t = T.get(n - 2).copied().unwrap_or(1.96);
-        // `std` here is the population σ estimate; convert to the sample
-        // (n-1) estimator for the CI.
-        let sample_std = self.std * ((n as f64) / (n as f64 - 1.0)).sqrt();
-        t * sample_std / (n as f64).sqrt()
     }
 }
 
@@ -96,7 +78,7 @@ pub fn run_parallel(scenarios: &[Scenario]) -> Vec<SimResult> {
     })
 }
 
-/// How one member of an isolated batch ([`run_outcomes`]) ended.
+/// How one isolated member (a sweep or server attempt) ended.
 #[derive(Debug, PartialEq)]
 pub enum RunOutcome {
     /// The simulation drained naturally within the event budget.
@@ -120,11 +102,6 @@ impl RunOutcome {
             _ => None,
         }
     }
-
-    /// `true` for [`RunOutcome::Ok`].
-    pub fn is_ok(&self) -> bool {
-        matches!(self, RunOutcome::Ok(_))
-    }
 }
 
 /// A run that exhausted its event budget timed out.
@@ -138,24 +115,6 @@ impl From<BoundedRun> for RunOutcome {
             RunOutcome::Ok(done.result)
         }
     }
-}
-
-/// Runs a batch of scenarios in parallel with per-member isolation:
-/// each member runs under `catch_unwind` and the `max_events` budget,
-/// and the returned outcomes preserve order. Use `u64::MAX` for an
-/// effectively unbounded budget.
-///
-/// Unlike [`run_parallel`], a panicking member cannot abort the batch:
-/// it is reported as [`RunOutcome::Failed`] while every other member
-/// still completes.
-pub fn run_outcomes(scenarios: &[Scenario], max_events: u64) -> Vec<RunOutcome> {
-    pool::run_indexed(scenarios.len(), pool::default_threads(), |i| {
-        let spec = RunSpec {
-            budget: max_events,
-            ..RunSpec::default()
-        };
-        run_isolated(&scenarios[i], &spec, &mut [])
-    })
 }
 
 /// One member: budgeted, with the panic boundary right around the
@@ -233,18 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn ci95_behaviour() {
-        let s = Stat::of(&[10.0, 12.0, 14.0]);
-        let ci = s.ci95_half_width(3);
-        // t(2 df) = 4.303, sample std = 2 → 4.303·2/√3 ≈ 4.97.
-        assert!((ci - 4.969).abs() < 0.01, "{ci}");
-        assert_eq!(s.ci95_half_width(1), 0.0);
-        // More samples shrink the interval.
-        let s10 = Stat::of(&[10.0, 12.0, 14.0, 10.0, 12.0, 14.0, 10.0, 12.0, 14.0, 12.0]);
-        assert!(s10.ci95_half_width(10) < ci);
-    }
-
-    #[test]
     fn run_seeds_is_deterministic_and_ordered() {
         let cfg = ExpConfig {
             duration: nomc_units::SimDuration::from_secs(2),
@@ -265,17 +212,19 @@ mod tests {
         // Corrupt the invariant the builder guarantees (one behavior per
         // network): engine construction panics on the missing entry.
         bad.behaviors.pop();
-        let batch = vec![scenario(1), bad, scenario(3)];
+        let batch = [scenario(1), bad, scenario(3)];
         // Quiet the default panic printer for the intentional panic; the
         // hook is process-global, so restore it right after.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let out = run_outcomes(&batch, u64::MAX);
+        let out: Vec<RunOutcome> = batch
+            .iter()
+            .map(|sc| run_isolated(sc, &RunSpec::default(), &mut []))
+            .collect();
         std::panic::set_hook(prev);
-        assert_eq!(out.len(), 3);
-        assert!(out[0].is_ok(), "{:?}", out[0]);
+        assert!(matches!(out[0], RunOutcome::Ok(_)), "{:?}", out[0]);
         assert!(matches!(out[1], RunOutcome::Failed(_)), "{:?}", out[1]);
-        assert!(out[2].is_ok(), "{:?}", out[2]);
+        assert!(matches!(out[2], RunOutcome::Ok(_)), "{:?}", out[2]);
         // The survivors are the same results an unbounded run produces.
         assert_eq!(out[0].result(), Some(&engine::run(&batch[0])));
     }
@@ -285,11 +234,15 @@ mod tests {
         let sc = scenario(7);
         let full = engine::run(&sc);
         assert!(full.events > 200, "budget test needs a non-trivial run");
-        let out = run_outcomes(std::slice::from_ref(&sc), 200);
-        assert_eq!(out, vec![RunOutcome::TimedOut { events: 200 }]);
+        let budget = |budget| RunSpec {
+            budget,
+            ..RunSpec::default()
+        };
+        let out = run_isolated(&sc, &budget(200), &mut []);
+        assert_eq!(out, RunOutcome::TimedOut { events: 200 });
         // A budget past the natural event count changes nothing.
-        let unbounded = run_outcomes(std::slice::from_ref(&sc), full.events + 1);
-        assert_eq!(unbounded[0].result(), Some(&full));
+        let unbounded = run_isolated(&sc, &budget(full.events + 1), &mut []);
+        assert_eq!(unbounded.result(), Some(&full));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Structured sweep results: per-member attempt histories plus typed
 //! reducers.
 //!
-//! Unlike the bare `Vec<RunOutcome>` of the batch runner, a
-//! [`SweepReport`] never lets a non-`Ok` member vanish silently: every
+//! Unlike a bare list of `RunOutcome`s, a [`SweepReport`] never lets a non-`Ok` member vanish silently: every
 //! reducer reports `(ok, failed, timed_out, retried)` counts, and
 //! [`SweepReport::stat`] refuses — with a typed [`SweepError`], not a
 //! panic and not a quietly-narrowed sample — to synthesize a statistic

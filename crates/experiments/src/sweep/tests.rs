@@ -65,7 +65,10 @@ fn sharded_sweep_matches_serial_and_refuses_serial_journals() {
 fn fresh_sweep_matches_run_outcomes_bit_identically() {
     let members = seed_members(&base_scenario(), &[1, 2, 3]);
     let report = run_sweep(&members, &SweepConfig::default(), None, false).expect("no journal");
-    let outcomes = runner::run_outcomes(&members, u64::MAX);
+    let outcomes: Vec<runner::RunOutcome> = members
+        .iter()
+        .map(|sc| runner::run_isolated(sc, &RunSpec::default(), &mut []))
+        .collect();
     assert_eq!(report.members.len(), 3);
     for (m, o) in report.members.iter().zip(&outcomes) {
         let result = o.result().expect("healthy scenarios complete");

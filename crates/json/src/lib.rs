@@ -284,14 +284,6 @@ impl Json {
         }
     }
 
-    /// The array contents mutably, if this is an array.
-    pub fn as_array_mut(&mut self) -> Option<&mut Vec<Json>> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
     /// The object, if this is an object.
     pub fn as_object(&self) -> Option<&Map> {
         match self {
@@ -421,16 +413,6 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
-
-/// Converts a value to a [`Json`] tree.
-pub fn to_value<T: ToJson + ?Sized>(value: &T) -> Json {
-    value.to_json()
-}
-
-/// Converts a [`Json`] tree into a typed value.
-pub fn from_value<T: FromJson>(value: &Json) -> Result<T, Error> {
-    T::from_json(value)
-}
 
 /// Serializes a value compactly.
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {

@@ -19,11 +19,14 @@
 //! | `float-totality`      | `sim`/`phy`/`mac`/`core`/`experiments`   |
 //! | `observer-purity`     | every `impl SimObserver`                 |
 //! | `exhaustive-dispatch` | `sim/src/runtime/{dispatch,faults,snapshot}.rs` + shard merge |
+//! | `test-only-api`       | every `pub fn` in library `crates/*/src` |
 //! | `dead-allow`          | every allow directive                    |
 //!
 //! The line-oriented v1 rules run on the lexed [`source::SourceFile`]
 //! view; the flow-aware v2 rules run on the [`parser`] item stream
-//! (lexer → token stream → items → rules — no expression AST).
+//! (lexer → token stream → items → rules — no expression AST). The
+//! workspace-wide `test-only-api` rule runs in [`lint_files`], over a
+//! name index of every file.
 //!
 //! Diagnostics render as `file:line: rule-id: message`. A finding is
 //! suppressed by `// nomc-lint: allow(<rule-id>)` (`#` comment in TOML)
@@ -106,9 +109,33 @@ impl LintReport {
     }
 }
 
-/// Runs every source rule applicable to `rel_path` over `content`,
-/// with allow accounting.
+/// Runs every per-file source rule applicable to `rel_path` over
+/// `content`, with allow accounting. The workspace-wide
+/// `test-only-api` rule needs every file at once, so it runs only in
+/// [`lint_files`]; here its directives are left unaccounted.
 pub fn lint_source_full(rel_path: &str, content: &str) -> FileLint {
+    let scan = scan_source(rel_path, content);
+    apply_allows(rel_path, &scan.directives, scan.raw, false)
+}
+
+/// Runs the manifest rule (`dep-audit`) over one `Cargo.toml`, with
+/// allow accounting.
+pub fn lint_manifest_full(rel_path: &str, content: &str) -> FileLint {
+    let mut raw = Vec::new();
+    rules::dep_audit::check(rel_path, content, &mut raw);
+    apply_allows(rel_path, &rules::dep_audit::directives(content), raw, true)
+}
+
+/// One source file's directives, items, tokens and per-file findings,
+/// before allow accounting.
+struct Scanned {
+    directives: Vec<source::Directive>,
+    items: parser::Items,
+    tokens: Vec<parser::Token>,
+    raw: Vec<Diagnostic>,
+}
+
+fn scan_source(rel_path: &str, content: &str) -> Scanned {
     let sf = source::SourceFile::parse(content);
     let items = parser::parse(&sf);
     let tokens = parser::tokenize(&sf);
@@ -119,36 +146,26 @@ pub fn lint_source_full(rel_path: &str, content: &str) -> FileLint {
     rules::float_totality::check(rel_path, &tokens, &items, &mut raw);
     rules::observer_purity::check(rel_path, &items, &mut raw);
     rules::exhaustive_dispatch::check(rel_path, &items, &mut raw);
-    apply_allows(rel_path, &sf.directives(), raw)
-}
-
-/// Runs the manifest rule (`dep-audit`) over one `Cargo.toml`, with
-/// allow accounting.
-pub fn lint_manifest_full(rel_path: &str, content: &str) -> FileLint {
-    let mut raw = Vec::new();
-    rules::dep_audit::check(rel_path, content, &mut raw);
-    apply_allows(rel_path, &rules::dep_audit::directives(content), raw)
-}
-
-/// [`lint_source_full`], diagnostics only.
-pub fn lint_source(rel_path: &str, content: &str) -> Vec<Diagnostic> {
-    lint_source_full(rel_path, content).diagnostics
-}
-
-/// [`lint_manifest_full`], diagnostics only.
-pub fn lint_manifest(rel_path: &str, content: &str) -> Vec<Diagnostic> {
-    lint_manifest_full(rel_path, content).diagnostics
+    Scanned {
+        directives: sf.directives(),
+        items,
+        tokens,
+        raw,
+    }
 }
 
 /// Suppresses `raw` diagnostics covered by `directives`, accounting
 /// consumption per (directive, rule): consumed pairs become
 /// [`AllowRecord`]s, unconsumed ones become `dead-allow` diagnostics.
 /// `dead-allow` findings are emitted *after* suppression, so they are
-/// unsuppressible by construction.
+/// unsuppressible by construction. Without `workspace`, directives
+/// naming a [`rules::WORKSPACE`] rule are skipped: that rule did not
+/// run, so it cannot tell a live allow from a stale one.
 fn apply_allows(
     rel_path: &str,
     directives: &[source::Directive],
     raw: Vec<Diagnostic>,
+    workspace: bool,
 ) -> FileLint {
     let mut consumed: Vec<Vec<bool>> = directives
         .iter()
@@ -173,6 +190,9 @@ fn apply_allows(
     let mut allows = Vec::new();
     for (di, dir) in directives.iter().enumerate() {
         for (ri, rule) in dir.rules.iter().enumerate() {
+            if !workspace && rules::WORKSPACE.contains(&rule.as_str()) {
+                continue;
+            }
             if consumed[di][ri] {
                 allows.push(AllowRecord {
                     file: rel_path.to_string(),
@@ -202,24 +222,44 @@ fn apply_allows(
 }
 
 /// Walks the workspace rooted at `root` and lints every `.rs` file and
-/// `Cargo.toml`, skipping `target/`, VCS metadata, and the lint's own
-/// fixture corpus (`**/tests/fixtures/**`).
+/// `Cargo.toml` through [`lint_files`], skipping `target/`, VCS
+/// metadata, and the lint's own fixture corpus (`**/tests/fixtures/**`).
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
-    let mut files = Vec::new();
-    collect(root, Path::new(""), &mut files)?;
-    files.sort();
+    let mut paths = Vec::new();
+    collect(root, Path::new(""), &mut paths)?;
+    paths.sort();
+    let files = paths
+        .iter()
+        .map(|rel| {
+            let rel_str = rel.to_string_lossy().replace('\\', "/");
+            Ok((rel_str, fs::read_to_string(root.join(rel))?))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok(lint_files(&files))
+}
+
+/// Lints `(workspace-relative path, content)` pairs as one workspace:
+/// every per-file rule, then the workspace-wide `test-only-api` pass
+/// over the name index all files built, with allow accounting.
+pub fn lint_files(files: &[(String, String)]) -> LintReport {
     let mut diagnostics = Vec::new();
     let mut allows = Vec::new();
-    let mut files_scanned = 0;
-    for rel in &files {
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        let content = fs::read_to_string(root.join(rel))?;
-        files_scanned += 1;
-        let file = if rel_str.ends_with("Cargo.toml") {
-            lint_manifest_full(&rel_str, &content)
-        } else {
-            lint_source_full(&rel_str, &content)
-        };
+    let mut index = rules::test_only_api::Index::default();
+    let mut pending = Vec::new();
+    for (rel, content) in files {
+        if rel.ends_with("Cargo.toml") {
+            let file = lint_manifest_full(rel, content);
+            diagnostics.extend(file.diagnostics);
+            allows.extend(file.allows);
+            continue;
+        }
+        let scan = scan_source(rel, content);
+        index.add_file(rel, &scan.tokens);
+        pending.push((rel, scan));
+    }
+    for (rel, mut scan) in pending {
+        rules::test_only_api::check(rel, &scan.items, &index, &mut scan.raw);
+        let file = apply_allows(rel, &scan.directives, scan.raw, true);
         diagnostics.extend(file.diagnostics);
         allows.extend(file.allows);
     }
@@ -227,11 +267,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     diagnostics.dedup();
     allows.sort();
     allows.dedup();
-    Ok(LintReport {
+    LintReport {
         diagnostics,
         allows,
-        files_scanned,
-    })
+        files_scanned: files.len(),
+    }
 }
 
 fn collect(root: &Path, rel: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -264,15 +304,22 @@ mod tests {
     #[test]
     fn allow_directive_filters_source_diagnostics() {
         let src = "use std::collections::HashMap; // nomc-lint: allow(determinism)\n";
-        assert!(lint_source("crates/sim/src/x.rs", src).is_empty());
+        assert!(lint_source_full("crates/sim/src/x.rs", src)
+            .diagnostics
+            .is_empty());
         let src = "use std::collections::HashMap;\n";
-        assert_eq!(lint_source("crates/sim/src/x.rs", src).len(), 1);
+        assert_eq!(
+            lint_source_full("crates/sim/src/x.rs", src)
+                .diagnostics
+                .len(),
+            1
+        );
     }
 
     #[test]
     fn diagnostics_are_rule_tagged() {
         let src = "use std::collections::HashMap;\n";
-        let d = lint_source("crates/sim/src/x.rs", src);
+        let d = lint_source_full("crates/sim/src/x.rs", src).diagnostics;
         assert_eq!(d[0].rule, rules::determinism::RULE);
         assert!(rules::ALL.contains(&d[0].rule));
     }

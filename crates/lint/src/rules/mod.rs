@@ -9,6 +9,7 @@ pub mod exhaustive_dispatch;
 pub mod float_totality;
 pub mod observer_purity;
 pub mod panic_hygiene;
+pub mod test_only_api;
 pub mod unit_safety;
 
 /// All rule ids, for `--list-rules` and allow-directive validation.
@@ -20,8 +21,13 @@ pub const ALL: &[&str] = &[
     float_totality::RULE,
     observer_purity::RULE,
     exhaustive_dispatch::RULE,
+    test_only_api::RULE,
     dead_allow::RULE,
 ];
+
+/// The rules that judge the whole workspace at once rather than one
+/// file: they run only when every file is linted together.
+pub const WORKSPACE: &[&str] = &[test_only_api::RULE];
 
 /// True when `code[pos..]` starts with `word` as a whole identifier
 /// (neither side continues an identifier).

@@ -270,18 +270,27 @@ fn prev_is_ident(chars: &[char], i: usize) -> bool {
 }
 
 /// Marks every line belonging to a `#[cfg(test)]` item (attribute line,
-/// the item header, and the full brace-delimited body).
+/// the item header, and the full brace-delimited body). An item that
+/// ends in `;` before any body (`mod tests;` declaring an external
+/// file, a `use`) ends the region there.
 fn mark_test_regions(lines: &mut [Line]) {
     let mut depth: i64 = 0;
     let mut armed = false;
+    // Open `(`/`[` groups since arming: a `;` inside one (`[u8; 4]`)
+    // does not end the item.
+    let mut nest: i64 = 0;
     let mut test_at: Option<i64> = None;
     for line in lines.iter_mut() {
         if line.code.contains("cfg(test)") {
             armed = true;
+            nest = 0;
         }
         let mut in_test = armed || test_at.is_some();
         for c in line.code.chars() {
             match c {
+                '(' | '[' => nest += 1,
+                ')' | ']' => nest -= 1,
+                ';' if armed && nest == 0 => armed = false,
                 '{' => {
                     depth += 1;
                     if armed {
@@ -354,6 +363,14 @@ mod tests {
         let sf = SourceFile::parse(src);
         let flags: Vec<bool> = sf.lines.iter().map(|l| l.in_test).collect();
         assert_eq!(flags, vec![false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn cfg_test_external_module_ends_at_its_semicolon() {
+        let src = "#[cfg(test)]\nmod tests;\nfn live(x: [u8; 4]) {}\n#[cfg(test)]\nfn t(x: [u8; 4]) {\n}\n";
+        let sf = SourceFile::parse(src);
+        let flags: Vec<bool> = sf.lines.iter().map(|l| l.in_test).collect();
+        assert_eq!(flags, vec![true, true, false, true, true, true]);
     }
 
     #[test]

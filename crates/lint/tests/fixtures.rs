@@ -25,9 +25,9 @@ fn lint_fixture(name: &str, pretend_path: &str) -> String {
     let content = fs::read_to_string(fixture_dir().join(name))
         .unwrap_or_else(|e| panic!("read fixture {name}: {e}"));
     let diags = if name.ends_with(".toml") {
-        nomc_lint::lint_manifest(pretend_path, &content)
+        nomc_lint::lint_manifest_full(pretend_path, &content).diagnostics
     } else {
-        nomc_lint::lint_source(pretend_path, &content)
+        nomc_lint::lint_source_full(pretend_path, &content).diagnostics
     };
     render(&diags)
 }

@@ -185,11 +185,6 @@ impl MacEngine {
         self.state == State::Idle
     }
 
-    /// Number of busy CCAs the current attempt has seen.
-    pub fn busy_cca_count(&self) -> u8 {
-        self.nb
-    }
-
     /// Retransmissions performed for the current frame (ACK mode).
     pub fn retry_count(&self) -> u8 {
         self.retries
@@ -333,6 +328,13 @@ mod tests {
         StdRng::seed_from_u64(0xC0FFEE)
     }
 
+    fn acked_params() -> CsmaParams {
+        CsmaParams {
+            acknowledged: true,
+            ..CsmaParams::ieee802154_default()
+        }
+    }
+
     #[test]
     fn happy_path() {
         let mut rng = rng();
@@ -370,7 +372,7 @@ mod tests {
                 matches!(c, MacCommand::SetBackoffTimer(_)),
                 "nb={expected_nb}"
             );
-            assert_eq!(mac.busy_cca_count(), expected_nb);
+            assert_eq!(mac.nb, expected_nb);
         }
     }
 
@@ -455,7 +457,7 @@ mod tests {
     #[test]
     fn ack_success_completes() {
         let mut rng = rng();
-        let mut mac = MacEngine::new(CsmaParams::acknowledged_default());
+        let mut mac = MacEngine::new(acked_params());
         mac.handle(MacEvent::PacketReady, &mut rng);
         mac.handle(MacEvent::BackoffExpired, &mut rng);
         mac.handle(MacEvent::CcaResult { clear: true }, &mut rng);
@@ -471,7 +473,7 @@ mod tests {
     #[test]
     fn ack_timeout_retries_then_abandons() {
         let mut rng = rng();
-        let params = CsmaParams::acknowledged_default();
+        let params = acked_params();
         let mut mac = MacEngine::new(params);
         mac.handle(MacEvent::PacketReady, &mut rng);
         for attempt in 0..=params.max_frame_retries {
@@ -494,7 +496,7 @@ mod tests {
     #[test]
     fn retry_resets_backoff_exponent() {
         let mut rng = rng();
-        let params = CsmaParams::acknowledged_default();
+        let params = acked_params();
         let mut mac = MacEngine::new(params);
         mac.handle(MacEvent::PacketReady, &mut rng);
         // Exhaust a few busy CCAs to grow BE…
@@ -505,7 +507,7 @@ mod tests {
         mac.handle(MacEvent::TxDone, &mut rng);
         // …then fail the ACK: the new attempt starts from NB = 0.
         mac.handle(MacEvent::AckResult { acked: false }, &mut rng);
-        assert_eq!(mac.busy_cca_count(), 0);
+        assert_eq!(mac.nb, 0);
     }
 
     #[test]

@@ -123,14 +123,6 @@ impl CsmaParams {
         }
     }
 
-    /// Standard parameters with acknowledged transfers enabled.
-    pub fn acknowledged_default() -> Self {
-        CsmaParams {
-            acknowledged: true,
-            ..CsmaParams::ieee802154_default()
-        }
-    }
-
     /// The paper's "attacker"/collision-generator configuration: carrier
     /// sensing disabled entirely, frames go straight out.
     pub fn carrier_sense_disabled() -> Self {
@@ -179,7 +171,7 @@ mod tests {
         assert_eq!(p.min_be, 3);
         assert_eq!(p.max_be, 5);
         assert_eq!(p.max_csma_backoffs, 4);
-        assert_eq!(p.unit_backoff.as_micros(), 320);
+        assert_eq!(p.unit_backoff, SimDuration::from_micros(320));
         assert!(p.carrier_sense);
         assert!(p.validate().is_ok());
     }
@@ -191,14 +183,16 @@ mod tests {
 
     #[test]
     fn acknowledged_defaults() {
-        let p = CsmaParams::acknowledged_default();
-        assert!(p.acknowledged);
+        let p = CsmaParams {
+            acknowledged: true,
+            ..CsmaParams::ieee802154_default()
+        };
         assert_eq!(p.max_frame_retries, 3);
-        assert_eq!(p.ack_wait.as_micros(), 864);
+        assert_eq!(p.ack_wait, SimDuration::from_micros(864));
         assert!(p.validate().is_ok());
         let bad = CsmaParams {
             ack_wait: SimDuration::ZERO,
-            ..CsmaParams::acknowledged_default()
+            ..p
         };
         assert!(bad.validate().is_err());
     }

@@ -1,7 +1,5 @@
 //! Per-transmitter MAC statistics.
 
-use nomc_units::SimDuration;
-
 /// Counters a node's MAC accumulates over a run; the experiment harness
 /// aggregates these into the paper's throughput/PRR metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -28,27 +26,6 @@ impl MacStats {
     /// A zeroed counter set.
     pub fn new() -> Self {
         MacStats::default()
-    }
-
-    /// Fraction of CCA operations that found the channel busy, or `None`
-    /// if no CCA ever ran.
-    pub fn cca_busy_ratio(&self) -> Option<f64> {
-        let total = self.cca_busy + self.cca_clear;
-        if total == 0 {
-            None
-        } else {
-            Some(self.cca_busy as f64 / total as f64)
-        }
-    }
-
-    /// Transmissions per second over a run of `elapsed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elapsed` is zero.
-    pub fn tx_rate(&self, elapsed: SimDuration) -> f64 {
-        assert!(!elapsed.is_zero(), "elapsed time must be positive");
-        self.transmitted as f64 / elapsed.as_secs_f64()
     }
 
     /// Merges another node's counters into this one (for per-network
@@ -79,30 +56,6 @@ nomc_json::json_struct!(MacStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn busy_ratio() {
-        let mut s = MacStats::new();
-        assert_eq!(s.cca_busy_ratio(), None);
-        s.cca_busy = 3;
-        s.cca_clear = 1;
-        assert_eq!(s.cca_busy_ratio(), Some(0.75));
-    }
-
-    #[test]
-    fn tx_rate() {
-        let s = MacStats {
-            transmitted: 500,
-            ..MacStats::default()
-        };
-        assert!((s.tx_rate(SimDuration::from_secs(2)) - 250.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "elapsed")]
-    fn tx_rate_rejects_zero_time() {
-        let _ = MacStats::default().tx_rate(SimDuration::ZERO);
-    }
 
     #[test]
     fn merge_adds_fields() {

@@ -86,13 +86,6 @@ impl AcrCurve {
         .expect("built-in table is valid")
     }
 
-    /// An idealized perfectly-orthogonal curve: zero rejection co-channel,
-    /// infinite (300 dB) rejection everywhere else. Useful as an ablation
-    /// baseline where inter-channel interference does not exist.
-    pub fn ideal_orthogonal() -> Self {
-        AcrCurve::from_points(vec![(0.0, 0.0), (0.5, 300.0)]).expect("valid")
-    }
-
     /// Builds a curve from `(cfd_mhz, rejection_db)` sample points.
     ///
     /// # Errors
@@ -265,7 +258,7 @@ mod tests {
 
     #[test]
     fn ideal_orthogonal_kills_offchannel() {
-        let acr = AcrCurve::ideal_orthogonal();
+        let acr = AcrCurve::from_points(vec![(0.0, 0.0), (0.5, 300.0)]).expect("valid");
         assert_eq!(acr.rejection(Megahertz::new(0.0)), Db::ZERO);
         assert!(acr.leakage_factor(Megahertz::new(1.0)) < 1e-29);
     }

@@ -136,12 +136,6 @@ impl AcrLut {
         grid_index(cfd.value().abs(), self.step, self.leakage.len())
     }
 
-    /// Whether `cfd` lands exactly (bit-for-bit, by magnitude) on a
-    /// precomputed grid point.
-    pub fn is_grid_hit(&self, cfd: Megahertz) -> bool {
-        self.index_of(cfd).is_some()
-    }
-
     /// Linear leakage factor at `cfd`; table read on a grid hit,
     /// analytic [`AcrCurve::leakage_factor`] otherwise. Identical bits
     /// either way.
@@ -173,7 +167,7 @@ mod tests {
         for curve in [
             AcrCurve::cc2420_calibrated(),
             AcrCurve::dot11b_like(),
-            AcrCurve::ideal_orthogonal(),
+            AcrCurve::from_points(vec![(0.0, 0.0), (0.5, 300.0)]).expect("valid"),
         ] {
             let lut = AcrLut::new(curve.clone());
             let sat = curve.saturation_cfd().value();
@@ -183,7 +177,7 @@ mod tests {
             for i in 0..grid_pts {
                 for sign in [1.0, -1.0] {
                     let cfd = Megahertz::new(sign * i as f64 * 0.25);
-                    assert!(lut.is_grid_hit(cfd), "grid miss at {cfd}");
+                    assert!(lut.index_of(cfd).is_some(), "grid miss at {cfd}");
                     assert_eq!(
                         lut.leakage_factor(cfd).to_bits(),
                         curve.leakage_factor(cfd).to_bits(),
@@ -220,7 +214,7 @@ mod tests {
         let lut = AcrLut::new(curve.clone());
         for v in [0.0, -0.0] {
             let cfd = Megahertz::new(v);
-            assert!(lut.is_grid_hit(cfd));
+            assert!(lut.index_of(cfd).is_some());
             assert_eq!(
                 lut.leakage_factor(cfd).to_bits(),
                 curve.leakage_factor(cfd).to_bits()
@@ -229,7 +223,7 @@ mod tests {
         // Far past saturation: off the table, still identical via
         // fallback (the analytic curve clamps to its last point).
         let far = Megahertz::new(80.0);
-        assert!(!lut.is_grid_hit(far));
+        assert!(lut.index_of(far).is_none());
         assert_eq!(
             lut.leakage_factor(far).to_bits(),
             curve.leakage_factor(far).to_bits()

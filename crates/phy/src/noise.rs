@@ -33,6 +33,7 @@ impl NoiseFloor {
     /// # Panics
     ///
     /// Panics if `bandwidth` is not positive.
+    // nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
     pub fn from_bandwidth(bandwidth: Megahertz, noise_figure: Db) -> Self {
         assert!(bandwidth.value() > 0.0, "bandwidth must be positive");
         let bandwidth_hz = bandwidth.value() * 1e6;

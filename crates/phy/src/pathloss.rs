@@ -52,11 +52,6 @@ impl FreeSpace {
             min_distance: Meters::new(0.1),
         }
     }
-
-    /// The 2.44 GHz ISM-band instance used throughout the reproduction.
-    pub fn ism_2_4ghz() -> Self {
-        FreeSpace::new(Megahertz::new(2440.0))
-    }
 }
 
 impl PathLoss for FreeSpace {
@@ -138,13 +133,13 @@ mod tests {
     #[test]
     fn free_space_reference_value() {
         // Classic check: 2440 MHz at 1 m ≈ 40.2 dB.
-        let l = FreeSpace::ism_2_4ghz().loss(Meters::new(1.0));
+        let l = FreeSpace::new(Megahertz::new(2440.0)).loss(Meters::new(1.0));
         assert!((l.value() - 40.2).abs() < 0.1, "got {l}");
     }
 
     #[test]
     fn free_space_doubles_distance_adds_6db() {
-        let m = FreeSpace::ism_2_4ghz();
+        let m = FreeSpace::new(Megahertz::new(2440.0));
         let d1 = m.loss(Meters::new(4.0));
         let d2 = m.loss(Meters::new(8.0));
         assert!(((d2 - d1).value() - 6.02).abs() < 0.01);
@@ -185,7 +180,7 @@ mod tests {
     #[test]
     fn trait_object_usable() {
         let models: Vec<Box<dyn PathLoss>> = vec![
-            Box::new(FreeSpace::ism_2_4ghz()),
+            Box::new(FreeSpace::new(Megahertz::new(2440.0))),
             Box::new(LogDistance::indoor_2_4ghz()),
         ];
         for m in &models {

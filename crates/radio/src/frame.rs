@@ -18,7 +18,6 @@ use crate::timing;
 /// let spec = FrameSpec::default_data_frame();
 /// assert_eq!(spec.mpdu_bytes(), 51);
 /// assert_eq!(spec.ppdu_bytes(), 57);
-/// assert_eq!(spec.psdu_bits(), 51 * 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameSpec {
@@ -80,12 +79,6 @@ impl FrameSpec {
         timing::PPDU_HEADER_BYTES + self.mpdu_bytes()
     }
 
-    /// Number of PSDU bits subject to demodulation errors after sync
-    /// (the MPDU; the sync header's robustness is modelled separately).
-    pub fn psdu_bits(self) -> u32 {
-        self.mpdu_bytes() * 8
-    }
-
     /// On-air duration of the whole PPDU.
     pub fn airtime(self) -> nomc_units::SimDuration {
         timing::airtime(self.ppdu_bytes())
@@ -141,13 +134,14 @@ impl std::error::Error for FrameTooLong {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nomc_units::SimDuration;
 
     #[test]
     fn default_frame_sizes() {
         let s = FrameSpec::default_data_frame();
         assert_eq!(s.mpdu_bytes(), 51);
         assert_eq!(s.ppdu_bytes(), 57);
-        assert_eq!(s.airtime().as_micros(), 57 * 32);
+        assert_eq!(s.airtime(), SimDuration::from_micros(57 * 32));
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //!
 //! ```
 //! use nomc_radio::{frame::FrameSpec, timing, RadioConfig};
+//! use nomc_units::SimDuration;
 //!
 //! let spec = FrameSpec::default_data_frame();
 //! let airtime = timing::airtime(spec.ppdu_bytes());
-//! assert_eq!(airtime.as_micros(), (6 + 51) as u64 * 32);
+//! assert_eq!(airtime, SimDuration::from_micros((6 + 51) as u64 * 32));
 //!
 //! let radio = RadioConfig::cc2420();
 //! assert_eq!(radio.default_cca_threshold.value(), -77.0);

@@ -94,6 +94,7 @@ impl TxPower {
 
     /// Quantizes to the nearest CC2420 `PA_LEVEL`, returning the register
     /// value and its nominal power.
+    // nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
     pub fn nearest_cc2420_level(self) -> (u8, Dbm) {
         let mut best = CC2420_PA_LEVELS[0];
         for &(reg, p) in &CC2420_PA_LEVELS {

@@ -40,8 +40,9 @@ pub const SYNC_HEADER_BYTES: u32 = 5;
 ///
 /// ```
 /// use nomc_radio::timing::airtime;
+/// use nomc_units::SimDuration;
 /// // A 133-byte PPDU (maximum frame) lasts 4.256 ms.
-/// assert_eq!(airtime(133).as_micros(), 4256);
+/// assert_eq!(airtime(133), SimDuration::from_micros(4256));
 /// ```
 pub fn airtime(ppdu_bytes: u32) -> SimDuration {
     BYTE * u64::from(ppdu_bytes)
@@ -63,20 +64,20 @@ mod tests {
 
     #[test]
     fn standard_constants() {
-        assert_eq!(UNIT_BACKOFF.as_micros(), 320);
-        assert_eq!(CCA_DURATION.as_micros(), 128);
-        assert_eq!(TURNAROUND.as_micros(), 192);
+        assert_eq!(UNIT_BACKOFF, SimDuration::from_micros(320));
+        assert_eq!(CCA_DURATION, SimDuration::from_micros(128));
+        assert_eq!(TURNAROUND, SimDuration::from_micros(192));
     }
 
     #[test]
     fn airtime_scales_linearly() {
         assert_eq!(airtime(0), SimDuration::ZERO);
         assert_eq!(airtime(1), BYTE);
-        assert_eq!(airtime(99).as_micros(), 99 * 32);
+        assert_eq!(airtime(99), SimDuration::from_micros(99 * 32));
     }
 
     #[test]
     fn sync_header_is_five_bytes() {
-        assert_eq!(sync_header_duration().as_micros(), 160);
+        assert_eq!(sync_header_duration(), SimDuration::from_micros(160));
     }
 }

@@ -101,11 +101,6 @@ impl AdaptiveRecovery {
         failed as f64 / self.window.len() as f64
     }
 
-    /// Whether recovery is currently on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// How many times the decision has flipped.
     pub fn switch_count(&self) -> u64 {
         self.switches
@@ -142,7 +137,7 @@ mod tests {
         for _ in 0..5 {
             a.observe(FrameOutcome::CrcFailed);
         }
-        assert!(a.is_enabled());
+        assert!(a.enabled);
     }
 
     #[test]
@@ -167,11 +162,11 @@ mod tests {
         for _ in 0..20 {
             a.observe(FrameOutcome::CrcFailed);
         }
-        assert!(a.is_enabled());
+        assert!(a.enabled);
         for _ in 0..40 {
             a.observe(FrameOutcome::Ok);
         }
-        assert!(!a.is_enabled());
+        assert!(!a.enabled);
         assert_eq!(a.switch_count(), 2);
     }
 

@@ -64,6 +64,7 @@ impl BlockScheme {
     /// Positions beyond the frame are ignored (they cannot occur with a
     /// well-formed simulator but a defensive bound keeps the result
     /// meaningful).
+    // nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
     pub fn analyze(&self, error_positions: &[u32], frame_bytes: u32) -> RecoveryOutcome {
         let total_blocks = frame_bytes.div_ceil(self.block_bytes).max(1);
         let mut corrupted = vec![false; total_blocks as usize];
@@ -85,6 +86,7 @@ impl BlockScheme {
     /// Convenience for records that only kept an error *count*: assumes
     /// the worst case of maximally spread errors (each error hits its own
     /// block).
+    // nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
     pub fn analyze_spread(&self, error_bits: u32, frame_bytes: u32) -> RecoveryOutcome {
         let total_blocks = frame_bytes.div_ceil(self.block_bytes).max(1);
         let corrupted_blocks = error_bits.min(total_blocks);

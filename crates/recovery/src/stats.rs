@@ -11,6 +11,7 @@
 /// assert_eq!(cdf[0], (0.1, 1.0 / 3.0));
 /// assert_eq!(cdf[2], (0.4, 1.0));
 /// ```
+// nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
 pub fn ecdf(values: &[f64]) -> Vec<(f64, f64)> {
     let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
@@ -58,6 +59,7 @@ pub struct ErrorBitSummary {
 /// Summarizes error-bit fractions.
 ///
 /// Returns `None` for an empty input.
+// nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
 pub fn summarize(fractions: &[f64]) -> Option<ErrorBitSummary> {
     if fractions.is_empty() {
         return None;

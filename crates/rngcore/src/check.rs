@@ -78,6 +78,7 @@ pub fn range<T: SampleUniform + Debug + 'static>(r: Range<T>) -> G<T> {
 }
 
 /// Uniform values from an inclusive range, shrinking toward its start.
+// nomc-lint: allow(test-only-api) — property-test combinator
 pub fn range_incl<T: SampleUniform + Debug + 'static>(r: std::ops::RangeInclusive<T>) -> G<T> {
     let (lo, hi) = r.into_inner();
     G::with_shrink(
@@ -87,11 +88,13 @@ pub fn range_incl<T: SampleUniform + Debug + 'static>(r: std::ops::RangeInclusiv
 }
 
 /// Always the same value (the `Just` of proptest).
+// nomc-lint: allow(test-only-api) — property-test combinator
 pub fn just<T: Clone + 'static>(value: T) -> G<T> {
     G::new(move |_| value.clone())
 }
 
 /// Uniform booleans, shrinking toward `false`.
+// nomc-lint: allow(test-only-api) — property-test combinator
 pub fn boolean() -> G<bool> {
     G::with_shrink(
         |rng| rng.gen::<bool>(),
@@ -102,6 +105,7 @@ pub fn boolean() -> G<bool> {
 /// Vectors of `elem` with a length drawn from `len`; shrinks by
 /// dropping elements (never below `len.start`) and by shrinking single
 /// elements.
+// nomc-lint: allow(test-only-api) — property-test combinator
 pub fn vec_of<T: Clone + 'static>(elem: G<T>, len: Range<usize>) -> G<Vec<T>> {
     let min_len = len.start;
     let elem = std::rc::Rc::new(elem);
@@ -136,6 +140,7 @@ pub fn vec_of<T: Clone + 'static>(elem: G<T>, len: Range<usize>) -> G<Vec<T>> {
 
 /// Picks one of the given generators uniformly per case (the
 /// `prop_oneof!` of proptest). Values do not shrink across branches.
+// nomc-lint: allow(test-only-api) — property-test combinator
 pub fn one_of<T: 'static>(options: Vec<G<T>>) -> G<T> {
     assert!(!options.is_empty(), "one_of needs at least one generator");
     G::new(move |rng| {
@@ -164,6 +169,7 @@ pub fn zip2<A: Clone + 'static, B: Clone + 'static>(a: G<A>, b: G<B>) -> G<(A, B
 }
 
 /// Triples three generators; shrinks each component independently.
+// nomc-lint: allow(test-only-api) — property-test combinator
 pub fn zip3<A: Clone + 'static, B: Clone + 'static, C: Clone + 'static>(
     a: G<A>,
     b: G<B>,
@@ -188,6 +194,7 @@ pub fn zip3<A: Clone + 'static, B: Clone + 'static, C: Clone + 'static>(
 }
 
 /// Quadruples four generators; shrinks each component independently.
+// nomc-lint: allow(test-only-api) — property-test combinator
 pub fn zip4<A: Clone + 'static, B: Clone + 'static, C: Clone + 'static, D: Clone + 'static>(
     a: G<A>,
     b: G<B>,
@@ -232,6 +239,7 @@ fn env_u64(name: &str, default: u64) -> u64 {
 /// # Panics
 ///
 /// Panics (failing the enclosing test) when the property is falsified.
+// nomc-lint: allow(test-only-api) — property-test combinator
 pub fn forall<T: Debug>(name: &str, cases: u32, g: &G<T>, prop: impl Fn(&T) -> Result<(), String>) {
     let cases = env_u64("NOMC_CHECK_CASES", u64::from(cases)) as u32;
     let seed = env_u64("NOMC_CHECK_SEED", 0x6E6F_6D63);

@@ -1,17 +1,19 @@
 //! In-memory job registry: admission control, the bounded work queue,
-//! per-job event logs, and the resident set of done jobs.
+//! per-job event logs, and the resident set of concluded jobs.
 //!
 //! Everything durable (specs, journals, reports) lives on disk under
-//! the state directory; the registry holds what is live (queued,
-//! running and failed jobs) and, in front of the disk, a bounded set of
-//! done jobs with their answers already rendered ([`Ready`]). At most
-//! [`MAX_RESIDENT_DONE`] done jobs stay resident; the least recently
-//! answered one leaves memory first and is answered from its
-//! `report.json` until it is asked for again. Admission is where
-//! backpressure happens: a full queue sheds the request with a typed
-//! [`Admission::Shed`] (the HTTP layer turns it into
-//! `429 Retry-After`), it never blocks the accept loop and never
-//! queues unboundedly.
+//! the state directory; the registry holds what is live (queued and
+//! running jobs) and a bounded set of concluded ones: done jobs with
+//! their answers already rendered ([`Ready`]) in front of the disk, and
+//! failed jobs with their message. At most [`MAX_RESIDENT_DONE`] of
+//! them stay resident; the least recently answered one leaves memory
+//! first. A done job is then answered from its `report.json` until it
+//! is asked for again; a failed one is forgotten, as a restart forgets
+//! it, so its status is 404 and a resubmission is new work. Admission
+//! is where backpressure happens: a full queue sheds the request with a
+//! typed [`Admission::Shed`] (the HTTP layer turns it into `429
+//! Retry-After`), it never blocks the accept loop and never queues
+//! unboundedly.
 //!
 //! Admission also indexes the canonical spec text of every job it
 //! admits as new in this process (the bytes written to `spec.json`,
@@ -31,9 +33,10 @@ use nomc_json::Json;
 
 use crate::jobs::{self, JobEvent, JobSpec, JobState};
 
-/// Done jobs kept in memory with their rendered answers. Beyond this,
-/// the least recently answered done job leaves memory entirely and is
-/// answered from disk.
+/// Concluded jobs kept in memory: done ones with their rendered
+/// answers, failed ones with their message. Beyond this, the least
+/// recently answered one leaves memory entirely (a done job is then
+/// answered from disk).
 pub const MAX_RESIDENT_DONE: usize = 16;
 
 /// An append-only, closable line log one job streams its progress
@@ -227,11 +230,11 @@ impl JobEntry {
 }
 
 struct Inner {
-    /// Queued, running and failed jobs, and the resident done ones.
+    /// Queued and running jobs, and the resident concluded ones.
     jobs: BTreeMap<u64, JobEntry>,
     queue: VecDeque<u64>,
-    /// The resident done jobs, least recently answered first; never
-    /// longer than [`MAX_RESIDENT_DONE`].
+    /// The resident done and failed jobs, least recently answered
+    /// first; never longer than [`MAX_RESIDENT_DONE`].
     resident: VecDeque<u64>,
     /// Digest of the canonical spec text → job id, for every job in
     /// memory that was admitted as new in this process. An entry leaves
@@ -243,7 +246,7 @@ struct Inner {
 }
 
 impl Inner {
-    /// Marks `id` as just answered, if it is a resident done job.
+    /// Marks `id` as just answered, if it is a resident concluded job.
     fn touch(&mut self, id: u64) {
         if let Some(at) = self.resident.iter().position(|&r| r == id) {
             self.resident.remove(at);
@@ -294,13 +297,20 @@ impl Inner {
             return ready;
         }
         entry.ready = Some(Arc::clone(&ready));
+        self.conclude(id);
+        ready
+    }
+
+    /// Adds concluded job `id` to the resident set as its most recently
+    /// answered member, sending the least recently answered one out of
+    /// memory when the set is full.
+    fn conclude(&mut self, id: u64) {
         self.resident.push_back(id);
         while self.resident.len() > MAX_RESIDENT_DONE {
             if let Some(oldest) = self.resident.pop_front() {
                 self.forget(oldest);
             }
         }
-        ready
     }
 }
 
@@ -531,13 +541,17 @@ impl Registry {
         Ok(self.lock().keep(id, ready))
     }
 
-    /// Fails job `id` with `message` and closes its event log.
+    /// Fails job `id` with `message`, closes its event log and makes
+    /// it a resident concluded job.
     pub fn fail(&self, id: u64, message: String) {
         let mut inner = self.lock();
-        inner.transition(id, &JobEvent::Fail);
+        let failed = inner.transition(id, &JobEvent::Fail).is_some();
         if let Some(entry) = inner.jobs.get_mut(&id) {
             entry.error = Some(message);
             entry.events.close();
+        }
+        if failed {
+            inner.conclude(id);
         }
     }
 
@@ -744,6 +758,43 @@ mod tests {
         );
         let (_, _, closed) = log.wait_from(0, Duration::from_millis(1));
         assert!(closed);
+    }
+
+    #[test]
+    fn failed_jobs_beyond_the_bound_are_forgotten() {
+        let reg = registry(4, "failed_jobs_beyond_the_bound");
+        let total = MAX_RESIDENT_DONE as u64 + 1;
+        for id in 1..=total {
+            assert!(is_new(&admit(&reg, id)));
+            assert_eq!(reg.next_job().map(|(next, _)| next), Some(id));
+            reg.fail(id, format!("failure {id}"));
+        }
+        {
+            let inner = reg.lock();
+            assert_eq!(inner.jobs.len(), MAX_RESIDENT_DONE);
+            assert_eq!(inner.resident.len(), MAX_RESIDENT_DONE);
+            assert_eq!(inner.known.len(), MAX_RESIDENT_DONE);
+        }
+        assert_eq!(reg.stats().failed, MAX_RESIDENT_DONE + 1);
+        // The first failure is forgotten as a restart forgets it: no
+        // status, and a resubmission is new work.
+        assert_eq!(reg.lookup(1), None);
+        assert!(reg.events(1).is_none());
+        assert!(is_new(&admit(&reg, 1)));
+        // A resident failed job still answers as one.
+        assert_eq!(
+            admit(&reg, total),
+            Admission::Cached {
+                state: JobState::Failed
+            }
+        );
+        assert_eq!(
+            reg.lookup(total),
+            Some(Lookup::Live {
+                state: JobState::Failed,
+                error: Some(format!("failure {total}"))
+            })
+        );
     }
 
     #[test]

@@ -27,18 +27,6 @@ pub struct EnergyEstimate {
     pub total_mj: f64,
 }
 
-impl EnergyEstimate {
-    /// Energy per delivered packet in millijoules, or `None` if nothing
-    /// was delivered.
-    pub fn per_delivered_packet(&self, delivered: u64) -> Option<f64> {
-        if delivered == 0 {
-            None
-        } else {
-            Some(self.total_mj / delivered as f64)
-        }
-    }
-}
-
 /// Estimates a transmitter's radio energy over `measured`, given its MAC
 /// counters, the per-frame airtime and its TX power.
 ///
@@ -120,19 +108,6 @@ mod tests {
         );
         assert!(busy.total_mj < quiet.total_mj);
         assert!(busy.tx_time > quiet.tx_time);
-    }
-
-    #[test]
-    fn per_delivered_packet() {
-        let e = transmitter_energy(
-            &stats(100),
-            SimDuration::from_micros(1824),
-            Dbm::new(0.0),
-            SimDuration::from_secs(1),
-        );
-        assert_eq!(e.per_delivered_packet(0), None);
-        let per = e.per_delivered_packet(80).unwrap();
-        assert!((per - e.total_mj / 80.0).abs() < 1e-12);
     }
 
     #[test]

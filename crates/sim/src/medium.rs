@@ -363,15 +363,6 @@ impl Medium {
         });
     }
 
-    /// Whether any ambient burst is live on a channel within
-    /// `cutoff` MHz of `freq` at `now` (fault-plan introspection for
-    /// recovery metrics; power queries already include ambient energy).
-    pub fn ambient_active(&self, freq: Megahertz, now: SimTime) -> bool {
-        self.ambient.iter().any(|a| {
-            a.is_active_at(now) && reach::channel_coupled(a.freq.distance_to(freq), self.cutoff_mhz)
-        })
-    }
-
     /// Leakage factor at `cfd`: [`AcrLut`] table read for channel-grid
     /// CFDs (the steady-state path — one array index, no interpolation,
     /// no `powf`), the analytic curve for anything off-grid. Both paths
@@ -575,6 +566,7 @@ impl Medium {
     }
 
     /// Number of tracked (active + recent) transmissions.
+    // nomc-lint: allow(test-only-api) — checked against a flat model
     pub fn tracked(&self) -> usize {
         self.slab.len()
     }
@@ -740,6 +732,7 @@ impl Medium {
     /// feature) as the oracle the property tests pin
     /// [`Medium::sensed_components`] against, bit for bit.
     #[cfg(any(test, feature = "naive-medium"))]
+    // nomc-lint: allow(test-only-api) — the oracle the index is pinned to
     pub fn sensed_components_naive(
         &self,
         observer: NodeId,
@@ -1330,8 +1323,6 @@ mod tests {
             m.sensed_components(0, Megahertz::new(2463.0), SimTime::from_micros(1500));
         assert_eq!(co, MilliWatts::ZERO);
         assert!((inter.to_dbm().value() - (-75.0)).abs() < 0.1, "{inter:?}");
-        assert!(m.ambient_active(f, SimTime::from_micros(1500)));
-        assert!(!m.ambient_active(f, SimTime::from_micros(2000)));
     }
 
     #[test]

@@ -57,6 +57,7 @@ use nomc_rngcore::SeedableRng;
 use nomc_units::{Db, SimDuration, SimTime};
 use observer::SimObserver;
 use sinks::ObserverSet;
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use tx::TxMeta;
 
@@ -121,6 +122,11 @@ pub(crate) struct Engine<'a, 'o, 'e> {
     /// a larger budget — sees exactly what an uninterrupted run would
     /// pop next. `None` until the budget is exhausted.
     pub(crate) held: Option<(SimTime, u64, crate::events::Event)>,
+    /// The scenario's fingerprint, computed on the first snapshot or
+    /// checkpoint (or taken from the restore that checked it): the
+    /// scenario cannot change during a run, so it is serialized at most
+    /// once per engine, and never by a run that does not snapshot.
+    pub(crate) fingerprint: OnceCell<u64>,
 }
 
 impl<'a, 'o, 'e> Engine<'a, 'o, 'e> {
@@ -285,6 +291,7 @@ impl<'a, 'o, 'e> Engine<'a, 'o, 'e> {
             max_events: u64::MAX,
             exhausted: false,
             held: None,
+            fingerprint: OnceCell::new(),
         }
     }
 

@@ -57,6 +57,7 @@ use nomc_core::AdjustorSnapshot;
 use nomc_json::{Error, FromJson, Json, ToJson};
 use nomc_mac::{MacEngine, MacSnapshot, MacStats};
 use nomc_units::{Dbm, Megahertz, MilliWatts, SimDuration, SimTime};
+use std::cell::OnceCell;
 use std::fmt;
 
 /// Version stamped into every serialized snapshot; bumped whenever the
@@ -541,12 +542,19 @@ fn restore_node(node: &mut Node, st: &NodeState, idx: usize) -> Result<(), Snaps
 }
 
 impl<'a, 'o, 'e> Engine<'a, 'o, 'e> {
+    /// The fingerprint of the engine's scenario, computed on first use.
+    fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| scenario_fingerprint(self.sc))
+    }
+
     /// Captures the complete mutable state of the engine. Pure read —
     /// capturing never perturbs the run.
     pub(crate) fn capture(&self) -> EngineSnapshot {
         let (history, max_duration) = self.medium.history();
         EngineSnapshot {
-            fingerprint: scenario_fingerprint(self.sc),
+            fingerprint: self.fingerprint(),
             now: self.now,
             events: self.events,
             max_events: self.max_events,
@@ -598,7 +606,7 @@ impl<'a, 'o, 'e> Engine<'a, 'o, 'e> {
     fn state_json(&self) -> Json {
         let (history, max_duration) = self.medium.history_refs();
         Json::object([
-            ("fingerprint", scenario_fingerprint(self.sc).to_json()),
+            ("fingerprint", self.fingerprint().to_json()),
             ("now", self.now.to_json()),
             ("events", self.events.to_json()),
             ("max_events", self.max_events.to_json()),
@@ -673,6 +681,7 @@ impl<'a, 'o, 'e> Engine<'a, 'o, 'e> {
             ));
         }
         let mut engine = Engine::new(sc, externals);
+        engine.fingerprint = OnceCell::from(expected);
         let n = engine.nodes.len();
         let links = engine.link_rx.len();
         if snap.nodes.len() != n {

@@ -169,7 +169,10 @@ fn acknowledged_clean_link_delivers_everything() {
     deployment.networks[0].links.truncate(1);
     let mut b = Scenario::builder(deployment);
     let mut behavior = NetworkBehavior::zigbee_default();
-    behavior.mac = nomc_mac::CsmaParams::acknowledged_default();
+    behavior.mac = nomc_mac::CsmaParams {
+        acknowledged: true,
+        ..nomc_mac::CsmaParams::ieee802154_default()
+    };
     b.behavior_all(behavior)
         .duration(SimDuration::from_secs(5))
         .warmup(SimDuration::from_secs(1));
@@ -203,7 +206,10 @@ fn acknowledged_link_retransmits_under_interference() {
         let mut b = Scenario::builder(deployment);
         let mut normal = NetworkBehavior::zigbee_default();
         if acked {
-            normal.mac = nomc_mac::CsmaParams::acknowledged_default();
+            normal.mac = nomc_mac::CsmaParams {
+                acknowledged: true,
+                ..nomc_mac::CsmaParams::ieee802154_default()
+            };
         }
         b.behavior(n, normal)
             .behavior(a, NetworkBehavior::attacker(SimDuration::from_micros(2200)))

@@ -233,6 +233,7 @@ impl FromJson for TraceKind {
 }
 
 /// Renders records as JSON lines.
+// nomc-lint: allow(test-only-api) — reference the streaming sink matches
 pub fn to_jsonl(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for r in records {

@@ -54,6 +54,7 @@ impl NetworkSpec {
     }
 
     /// Geometric centroid of all node positions (for diagnostics).
+    // nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
     pub fn centroid(&self) -> Point {
         let n = (self.links.len() * 2).max(1) as f64;
         let (mut sx, mut sy) = (0.0, 0.0);

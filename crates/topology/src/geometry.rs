@@ -47,11 +47,6 @@ impl Point {
     pub fn offset(self, dx: f64, dy: f64) -> Point {
         Point::new(self.x + dx, self.y + dy)
     }
-
-    /// Midpoint between two points.
-    pub fn midpoint(self, other: Point) -> Point {
-        Point::new(0.5 * (self.x + other.x), 0.5 * (self.y + other.y))
-    }
 }
 
 impl Add for Point {
@@ -97,7 +92,8 @@ mod tests {
     fn offset_and_midpoint() {
         let p = Point::ORIGIN.offset(2.0, -2.0);
         assert_eq!(p, Point::new(2.0, -2.0));
-        assert_eq!(Point::ORIGIN.midpoint(p), Point::new(1.0, -1.0));
+        // Half the offset back lands on the midpoint.
+        assert_eq!(p.offset(-1.0, 1.0), Point::new(1.0, -1.0));
     }
 
     #[test]

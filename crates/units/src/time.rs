@@ -127,6 +127,7 @@ impl SimDuration {
     ///
     /// Panics if `secs` is negative or not finite.
     #[inline]
+    // nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
         SimDuration((secs * 1e9).round() as u64)
@@ -136,12 +137,6 @@ impl SimDuration {
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Whole microseconds (truncated).
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Seconds as a float.

@@ -2,6 +2,7 @@
 //! serialization bit-exactly (the `nomc` CLI depends on this), and old
 //! scenario files without the newer optional fields still load.
 
+use nomc_json::{FromJson, Json, ToJson};
 use nomc_rngcore::SeedableRng;
 use nomc_sim::rng::Xoshiro256StarStar;
 use nomc_sim::{engine, NetworkBehavior, Scenario, TrafficModel};
@@ -94,16 +95,19 @@ fn legacy_scenario_without_new_fields_loads() {
     // added after the first release (ACK knobs, trace flag, per-link
     // traffic) — an old file must still deserialize with the defaults.
     let sc = &scenarios()[0];
-    let mut v: nomc_json::Json = nomc_json::to_value(sc);
+    let mut v = sc.to_json();
     v.as_object_mut().unwrap().remove("record_trace");
     v.as_object_mut().unwrap().remove("link_traffic");
-    for b in v["behaviors"].as_array_mut().unwrap() {
+    let Json::Arr(behaviors) = &mut v["behaviors"] else {
+        panic!("behaviors array");
+    };
+    for b in behaviors {
         let mac = b["mac"].as_object_mut().unwrap();
         mac.remove("acknowledged");
         mac.remove("max_frame_retries");
         mac.remove("ack_wait");
     }
-    let back: Scenario = nomc_json::from_value(&v).expect("legacy file loads");
+    let back = Scenario::from_json(&v).expect("legacy file loads");
     assert!(!back.record_trace);
     assert!(back.link_traffic.is_empty());
     for b in &back.behaviors {

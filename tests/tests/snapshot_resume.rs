@@ -392,6 +392,14 @@ fn paused_sharded_snapshot(sc: &Scenario) -> Json {
     }
 }
 
+/// The array inside `v`, for editing a snapshot tree in place.
+fn arr(v: &mut Json) -> &mut Vec<Json> {
+    match v {
+        Json::Arr(items) => items,
+        other => panic!("expected an array, got {other:?}"),
+    }
+}
+
 /// Restores `snapshot`, applies a new budget as the sweep supervisor
 /// does on every restored checkpoint, and resumes to the end.
 fn resume_tampered(sc: &Scenario, snapshot: &Json) -> Result<(), engine::SnapshotError> {
@@ -442,12 +450,10 @@ fn sharded_snapshot_ids_are_bounds_checked() {
     ];
     for &(tag, path) in fields {
         let mut tampered = snapshot.clone();
-        let logs = tampered["payload"]["logs"]
-            .as_array_mut()
-            .expect("logs array");
+        let logs = arr(&mut tampered["payload"]["logs"]);
         let note = logs
             .iter_mut()
-            .flat_map(|log| log.as_array_mut().expect("log array").iter_mut())
+            .flat_map(|log| arr(log).iter_mut())
             .find(|note| {
                 let mut body = &note["ev"][tag];
                 for key in path {
@@ -470,7 +476,7 @@ fn sharded_snapshot_ids_are_bounds_checked() {
             // overwrite the first note with one.
             None => {
                 assert_eq!(tag, "Abandon", "run must log a {tag} note with {path:?}");
-                logs[0].as_array_mut().expect("log array")[0]["ev"] = Json::object([(
+                arr(&mut logs[0])[0]["ev"] = Json::object([(
                     "Abandon",
                     Json::object([("link", bad.clone()), ("measured", true.to_json())]),
                 )]);
@@ -484,18 +490,10 @@ fn sharded_snapshot_ids_are_bounds_checked() {
     // Rank 0 finished before the pause: its result's shape and network
     // indices are checked too.
     let mut tampered = snapshot.clone();
-    tampered["payload"]["ranks"]
-        .as_array_mut()
-        .expect("ranks array")[0]["done"]["result"]["links"]
-        .as_array_mut()
-        .expect("links array")[0]["network"] = bad.clone();
+    arr(&mut arr(&mut tampered["payload"]["ranks"])[0]["done"]["result"]["links"])[0]["network"] =
+        bad.clone();
     let mut truncated = snapshot.clone();
-    truncated["payload"]["ranks"]
-        .as_array_mut()
-        .expect("ranks array")[0]["done"]["result"]["mac_stats"]
-        .as_array_mut()
-        .expect("mac_stats array")
-        .pop();
+    arr(&mut arr(&mut truncated["payload"]["ranks"])[0]["done"]["result"]["mac_stats"]).pop();
     for corrupt in [tampered, truncated] {
         match resume_tampered(&sc, &corrupt) {
             Err(engine::SnapshotError::Malformed(_)) => {}
