@@ -95,15 +95,26 @@ echo "==> all_experiments --quick is byte-identical to the committed report"
 # Every registry entry runs through the binary path, and its stdout must
 # match tests/fixtures/all_experiments_quick.txt byte for byte: a change
 # that moves any reported figure, row or label fails here until the
-# fixture is regenerated and the change justified. Recovery at every
-# jammer duty is asserted by tests/tests/determinism.rs in the cargo
-# test step above.
+# fixture is regenerated and the change justified. The last report is
+# the paper's claims table; the binary exits 1 if any claim fails, and
+# pipefail makes that fail the step too. Recovery at every jammer duty
+# is asserted by tests/tests/determinism.rs in the cargo test step above.
 cargo run -p nomc-experiments --release --offline --quiet --bin all_experiments -- --quick \
   | diff -u tests/fixtures/all_experiments_quick.txt - \
   || { echo "all_experiments --quick drifted from tests/fixtures/all_experiments_quick.txt"; exit 1; }
 
-echo "==> calibration anchors hold (quick)"
-cargo run -p nomc-experiments --release --offline --bin calibration_check -- --quick
+echo "==> EXPERIMENTS.md is a fresh full-fidelity run (about a minute)"
+# Everything from the "# Generated experiment results" heading to the end
+# of EXPERIMENTS.md is the --markdown output of a full all_experiments
+# run, the claims table included; a change that moves any full-fidelity
+# figure fails here until the section is regenerated.
+EXPERIMENTS_MD="$(mktemp)"
+cargo run -p nomc-experiments --release --offline --quiet --bin all_experiments -- \
+  --markdown "$EXPERIMENTS_MD" > /dev/null
+sed -n '/^# Generated experiment results$/,$p' EXPERIMENTS.md \
+  | diff -u - "$EXPERIMENTS_MD" \
+  || { echo "EXPERIMENTS.md drifted from a full all_experiments run"; rm -f "$EXPERIMENTS_MD"; exit 1; }
+rm -f "$EXPERIMENTS_MD"
 
 echo "==> serve smoke (submit, wait, resubmits hit cache, SIGTERM drains, reboot answers alike)"
 # Live end-to-end pass over the results server: a job submitted again,

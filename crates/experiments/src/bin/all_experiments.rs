@@ -10,8 +10,10 @@
 //! (`--only fig06,fig07` runs the Fig. 6/7 sweep a single time), and
 //! only the listed reports are printed and written. An unknown id is a
 //! usage error (exit 2) that lists the known ids.
+//! The paper's claims on the reports that ran (`nomc_experiments::claims`)
+//! follow as one more report, `claims`; a failed claim exits 1.
 
-use nomc_experiments::{experiments, ExpConfig};
+use nomc_experiments::{claims, experiments, ExpConfig};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -28,13 +30,18 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    let reports = match experiments::run(&ExpConfig::from_env(), only.as_deref()) {
+    let mut reports = match experiments::run(&ExpConfig::from_env(), only.as_deref()) {
         Ok(reports) => reports,
         Err(e) => {
             eprintln!("all_experiments: {e}");
             return ExitCode::from(2);
         }
     };
+    let verdicts = claims::evaluate(claims::CLAIMS, &reports);
+    let failed = verdicts.iter().filter(|v| !v.pass).count();
+    if !verdicts.is_empty() {
+        reports.push(claims::report(&verdicts));
+    }
     for report in &reports {
         println!("{report}");
     }
@@ -52,6 +59,10 @@ fn main() -> ExitCode {
         let mut f = std::fs::File::create(&path).expect("create json file");
         writeln!(f, "[{}]", json.join(",\n")).expect("write json");
         eprintln!("wrote {path}");
+    }
+    if failed > 0 {
+        eprintln!("all_experiments: {failed} claim(s) failed");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

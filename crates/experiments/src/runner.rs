@@ -158,18 +158,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Convenience: runs the seeds and reduces each result to a scalar,
-/// returning its [`Stat`].
-pub fn stat_over_seeds<F, G>(cfg: &ExpConfig, make_scenario: F, metric: G) -> Stat
-where
-    F: Fn(u64) -> Scenario + Sync,
-    G: Fn(&SimResult) -> f64,
-{
-    let results = run_seeds(cfg, make_scenario);
-    let values: Vec<f64> = results.iter().map(metric).collect();
-    Stat::of(&values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,16 +231,5 @@ mod tests {
         // A budget past the natural event count changes nothing.
         let unbounded = run_isolated(&sc, &budget(full.events + 1), &mut []);
         assert_eq!(unbounded.result(), Some(&full));
-    }
-
-    #[test]
-    fn stat_over_seeds_reduces() {
-        let cfg = ExpConfig {
-            duration: nomc_units::SimDuration::from_secs(2),
-            warmup: nomc_units::SimDuration::from_secs(1),
-            seeds: vec![1, 2],
-        };
-        let s = stat_over_seeds(&cfg, scenario, SimResult::total_throughput);
-        assert!(s.mean > 100.0, "mean {}", s.mean);
     }
 }

@@ -79,14 +79,23 @@ pub struct LintReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Sorted consumed-allow inventory (empty is the target state).
     pub allows: Vec<AllowRecord>,
+    /// False when a linted path was not a workspace root (a subdirectory
+    /// or a single file), so the [`rules::WORKSPACE`] rules judged it not.
+    pub workspace_rules_judged: bool,
     /// Number of files scanned (`.rs` + `Cargo.toml`).
     pub files_scanned: usize,
 }
 
+/// Why the [`rules::WORKSPACE`] rules judged nothing, in the report.
+pub const NOT_JUDGED: &str = "it indexes the whole workspace and judges `crates/*/src` \
+     paths, so only a lint of the workspace root runs it";
+
 impl LintReport {
     /// The machine-readable report: `{"diagnostics": […], "allows":
-    /// […]}`. Deliberately excludes `files_scanned`, which churns with
-    /// every added file and would invalidate the committed golden.
+    /// […]}`, plus `"not_judged": [{"rule", "reason"}…]` unless the
+    /// workspace rules judged every path. Deliberately excludes
+    /// `files_scanned`, which churns with every added file and would
+    /// invalidate the committed golden.
     pub fn to_json(&self) -> Json {
         let s = |v: &str| Json::Str(v.to_string());
         let n = |v: usize| Json::Num(Number::U64(v as u64));
@@ -105,7 +114,12 @@ impl LintReport {
                 ("rule", s(&a.rule)),
             ])
         }));
-        Json::object([("diagnostics", diagnostics), ("allows", allows)])
+        let mut fields = vec![("diagnostics", diagnostics), ("allows", allows)];
+        if !self.workspace_rules_judged {
+            let rule = |r: &&str| Json::object([("rule", s(r)), ("reason", s(NOT_JUDGED))]);
+            fields.push(("not_judged", Json::array(rules::WORKSPACE.iter().map(rule))));
+        }
+        Json::object(fields)
     }
 }
 
@@ -270,6 +284,9 @@ pub fn lint_files(files: &[(String, String)]) -> LintReport {
     LintReport {
         diagnostics,
         allows,
+        workspace_rules_judged: files
+            .iter()
+            .any(|(rel, _)| rules::test_only_api::defines_api(rel)),
         files_scanned: files.len(),
     }
 }
@@ -403,6 +420,7 @@ mod tests {
                 line: 9,
                 rule: "unit-safety".into(),
             }],
+            workspace_rules_judged: true,
             files_scanned: 2,
         };
         let json = report.to_json().dump();

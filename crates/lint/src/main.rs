@@ -9,7 +9,9 @@
 //! Exit status: 0 clean, 1 diagnostics found, 2 usage error or
 //! missing/unreadable path. IO failures are *hard* errors reported as
 //! typed `io` diagnostics — a glob that matches nothing must never
-//! pass the gate silently.
+//! pass the gate silently. Nor may a subdirectory or a single file: the
+//! workspace-wide rules it did not judge are named on stderr and under
+//! `not_judged` in the JSON report.
 
 use nomc_lint::{Diagnostic, LintReport};
 use std::path::{Path, PathBuf};
@@ -61,6 +63,7 @@ fn main() -> ExitCode {
     let mut report = LintReport {
         diagnostics: Vec::new(),
         allows: Vec::new(),
+        workspace_rules_judged: true,
         files_scanned: 0,
     };
     let mut io_error = false;
@@ -81,6 +84,10 @@ fn main() -> ExitCode {
         for d in &report.diagnostics {
             println!("{d}");
         }
+    }
+    if !report.workspace_rules_judged {
+        let rules = nomc_lint::rules::WORKSPACE.join(", ");
+        eprintln!("nomc-lint: {rules} not judged: {}", nomc_lint::NOT_JUDGED);
     }
     if io_error {
         eprintln!("nomc-lint: aborted by path error(s)");
@@ -109,6 +116,7 @@ fn lint_path(path: &Path, report: &mut LintReport) -> Result<(), Diagnostic> {
             .map_err(|e| Diagnostic::new(&display, 0, IO_RULE, format!("cannot walk: {e}")))?;
         report.diagnostics.extend(sub.diagnostics);
         report.allows.extend(sub.allows);
+        report.workspace_rules_judged &= sub.workspace_rules_judged;
         report.files_scanned += sub.files_scanned;
         return Ok(());
     }
@@ -120,6 +128,7 @@ fn lint_path(path: &Path, report: &mut LintReport) -> Result<(), Diagnostic> {
     } else {
         nomc_lint::lint_source_full(&rel, &content)
     };
+    report.workspace_rules_judged &= rel.ends_with("Cargo.toml");
     report.diagnostics.extend(file.diagnostics);
     report.allows.extend(file.allows);
     report.files_scanned += 1;

@@ -33,7 +33,7 @@ use std::collections::BTreeSet;
 pub const RULE: &str = "test-only-api";
 
 /// Whether `rel_path` is library source whose `pub fn`s are judged.
-fn defines_api(rel_path: &str) -> bool {
+pub fn defines_api(rel_path: &str) -> bool {
     is_crate_src(rel_path)
         && !rel_path.starts_with("crates/bench/")
         && !rel_path.contains("/src/bin/")

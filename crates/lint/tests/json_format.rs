@@ -30,6 +30,7 @@ fn json_report_matches_golden() {
     let report = nomc_lint::LintReport {
         diagnostics,
         allows,
+        workspace_rules_judged: true,
         files_scanned: 2,
     };
     let got = format!("{}\n", report.to_json().dump_pretty());
@@ -79,10 +80,6 @@ fn committed_workspace_inventory_is_empty() {
         "crates/phy/src/capture.rs",
         "crates/phy/src/noise.rs",
         "crates/radio/src/power.rs",
-        "crates/recovery/src/block.rs",
-        "crates/recovery/src/block.rs",
-        "crates/recovery/src/stats.rs",
-        "crates/recovery/src/stats.rs",
         "crates/rngcore/src/check.rs",
         "crates/rngcore/src/check.rs",
         "crates/rngcore/src/check.rs",

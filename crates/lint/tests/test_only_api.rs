@@ -145,3 +145,42 @@ fn a_single_file_lint_leaves_workspace_allows_unaccounted() {
     assert!(file.diagnostics.is_empty());
     assert!(file.allows.is_empty());
 }
+
+#[test]
+fn a_lint_below_the_workspace_root_says_the_rule_was_not_judged() {
+    // Paths relative to `crates/phy`, as `nomc-lint crates/phy` walks
+    // them: nothing is under `crates/*/src`, so nothing is judged.
+    let report = lint_files(&[("src/model.rs".to_string(), LIB_SRC.to_string())]);
+    assert!(report.diagnostics.is_empty());
+    assert!(!report.workspace_rules_judged);
+    let json = report.to_json().dump();
+    assert!(
+        json.contains("\"not_judged\":[{\"rule\":\"test-only-api\",\"reason\":\"it indexes"),
+        "{json}"
+    );
+    // From the root the rule runs, and the JSON keeps its two keys.
+    let judged = lint(&[]);
+    assert!(judged.workspace_rules_judged);
+    assert!(!judged.to_json().dump().contains("not_judged"));
+}
+
+#[test]
+fn the_binary_names_the_unjudged_rule_in_text_and_json() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let lint_bin = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_nomc-lint"))
+            .args(args)
+            .current_dir(root)
+            .output()
+            .expect("nomc-lint runs")
+    };
+    for args in [&["src"][..], &["src/lib.rs"]] {
+        let text = lint_bin(args);
+        assert_eq!(text.status.code(), Some(0), "{args:?}");
+        let stderr = String::from_utf8_lossy(&text.stderr);
+        assert!(stderr.contains("test-only-api not judged"), "{stderr}");
+    }
+    let json = lint_bin(&["--format", "json", "src/lib.rs"]);
+    let stdout = String::from_utf8_lossy(&json.stdout);
+    assert!(stdout.contains("\"not_judged\""), "{stdout}");
+}

@@ -3,13 +3,11 @@
 //! Partial packet recovery, modelled on PPR (Jamieson & Balakrishnan,
 //! SIGCOMM 2007), for the paper's §VII-A discussion (Figs. 28-29): most
 //! CRC-failed packets under severe inter-channel interference carry only
-//! a small fraction of error bits, so a block-oriented recovery scheme
-//! can rescue them instead of discarding the whole frame.
+//! a small fraction of error bits, so a recovery scheme can rescue them
+//! instead of discarding the whole frame.
 //!
-//! * [`block`] — split a frame into checksummed blocks, locate the
-//!   corrupted ones from error-bit positions, and decide recoverability,
-//! * [`stats`] — empirical CDFs and the paper's summary statistics over
-//!   error-bit fractions,
+//! * [`stats`] — the fraction-based recoverability criterion and the
+//!   paper's Fig. 29 statistic over error-bit fractions,
 //! * [`adaptive`] — the paper's §VII-A future-work direction: an online
 //!   per-link detector that enables recovery only while demand exists.
 
@@ -17,9 +15,7 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod block;
 pub mod stats;
 
 pub use adaptive::{AdaptiveRecovery, FrameOutcome};
-pub use block::{BlockScheme, RecoveryOutcome};
-pub use stats::{ecdf, fraction_at_or_below, recoverable_by_fraction, summarize};
+pub use stats::{fraction_at_or_below, recoverable_by_fraction};

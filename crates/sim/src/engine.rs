@@ -61,9 +61,10 @@
 use crate::metrics::SimResult;
 use crate::runtime::observer::SimObserver;
 use crate::runtime::sinks::checkpoint_every;
-use crate::runtime::snapshot::{self, ShardedProgress, ShardedSnapshot, SnapInner};
+use crate::runtime::snapshot::{self, EngineSnapshot, ShardedProgress, ShardedSnapshot, SnapInner};
 use crate::runtime::{shard, Cadence, Engine};
 use crate::scenario::Scenario;
+use nomc_json::FromJson;
 
 pub use crate::runtime::snapshot::SnapshotError;
 
@@ -377,7 +378,10 @@ fn serial_leg(mut engine: Engine<'_, '_, '_>, pause_after: u64) -> RunProgress {
     let hook = (every != u64::MAX).then_some(&mut cadence);
     match engine.run_leg(pause_after, hook) {
         crate::runtime::LegEnd::Paused => RunProgress::Paused(Box::new(RunSnapshot {
-            inner: SnapInner::Serial(Box::new(engine.capture())),
+            inner: SnapInner::Serial(Box::new(
+                EngineSnapshot::from_json(&engine.state_json())
+                    .expect("a live engine's snapshot payload decodes"),
+            )),
         })),
         crate::runtime::LegEnd::Over => {
             let exhausted = engine.exhausted;

@@ -473,15 +473,8 @@ impl Medium {
     /// mutable state for checkpointing: the rx-milliwatt cache is a
     /// pure function of it, and the leakage table and ambient bursts
     /// are construction-time state.
-    pub(crate) fn history(&self) -> (Vec<(Transmission, bool)>, SimDuration) {
-        let (entries, max_duration) = self.history_refs();
-        (
-            entries.map(|(tx, live)| (tx.clone(), live)).collect(),
-            max_duration,
-        )
-    }
-
-    /// [`Medium::history`] by reference, for encoding it without a copy.
+    ///
+    /// Entries are borrowed, so encoding them takes no copy.
     pub(crate) fn history_refs(
         &self,
     ) -> (
@@ -499,8 +492,8 @@ impl Medium {
         (entries, self.max_duration)
     }
 
-    /// Rebuilds the slab and channel index from a [`Medium::history`]
-    /// capture, replacing any current history.
+    /// Rebuilds the slab and channel index from a
+    /// [`Medium::history_refs`] capture, replacing any current history.
     ///
     /// This is *not* a replay of [`Medium::add`]: no retention pruning
     /// runs (the capture already reflects every prune the original run

@@ -46,13 +46,14 @@ pub mod partition;
 pub(crate) use partition::split_budget;
 pub use partition::{plan, ShardSpec};
 
-use super::snapshot::{RankState, SnapshotError};
+use super::snapshot::{EngineSnapshot, RankState, SnapshotError};
 use super::{Cadence, Engine, LegEnd};
 use crate::metrics::SimResult;
 use crate::pool;
 use crate::runtime::observer::SimObserver;
 use crate::scenario::Scenario;
 use merge::{merge_logs, Note, RelayObserver, ShipFlags};
+use nomc_json::FromJson;
 use nomc_units::SimTime;
 
 /// Runs a multi-shard plan to completion: every rank runs its whole
@@ -145,7 +146,8 @@ pub(crate) fn run_rank(
         .expect("the relay stays attached for the whole leg");
     let state = match end {
         LegEnd::Paused => RankState::Paused {
-            engine: engine.capture(),
+            engine: EngineSnapshot::from_json(&engine.state_json())
+                .expect("a live engine's snapshot payload decodes"),
             relay_seq,
             relay_now,
         },

@@ -549,61 +549,13 @@ impl<'a, 'o, 'e> Engine<'a, 'o, 'e> {
             .get_or_init(|| scenario_fingerprint(self.sc))
     }
 
-    /// Captures the complete mutable state of the engine. Pure read —
-    /// capturing never perturbs the run.
-    pub(crate) fn capture(&self) -> EngineSnapshot {
-        let (history, max_duration) = self.medium.history();
-        EngineSnapshot {
-            fingerprint: self.fingerprint(),
-            now: self.now,
-            events: self.events,
-            max_events: self.max_events,
-            exhausted: self.exhausted,
-            rng: RngState(self.rng.state()),
-            next_tx_id: self.next_tx_id,
-            queue: self.queue.entries(),
-            next_seq: self.queue.next_seq(),
-            held: self.held,
-            nodes: self.nodes.iter().map(node_state).collect(),
-            tx_meta: self
-                .tx_meta
-                .iter()
-                .map(|(&id, m)| {
-                    (
-                        id,
-                        TxMeta {
-                            measured: m.measured,
-                            link: m.link,
-                            intended_rx: m.intended_rx,
-                            intended_busy: m.intended_busy,
-                            outcome: m.outcome,
-                            duplicate: m.duplicate,
-                            error_record: m.error_record.clone(),
-                        },
-                    )
-                })
-                .collect(),
-            acks: self
-                .acks
-                .iter()
-                .map(|(&ack, &(parent, sender))| (ack, parent, sender))
-                .collect(),
-            medium: MediumState {
-                history,
-                max_duration,
-            },
-            metrics: self.obs.metrics.links().to_vec(),
-            trace: self.obs.trace.as_ref().map(|t| t.records().to_vec()),
-            timeline: self.obs.timeline.as_ref().map(|t| t.records().to_vec()),
-        }
-    }
-
-    /// The serial snapshot payload of the live engine: the JSON that
-    /// [`Engine::capture`] followed by `to_json` gives, key for key in
+    /// The serial snapshot payload of the live engine, key for key in
     /// [`EngineSnapshot`]'s field order, built straight from the engine
     /// so a checkpoint never holds an owned copy of the medium history
-    /// or the collectors beside it.
-    fn state_json(&self) -> Json {
+    /// or the collectors beside it. Pure read: it never perturbs the
+    /// run. A pause decodes it into the [`EngineSnapshot`] it resumes
+    /// from, so checkpoints and pauses share this one writer.
+    pub(crate) fn state_json(&self) -> Json {
         let (history, max_duration) = self.medium.history_refs();
         Json::object([
             ("fingerprint", self.fingerprint().to_json()),
@@ -1306,7 +1258,7 @@ pub(crate) fn encode(inner: &SnapInner) -> String {
 }
 
 /// The serial checkpoint text of a running engine: what [`encode`]
-/// gives for its [`Engine::capture`], without the capture.
+/// gives for a run paused at the same event.
 pub(crate) fn encode_serial_live(engine: &Engine<'_, '_, '_>) -> String {
     envelope("serial", engine.state_json())
 }

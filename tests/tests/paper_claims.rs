@@ -1,78 +1,88 @@
-//! Integration tests asserting the paper's headline claims end-to-end
-//! through the experiment harness (quick fidelity).
+//! The paper's claims table, end to end at quick fidelity: the reports
+//! every claim reads are produced once, through the same registry
+//! `all_experiments` runs, and every claim must hold. The headline
+//! claims each have a test of their own; the last test checks the claims
+//! on every other report, so each report runs in exactly one test.
 
-use nomc_experiments::experiments::{cases, fig04, fig16, fig19, table1};
-use nomc_experiments::ExpConfig;
+use nomc_experiments::claims::{self, CLAIMS};
+use nomc_experiments::{experiments, ExpConfig};
 
-fn cfg() -> ExpConfig {
-    ExpConfig::quick()
+/// §III-B: inter-channel collisions are tolerable at CFD ≥ 3 MHz.
+const CPRR_FEASIBILITY: &[&str] = &["fig04"];
+/// §VI-A: with DCN everywhere, every network improves; CFD 3 beats 2.
+const DCN_ON_ALL: &[&str] = &["fig18"];
+/// §VI-B: the DCN design beats the default ZigBee design (Fig. 19).
+const HEADLINE: &[&str] = &["fig19"];
+/// §VI-B-3 / Table I: throughput spread across DCN networks is small.
+const FAIRNESS: &[&str] = &["table1"];
+/// §VI-B-4: every case beats ZigBee, and DCN's relaxing gain is largest
+/// when networks share one interfering region and smallest for random
+/// topology.
+const CASES: &[&str] = &["fig25", "fig26", "fig27"];
+const NAMED: &[&[&str]] = &[CPRR_FEASIBILITY, DCN_ON_ALL, HEADLINE, FAIRNESS, CASES];
+
+/// Runs the reports `ids` at quick fidelity and asserts that every claim
+/// on them is evaluated and passes.
+fn assert_claims_hold(ids: &[String]) {
+    let reports = experiments::run(&ExpConfig::quick(), Some(ids)).expect("claims read known ids");
+    let claims: Vec<_> = CLAIMS
+        .iter()
+        .filter(|c| ids.iter().any(|id| id == c.id))
+        .copied()
+        .collect();
+    assert!(!claims.is_empty(), "no claim reads {ids:?}");
+    let verdicts = claims::evaluate(&claims, &reports);
+    assert_eq!(verdicts.len(), claims.len(), "every claim's report ran");
+    let failed: Vec<String> = verdicts
+        .iter()
+        .filter(|v| !v.pass)
+        .map(|v| {
+            let row = claims::report(std::slice::from_ref(v)).rows.remove(0);
+            row.join(" | ")
+        })
+        .collect();
+    assert!(failed.is_empty(), "failed claims:\n{}", failed.join("\n"));
+}
+
+fn owned(ids: &[&str]) -> Vec<String> {
+    ids.iter().map(|id| id.to_string()).collect()
 }
 
 #[test]
 fn claim_cprr_feasibility_bands() {
-    // §III-B: inter-channel collisions are tolerable at CFD ≥ 3 MHz.
-    let (c3, _) = fig04::cprr_at(&cfg(), 3.0);
-    let (c1, _) = fig04::cprr_at(&cfg(), 1.0);
-    assert!(c3 > 0.9, "CFD 3 CPRR {c3}");
-    assert!(c1 < 0.35, "CFD 1 CPRR {c1}");
+    assert_claims_hold(&owned(CPRR_FEASIBILITY));
 }
 
 #[test]
 fn claim_dcn_improves_all_networks_and_cfd3_wins() {
-    // §VI-A: with DCN everywhere, every network improves; CFD 3 beats 2.
-    let o3 = fig16::outcome(&cfg(), 3.0);
-    assert!(o3.total_with() > o3.total_without());
-    let o2 = fig16::outcome(&cfg(), 2.0);
-    assert!(o3.total_with() > o2.total_with());
+    assert_claims_hold(&owned(DCN_ON_ALL));
 }
 
 #[test]
 fn claim_headline_gain_over_zigbee() {
-    // §VI-B: the DCN design beats the default ZigBee design by tens of
-    // percent (paper: 38.4-55.7 % across configurations, 58 % in Fig 19).
-    let o = fig19::outcome(&cfg());
-    let gain = o.overall_gain();
-    assert!(
-        (0.2..=1.2).contains(&gain),
-        "headline gain {gain} outside plausible band"
-    );
+    assert_claims_hold(&owned(HEADLINE));
 }
 
 #[test]
 fn claim_fairness() {
-    // §VI-B-3 / Table I: throughput spread across DCN networks is small.
-    let rows = table1::by_label(&cfg());
-    let values: Vec<f64> = rows.iter().map(|r| r.1).collect();
-    assert!(
-        table1::spread(&values) < 0.2,
-        "spread {}",
-        table1::spread(&values)
-    );
+    assert_claims_hold(&owned(FAIRNESS));
 }
 
 #[test]
 fn claim_case_ordering() {
-    // §VI-B-4: DCN's relaxing gain is largest when networks share one
-    // interfering region and smallest for random topology.
-    let c = cfg();
-    let gain = |case| {
-        cases::throughput(&c, case, cases::Design::Dcn)
-            / cases::throughput(&c, case, cases::Design::NonOrthogonalFixed)
-    };
-    let dense = gain(cases::Case::DenseRegion);
-    let random = gain(cases::Case::Random);
-    assert!(
-        dense + 0.02 >= random,
-        "dense relax gain {dense} should be ≥ random {random}"
-    );
-    // And all cases beat ZigBee soundly.
-    for case in [
-        cases::Case::DenseRegion,
-        cases::Case::Clustered,
-        cases::Case::Random,
-    ] {
-        let z = cases::throughput(&c, case, cases::Design::Zigbee);
-        let d = cases::throughput(&c, case, cases::Design::Dcn);
-        assert!(d > 1.1 * z, "{case:?}: {d} vs {z}");
-    }
+    assert_claims_hold(&owned(CASES));
+}
+
+#[test]
+fn every_paper_claim_holds_at_quick_fidelity() {
+    // The claims on reports that no test above runs.
+    let mut ids: Vec<String> = CLAIMS
+        .iter()
+        .map(|c| c.id)
+        .filter(|id| !NAMED.iter().any(|named| named.contains(id)))
+        .map(str::to_string)
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_claims_hold(&ids);
 }
