@@ -1311,3 +1311,143 @@ pub(crate) fn decode(text: &str) -> Result<SnapInner, SnapshotError> {
         ))),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::{self, RunProgress, RunSpec};
+    use nomc_core::{CcaAdjustor, DcnConfig};
+    use nomc_topology::paper;
+    use nomc_topology::spectrum::ChannelPlan;
+
+    /// Asserts that `value` encodes to exactly `text` and that `text`
+    /// decodes to a value encoding to `text` again.
+    fn pin<T: ToJson + FromJson>(value: &T, text: &str) {
+        assert_eq!(value.to_json().dump(), text);
+        let back = T::from_json(&Json::parse(text).unwrap())
+            .unwrap_or_else(|e| panic!("decoding {text}: {e}"));
+        assert_eq!(back.to_json().dump(), text);
+    }
+
+    fn scenario() -> Scenario {
+        let plan = ChannelPlan::with_count(Megahertz::new(2460.0), Megahertz::new(5.0), 1);
+        let mut b = Scenario::builder(paper::line_deployment(&plan, Dbm::new(0.0)));
+        b.duration(SimDuration::from_millis(40))
+            .warmup(SimDuration::from_millis(10));
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn provider_state_variants_have_pinned_bytes() {
+        pin(&ProviderState::Fixed, r#"{"fixed":null}"#);
+        let adjustor = CcaAdjustor::new(DcnConfig::paper_default(), Dbm::new(-77.0)).save();
+        let text = format!(r#"{{"dcn":{}}}"#, adjustor.to_json().dump());
+        pin(&ProviderState::Dcn(adjustor), &text);
+    }
+
+    #[test]
+    fn rank_state_variants_have_pinned_bytes() {
+        pin(&RankState::Fresh, r#"{"fresh":null}"#);
+
+        let sc = scenario();
+        let spec = RunSpec {
+            pause_at: 50,
+            ..RunSpec::default()
+        };
+        let RunProgress::Paused(snap) = engine::execute(&sc, &spec, &mut []) else {
+            panic!("the run pauses before its 50th event");
+        };
+        let payload = Json::parse(&engine::snapshot(&snap)).unwrap()["payload"].dump();
+        let engine = EngineSnapshot::from_json(&Json::parse(&payload).unwrap()).unwrap();
+        pin(
+            &RankState::Paused {
+                engine,
+                relay_seq: 3,
+                relay_now: SimTime::from_micros(5),
+            },
+            &format!(r#"{{"paused":{{"engine":{payload},"relay_seq":3,"relay_now":5000}}}}"#),
+        );
+
+        let result = engine::run(&sc);
+        let text = format!(
+            r#"{{"done":{{"result":{},"exhausted":true}}}}"#,
+            result.to_json().dump()
+        );
+        pin(
+            &RankState::Done {
+                result,
+                exhausted: true,
+            },
+            &text,
+        );
+    }
+
+    #[test]
+    fn boundary_event_variants_have_pinned_bytes() {
+        pin(
+            &BoundaryEvent::Popped(Event::TxEnd(1, 2)),
+            r#"{"Popped":{"TxEnd":[1,2]}}"#,
+        );
+        pin(
+            &BoundaryEvent::Trace(TraceRecord {
+                at: SimTime::from_micros(5),
+                kind: TraceKind::AckDelivered { tx: 3, sender: 1 },
+            }),
+            r#"{"Trace":{"at":5000,"kind":{"AckDelivered":{"tx":3,"sender":1}}}}"#,
+        );
+        pin(
+            &BoundaryEvent::TxStart(TxStartInfo {
+                tx: 4,
+                node: 0,
+                link: 1,
+                seq: 7,
+                forced: true,
+                retry: false,
+                measured: true,
+                at: SimTime::from_micros(10),
+                end: SimTime::from_micros(20),
+            }),
+            r#"{"TxStart":{"tx":4,"node":0,"link":1,"seq":7,"forced":true,"retry":false,"measured":true,"at":10000,"end":20000}}"#,
+        );
+        pin(
+            &BoundaryEvent::TxOutcome(Box::new(TxOutcomeInfo {
+                tx: 4,
+                link: 1,
+                receiver: 2,
+                outcome: TxOutcome::CrcFailed,
+                collided: true,
+                duplicate: false,
+                measured: true,
+                start: SimTime::from_micros(10),
+                end: SimTime::from_micros(20),
+                error_record: None,
+            })),
+            r#"{"TxOutcome":{"tx":4,"link":1,"receiver":2,"outcome":"crc_failed","collided":true,"duplicate":false,"measured":true,"start":10000,"end":20000,"error_record":null}}"#,
+        );
+        pin(
+            &BoundaryEvent::Abandon {
+                link: 2,
+                measured: false,
+            },
+            r#"{"Abandon":{"link":2,"measured":false}}"#,
+        );
+        pin(
+            &BoundaryEvent::Threshold(ThresholdSample {
+                node: 1,
+                link: 0,
+                threshold: Dbm::new(-80.5),
+                at: SimTime::from_micros(30),
+            }),
+            r#"{"Threshold":{"node":1,"link":0,"threshold":-80.5,"at":30000}}"#,
+        );
+        pin(
+            &BoundaryEvent::Power(PowerSample {
+                node: 1,
+                link: 0,
+                reading: Dbm::new(-91.0),
+                at: SimTime::from_micros(31),
+            }),
+            r#"{"Power":{"node":1,"link":0,"reading":-91.0,"at":31000}}"#,
+        );
+    }
+}

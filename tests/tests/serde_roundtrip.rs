@@ -126,3 +126,185 @@ fn reports_serialize_for_regression_tooling() {
     assert_eq!(v["columns"][1], "b");
     assert_eq!(v["notes"][0], "n");
 }
+
+/// Asserts that `value` encodes to exactly `text` and that `text`
+/// decodes back to `value`.
+fn pin<T>(value: T, text: &str)
+where
+    T: ToJson + FromJson + PartialEq + std::fmt::Debug,
+{
+    assert_eq!(nomc_json::to_string(&value), text, "encoding {value:?}");
+    let back: T = nomc_json::from_str(text).unwrap_or_else(|e| panic!("decoding {text}: {e}"));
+    assert_eq!(back, value, "decoding {text}");
+}
+
+/// One row per variant of every public enum the wire formats carry:
+/// scenario files, golden traces, snapshots and sweep journals all
+/// depend on these exact spellings.
+#[test]
+fn every_enum_variant_has_pinned_bytes() {
+    use nomc_core::{DcnConfig, DcnPhase};
+    use nomc_experiments::sweep::report::{AttemptOutcome, MemberMetrics};
+    use nomc_mac::{CcaFailurePolicy, MacPhase};
+    use nomc_phy::{BerModel, CaptureModel, FreeSpace, LogDistance};
+    use nomc_sim::events::Event;
+    use nomc_sim::metrics::TxOutcome;
+    use nomc_sim::scenario::{PathLossModel, ThresholdMode};
+    use nomc_sim::trace::TraceKind;
+    use nomc_units::{Db, Meters, Seconds};
+
+    pin(MacPhase::Idle, r#""idle""#);
+    pin(MacPhase::InBackoff, r#""in_backoff""#);
+    pin(MacPhase::AwaitingCca, r#""awaiting_cca""#);
+    pin(MacPhase::Transmitting, r#""transmitting""#);
+    pin(MacPhase::AwaitingAck, r#""awaiting_ack""#);
+
+    pin(CcaFailurePolicy::TransmitAnyway, r#""TransmitAnyway""#);
+    pin(CcaFailurePolicy::DropPacket, r#""DropPacket""#);
+
+    pin(
+        CaptureModel::ieee802154(),
+        r#"{"Ieee802154":{"co_channel_tolerance":0.5}}"#,
+    );
+    pin(
+        CaptureModel::dot11b_like(),
+        r#"{"Dot11bLike":{"decode_band":15.0}}"#,
+    );
+
+    pin(BerModel::Oqpsk802154, r#""Oqpsk802154""#);
+    pin(BerModel::Dsss80211b, r#""Dsss80211b""#);
+
+    pin(DcnPhase::Initializing, r#""initializing""#);
+    pin(DcnPhase::Updating, r#""updating""#);
+
+    pin(Event::PacketReady(1), r#"{"PacketReady":1}"#);
+    pin(Event::BackoffExpired(2), r#"{"BackoffExpired":2}"#);
+    pin(Event::CcaDone(3), r#"{"CcaDone":3}"#);
+    pin(Event::TxStart(4), r#"{"TxStart":4}"#);
+    pin(Event::TxEnd(5, 50), r#"{"TxEnd":[5,50]}"#);
+    pin(Event::SyncDone(6, 60), r#"{"SyncDone":[6,60]}"#);
+    pin(Event::PowerSense(7), r#"{"PowerSense":7}"#);
+    pin(Event::ProviderTick(8), r#"{"ProviderTick":8}"#);
+    pin(Event::AckStart(9, 90), r#"{"AckStart":[9,90]}"#);
+    pin(Event::AckTimeout(10, 100), r#"{"AckTimeout":[10,100]}"#);
+    pin(Event::NodeDown(11), r#"{"NodeDown":11}"#);
+    pin(Event::NodeUp(12), r#"{"NodeUp":12}"#);
+    pin(Event::CcaStuckStart(13), r#"{"CcaStuckStart":13}"#);
+    pin(Event::CcaStuckEnd(14), r#"{"CcaStuckEnd":14}"#);
+
+    pin(TxOutcome::Received, r#""received""#);
+    pin(TxOutcome::CrcFailed, r#""crc_failed""#);
+    pin(TxOutcome::SyncMissed, r#""sync_missed""#);
+    pin(TxOutcome::ReceiverBusy, r#""receiver_busy""#);
+
+    pin(
+        TraceKind::Cca {
+            node: 1,
+            sensed_dbm: Dbm::new(-80.5),
+            threshold_dbm: Dbm::new(-77.0),
+            clear: true,
+        },
+        r#"{"Cca":{"node":1,"sensed_dbm":-80.5,"threshold_dbm":-77.0,"clear":true}}"#,
+    );
+    pin(
+        TraceKind::TxStart {
+            node: 2,
+            tx: 20,
+            seq: 3,
+            forced: false,
+        },
+        r#"{"TxStart":{"node":2,"tx":20,"seq":3,"forced":false}}"#,
+    );
+    for (outcome, spelling) in OUTCOMES {
+        pin(
+            TraceKind::Outcome {
+                tx: 30,
+                receiver: 4,
+                outcome,
+            },
+            &format!(r#"{{"Outcome":{{"tx":30,"receiver":4,"outcome":"{spelling}"}}}}"#),
+        );
+    }
+    pin(
+        TraceKind::AckDelivered { tx: 40, sender: 5 },
+        r#"{"AckDelivered":{"tx":40,"sender":5}}"#,
+    );
+    pin(
+        TraceKind::AckTimedOut { tx: 41, sender: 6 },
+        r#"{"AckTimedOut":{"tx":41,"sender":6}}"#,
+    );
+    for (fault, spelling) in FAULTS {
+        pin(
+            TraceKind::Fault { node: 7, fault },
+            &format!(r#"{{"Fault":{{"node":7,"fault":"{spelling}"}}}}"#),
+        );
+    }
+
+    pin(
+        PathLossModel::FreeSpace(FreeSpace::new(Megahertz::new(2460.0))),
+        r#"{"FreeSpace":{"freq_mhz":2460.0,"min_distance":0.1}}"#,
+    );
+    pin(
+        PathLossModel::LogDistance(LogDistance::new(Db::new(40.0), Meters::new(1.0), 3.0)),
+        r#"{"LogDistance":{"reference_loss":40.0,"reference_distance":1.0,"exponent":3.0}}"#,
+    );
+
+    let dcn = r#"{"t_init":1000000000,"power_sense_interval":1000000,"t_update":3000000000,"safety_margin":0.0,"watchdog_silence":0}"#;
+    pin(ThresholdMode::Fixed(Dbm::new(-77.0)), r#"{"Fixed":-77.0}"#);
+    pin(
+        ThresholdMode::Dcn(DcnConfig::paper_default()),
+        &format!(r#"{{"Dcn":{dcn}}}"#),
+    );
+    pin(
+        ThresholdMode::DcnOracle(DcnConfig::paper_default()),
+        &format!(r#"{{"DcnOracle":{dcn}}}"#),
+    );
+    pin(
+        ThresholdMode::FixedOracle(Dbm::new(-85.0)),
+        r#"{"FixedOracle":-85.0}"#,
+    );
+
+    pin(TrafficModel::Saturated, r#""Saturated""#);
+    pin(
+        TrafficModel::Interval(SimDuration::from_millis(3)),
+        r#"{"Interval":3000000}"#,
+    );
+    pin(
+        TrafficModel::Forward { from_link: 2 },
+        r#"{"Forward":{"from_link":2}}"#,
+    );
+
+    pin(
+        AttemptOutcome::Ok(MemberMetrics {
+            throughput: 250.5,
+            prr: Some(0.75),
+            events: 1200,
+            measured_secs: Seconds::new(4.0),
+        }),
+        r#"{"Ok":{"throughput":250.5,"prr":0.75,"events":1200,"measured_secs":4.0}}"#,
+    );
+    pin(
+        AttemptOutcome::Failed("boom".to_string()),
+        r#"{"Failed":"boom"}"#,
+    );
+    pin(
+        AttemptOutcome::TimedOut { events: 99 },
+        r#"{"TimedOut":{"events":99}}"#,
+    );
+}
+
+/// Every frame outcome a trace can carry, with its wire spelling.
+const OUTCOMES: [(&str, &str); 4] = [
+    ("received", "received"),
+    ("crc_failed", "crc_failed"),
+    ("sync_missed", "sync_missed"),
+    ("receiver_busy", "receiver_busy"),
+];
+
+/// Every fault a trace can carry, with its wire spelling.
+const FAULTS: [(&str, &str); 4] = [
+    ("down", "down"),
+    ("up", "up"),
+    ("cca_stuck", "cca_stuck"),
+    ("cca_released", "cca_released"),
+];
