@@ -339,28 +339,10 @@ impl CcaThresholdProvider for CcaAdjustor {
     }
 }
 
-impl nomc_json::ToJson for DcnPhase {
-    fn to_json(&self) -> nomc_json::Json {
-        let s = match self {
-            DcnPhase::Initializing => "initializing",
-            DcnPhase::Updating => "updating",
-        };
-        nomc_json::ToJson::to_json(s)
-    }
-}
-
-impl nomc_json::FromJson for DcnPhase {
-    fn from_json(value: &nomc_json::Json) -> Result<Self, nomc_json::Error> {
-        match value
-            .as_str()
-            .ok_or_else(|| nomc_json::Error::new("expected string for DcnPhase"))?
-        {
-            "initializing" => Ok(DcnPhase::Initializing),
-            "updating" => Ok(DcnPhase::Updating),
-            other => Err(nomc_json::Error::new(format!("unknown DcnPhase `{other}`"))),
-        }
-    }
-}
+nomc_json::json_enum!(DcnPhase {
+    Initializing = "initializing",
+    Updating = "updating",
+});
 
 nomc_json::json_struct!(AdjustorStats {
     case1_updates: u64,

@@ -307,7 +307,9 @@ pub fn acknowledged(cfg: &ExpConfig) -> Report {
         ]);
     }
     report.note(
-        "the ACK/retry machinery costs airtime, but DCN's concurrency gain          carries over to reliable unicast; retransmissions stay moderate          because inter-channel interference rarely corrupts frames at CFD 3",
+        "the ACK/retry machinery costs airtime, but DCN's concurrency gain \
+         carries over to reliable unicast; retransmissions stay moderate \
+         because inter-channel interference rarely corrupts frames at CFD 3",
     );
     report
 }

@@ -63,40 +63,11 @@ pub enum AttemptOutcome {
     },
 }
 
-impl nomc_json::ToJson for AttemptOutcome {
-    fn to_json(&self) -> nomc_json::Json {
-        use nomc_json::Json;
-        match self {
-            AttemptOutcome::Ok(m) => Json::object([("Ok", m.to_json())]),
-            AttemptOutcome::Failed(msg) => Json::object([("Failed", msg.to_json())]),
-            AttemptOutcome::TimedOut { events } => {
-                Json::object([("TimedOut", Json::object([("events", events.to_json())]))])
-            }
-        }
-    }
-}
-
-impl nomc_json::FromJson for AttemptOutcome {
-    fn from_json(v: &nomc_json::Json) -> Result<Self, nomc_json::Error> {
-        use nomc_json::FromJson;
-        let obj = v
-            .as_object()
-            .ok_or_else(|| nomc_json::Error::new("AttemptOutcome: expected object"))?;
-        match obj.iter().next() {
-            Some(("Ok", inner)) => Ok(AttemptOutcome::Ok(FromJson::from_json(inner)?)),
-            Some(("Failed", inner)) => Ok(AttemptOutcome::Failed(FromJson::from_json(inner)?)),
-            Some(("TimedOut", inner)) => {
-                let events = inner.get("events").ok_or_else(|| {
-                    nomc_json::Error::new("AttemptOutcome::TimedOut: missing events")
-                })?;
-                Ok(AttemptOutcome::TimedOut {
-                    events: FromJson::from_json(events)?,
-                })
-            }
-            _ => Err(nomc_json::Error::new("AttemptOutcome: unknown variant")),
-        }
-    }
-}
+nomc_json::json_enum!(AttemptOutcome {
+    Ok(m) = "Ok",
+    Failed(msg) = "Failed",
+    TimedOut { events } = "TimedOut",
+});
 
 /// One attempt: the deterministic event budget it ran under and how it
 /// ended.

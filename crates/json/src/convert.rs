@@ -1,5 +1,5 @@
 //! [`ToJson`] / [`FromJson`] and their implementations for primitives,
-//! collections and tuples — the derive-free counterpart of
+//! boxes, collections and tuples — the derive-free counterpart of
 //! `serde::Serialize` / `Deserialize` for the data shapes the workspace
 //! uses (tuples serialize as arrays, `Option` as nullable, newtypes
 //! transparently via [`crate::json_newtype!`]).
@@ -164,6 +164,18 @@ impl ToJson for str {
 impl<T: ToJson> ToJson for &T {
     fn to_json(&self) -> Json {
         (**self).to_json()
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for Box<T> {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+}
+
+impl<T: FromJson> FromJson for Box<T> {
+    fn from_json(value: &Json) -> Result<Self, Error> {
+        T::from_json(value).map(Box::new)
     }
 }
 

@@ -7,11 +7,11 @@
 //!   objects, exact `f64` round-tripping like serde_json's
 //!   `float_roundtrip` feature).
 //! * [`ToJson`] / [`FromJson`] — derive-free conversion traits, with the
-//!   [`json_struct!`] and [`json_newtype!`] macros generating the
-//!   boilerplate for structs and transparent newtypes. Enum impls are
-//!   written by hand in the defining crates using serde's external
-//!   tagging conventions (`"Variant"`, `{"Variant": value}`,
-//!   `{"Variant": {..fields..}}`).
+//!   [`json_struct!`], [`json_newtype!`] and [`json_enum!`] macros
+//!   generating the impls for structs, transparent newtypes and enums.
+//!   Enums use serde's external tagging (`"tag"`, `{"tag": value}`,
+//!   `{"tag": [a, b]}`, `{"tag": {..fields..}}`) with an explicit tag
+//!   per variant.
 //! * [`to_string`] / [`to_string_pretty`] / [`from_str`] — the
 //!   `serde_json`-shaped entry points the rest of the workspace calls.
 //!
@@ -34,6 +34,8 @@ mod parse;
 mod ser;
 
 pub use convert::{FromJson, ToJson};
+#[doc(hidden)]
+pub use macros::enum_codec;
 
 use std::fmt;
 

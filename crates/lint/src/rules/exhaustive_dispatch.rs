@@ -11,10 +11,12 @@
 //! (`sim/src/runtime/dispatch.rs`, `sim/src/runtime/faults.rs`, the
 //! shard merger `sim/src/runtime/shard/merge.rs`, whose
 //! `BoundaryEvent`/`Event` replay matches must cover every variant a
-//! worker can ship, and the snapshot codec
-//! `sim/src/runtime/snapshot.rs`, whose `Event` wire serialization must
-//! name every variant or a new event kind silently vanishes from
-//! checkpoints, plus the results server's job lifecycle
+//! worker can ship, and the snapshot module
+//! `sim/src/runtime/snapshot.rs`, whose `event_node` must name every
+//! variant or a restored event escapes the node bounds check — the
+//! `Event` wire codec there is a `json_enum!`, whose generated encoder
+//! names every variant, so the compiler makes it exhaustive — plus the
+//! results server's job lifecycle
 //! `serve/src/jobs.rs`, whose `JobEvent` transition table must
 //! enumerate every state/event pair or a new lifecycle event silently
 //! becomes a no-op), and only `match`es whose arms mention an

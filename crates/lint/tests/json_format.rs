@@ -77,9 +77,6 @@ fn committed_workspace_inventory_is_empty() {
         })
         .collect();
     let test_only_api = [
-        "crates/phy/src/capture.rs",
-        "crates/phy/src/noise.rs",
-        "crates/radio/src/power.rs",
         "crates/rngcore/src/check.rs",
         "crates/rngcore/src/check.rs",
         "crates/rngcore/src/check.rs",
@@ -91,8 +88,6 @@ fn committed_workspace_inventory_is_empty() {
         "crates/sim/src/medium.rs",
         "crates/sim/src/medium.rs",
         "crates/sim/src/trace.rs",
-        "crates/topology/src/deployment.rs",
-        "crates/units/src/time.rs",
     ];
     let mut expected = vec![(Some("crates/serve/src/deadline.rs"), Some("determinism"))];
     expected.extend(test_only_api.map(|file| (Some(file), Some("test-only-api"))));

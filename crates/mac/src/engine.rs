@@ -282,34 +282,13 @@ impl MacEngine {
     }
 }
 
-impl nomc_json::ToJson for MacPhase {
-    fn to_json(&self) -> nomc_json::Json {
-        let s = match self {
-            MacPhase::Idle => "idle",
-            MacPhase::InBackoff => "in_backoff",
-            MacPhase::AwaitingCca => "awaiting_cca",
-            MacPhase::Transmitting => "transmitting",
-            MacPhase::AwaitingAck => "awaiting_ack",
-        };
-        nomc_json::ToJson::to_json(s)
-    }
-}
-
-impl nomc_json::FromJson for MacPhase {
-    fn from_json(value: &nomc_json::Json) -> Result<Self, nomc_json::Error> {
-        match value
-            .as_str()
-            .ok_or_else(|| nomc_json::Error::new("expected string for MacPhase"))?
-        {
-            "idle" => Ok(MacPhase::Idle),
-            "in_backoff" => Ok(MacPhase::InBackoff),
-            "awaiting_cca" => Ok(MacPhase::AwaitingCca),
-            "transmitting" => Ok(MacPhase::Transmitting),
-            "awaiting_ack" => Ok(MacPhase::AwaitingAck),
-            other => Err(nomc_json::Error::new(format!("unknown MacPhase `{other}`"))),
-        }
-    }
-}
+nomc_json::json_enum!(MacPhase {
+    Idle = "idle",
+    InBackoff = "in_backoff",
+    AwaitingCca = "awaiting_cca",
+    Transmitting = "transmitting",
+    AwaitingAck = "awaiting_ack",
+});
 
 nomc_json::json_struct!(MacSnapshot {
     phase: MacPhase,

@@ -64,29 +64,10 @@ fn default_ack_wait() -> SimDuration {
     SimDuration::from_micros(864)
 }
 
-impl nomc_json::ToJson for CcaFailurePolicy {
-    fn to_json(&self) -> nomc_json::Json {
-        nomc_json::Json::Str(
-            match self {
-                CcaFailurePolicy::TransmitAnyway => "TransmitAnyway",
-                CcaFailurePolicy::DropPacket => "DropPacket",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl nomc_json::FromJson for CcaFailurePolicy {
-    fn from_json(value: &nomc_json::Json) -> Result<Self, nomc_json::Error> {
-        match value.as_str() {
-            Some("TransmitAnyway") => Ok(CcaFailurePolicy::TransmitAnyway),
-            Some("DropPacket") => Ok(CcaFailurePolicy::DropPacket),
-            _ => Err(nomc_json::Error::new(format!(
-                "unknown CcaFailurePolicy variant: {value}"
-            ))),
-        }
-    }
-}
+nomc_json::json_enum!(CcaFailurePolicy {
+    TransmitAnyway = "TransmitAnyway",
+    DropPacket = "DropPacket",
+});
 
 nomc_json::json_struct!(CsmaParams {
     min_be: u8,

@@ -25,29 +25,10 @@ pub enum BerModel {
     Dsss80211b,
 }
 
-impl nomc_json::ToJson for BerModel {
-    fn to_json(&self) -> nomc_json::Json {
-        nomc_json::Json::Str(
-            match self {
-                BerModel::Oqpsk802154 => "Oqpsk802154",
-                BerModel::Dsss80211b => "Dsss80211b",
-            }
-            .to_owned(),
-        )
-    }
-}
-
-impl nomc_json::FromJson for BerModel {
-    fn from_json(value: &nomc_json::Json) -> Result<Self, nomc_json::Error> {
-        match value.as_str() {
-            Some("Oqpsk802154") => Ok(BerModel::Oqpsk802154),
-            Some("Dsss80211b") => Ok(BerModel::Dsss80211b),
-            _ => Err(nomc_json::Error::new(format!(
-                "unknown BerModel variant: {value}"
-            ))),
-        }
-    }
-}
+nomc_json::json_enum!(BerModel {
+    Oqpsk802154 = "Oqpsk802154",
+    Dsss80211b = "Dsss80211b",
+});
 
 impl BerModel {
     /// Bit-error rate at the given SINR.

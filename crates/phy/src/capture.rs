@@ -10,7 +10,7 @@
 //! sync target. This asymmetry is exactly why non-orthogonal concurrency
 //! works for ZigBee and not for Wi-Fi.
 
-use nomc_units::{Db, Dbm, Megahertz};
+use nomc_units::{Dbm, Megahertz};
 
 /// Decides whether a receiver tuned to one channel will attempt to sync
 /// to (i.e. be *captured by*) a transmission on a possibly different
@@ -35,49 +35,10 @@ pub enum CaptureModel {
     },
 }
 
-impl nomc_json::ToJson for CaptureModel {
-    fn to_json(&self) -> nomc_json::Json {
-        use nomc_json::Json;
-        match self {
-            CaptureModel::Ieee802154 {
-                co_channel_tolerance,
-            } => Json::object([(
-                "Ieee802154",
-                Json::object([("co_channel_tolerance", co_channel_tolerance.to_json())]),
-            )]),
-            CaptureModel::Dot11bLike { decode_band } => Json::object([(
-                "Dot11bLike",
-                Json::object([("decode_band", decode_band.to_json())]),
-            )]),
-        }
-    }
-}
-
-impl nomc_json::FromJson for CaptureModel {
-    fn from_json(value: &nomc_json::Json) -> Result<Self, nomc_json::Error> {
-        use nomc_json::{Error, FromJson};
-        let obj = value
-            .as_object()
-            .filter(|m| m.len() == 1)
-            .ok_or_else(|| Error::new("CaptureModel: expected single-variant object"))?;
-        let (variant, body) = obj.iter().next().unwrap();
-        match variant {
-            "Ieee802154" => Ok(CaptureModel::Ieee802154 {
-                co_channel_tolerance: FromJson::from_json(
-                    body.get("co_channel_tolerance")
-                        .ok_or_else(|| Error::new("Ieee802154: missing co_channel_tolerance"))?,
-                )?,
-            }),
-            "Dot11bLike" => Ok(CaptureModel::Dot11bLike {
-                decode_band: FromJson::from_json(
-                    body.get("decode_band")
-                        .ok_or_else(|| Error::new("Dot11bLike: missing decode_band"))?,
-                )?,
-            }),
-            other => Err(Error::new(format!("unknown CaptureModel variant: {other}"))),
-        }
-    }
-}
+nomc_json::json_enum!(CaptureModel {
+    Ieee802154 { co_channel_tolerance } = "Ieee802154",
+    Dot11bLike { decode_band } = "Dot11bLike",
+});
 
 impl CaptureModel {
     /// The standard 802.15.4 model.
@@ -110,19 +71,6 @@ impl CaptureModel {
     /// to capture an idle receiver with the given sensitivity.
     pub fn clears_sensitivity(&self, coupled_power: Dbm, sensitivity: Dbm) -> bool {
         coupled_power >= sensitivity
-    }
-
-    /// Minimum preamble SINR for a *mid-preamble* newcomer to steal the
-    /// correlator from the frame currently being received. 802.15.4
-    /// radios of the CC2420 generation have no message-in-message
-    /// capture, so this returns `None` for [`CaptureModel::Ieee802154`];
-    /// the 802.11b-like model allows a 10 dB capture margin.
-    // nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
-    pub fn mid_frame_capture_margin(&self) -> Option<Db> {
-        match self {
-            CaptureModel::Ieee802154 { .. } => None,
-            CaptureModel::Dot11bLike { .. } => Some(Db::new(10.0)),
-        }
     }
 }
 
@@ -158,15 +106,5 @@ mod tests {
         let sens = Dbm::new(-95.0);
         assert!(m.clears_sensitivity(Dbm::new(-90.0), sens));
         assert!(!m.clears_sensitivity(Dbm::new(-96.0), sens));
-    }
-
-    #[test]
-    fn midframe_capture_only_for_dot11b() {
-        assert!(CaptureModel::ieee802154()
-            .mid_frame_capture_margin()
-            .is_none());
-        assert!(CaptureModel::dot11b_like()
-            .mid_frame_capture_margin()
-            .is_some());
     }
 }

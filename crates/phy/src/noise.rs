@@ -1,6 +1,6 @@
 //! Receiver noise floor.
 
-use nomc_units::{Db, Dbm, Megahertz, MilliWatts};
+use nomc_units::{Dbm, MilliWatts};
 
 /// The receiver's noise floor: thermal noise over the channel bandwidth
 /// plus the receiver noise figure.
@@ -25,21 +25,6 @@ impl NoiseFloor {
     /// The default CC2420-class floor: −98 dBm.
     pub fn cc2420_default() -> Self {
         NoiseFloor::new(Dbm::new(-98.0))
-    }
-
-    /// Computes a floor from channel bandwidth and receiver noise
-    /// figure: `−174 + 10·log10(bw_hz) + nf_db`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bandwidth` is not positive.
-    // nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
-    pub fn from_bandwidth(bandwidth: Megahertz, noise_figure: Db) -> Self {
-        assert!(bandwidth.value() > 0.0, "bandwidth must be positive");
-        let bandwidth_hz = bandwidth.value() * 1e6;
-        NoiseFloor::new(Dbm::new(
-            -174.0 + 10.0 * bandwidth_hz.log10() + noise_figure.value(),
-        ))
     }
 
     /// The floor in dBm.
@@ -69,20 +54,8 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_formula() {
-        let n = NoiseFloor::from_bandwidth(Megahertz::new(2.0), Db::new(13.0));
-        assert!((n.level().value() - (-98.0)).abs() < 0.1, "{}", n.level());
-    }
-
-    #[test]
     fn linear_power_matches() {
         let n = NoiseFloor::cc2420_default();
         assert!((n.power().to_dbm().value() - (-98.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "bandwidth")]
-    fn rejects_zero_bandwidth() {
-        let _ = NoiseFloor::from_bandwidth(Megahertz::new(0.0), Db::new(10.0));
     }
 }

@@ -4,8 +4,7 @@
 //! −25 dBm; MicaZ deployments (and the paper) additionally quote
 //! intermediate and lower effective radiated powers (−0.6, −22, −33 dBm …)
 //! that arise from antenna and matching differences. We therefore model a
-//! transmit power as an arbitrary dBm value, with helpers to quantize to
-//! the nearest CC2420 register level when hardware fidelity matters.
+//! transmit power as an arbitrary dBm value.
 
 use nomc_units::Dbm;
 
@@ -50,19 +49,6 @@ pub mod current {
     }
 }
 
-/// The CC2420 `PA_LEVEL` register settings and their nominal output
-/// powers, per the datasheet.
-pub const CC2420_PA_LEVELS: [(u8, f64); 8] = [
-    (31, 0.0),
-    (27, -1.0),
-    (23, -3.0),
-    (19, -5.0),
-    (15, -7.0),
-    (11, -10.0),
-    (7, -15.0),
-    (3, -25.0),
-];
-
 /// A transmitter output power.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct TxPower(Dbm);
@@ -90,19 +76,6 @@ impl TxPower {
     /// The output power in dBm.
     pub fn dbm(self) -> Dbm {
         self.0
-    }
-
-    /// Quantizes to the nearest CC2420 `PA_LEVEL`, returning the register
-    /// value and its nominal power.
-    // nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
-    pub fn nearest_cc2420_level(self) -> (u8, Dbm) {
-        let mut best = CC2420_PA_LEVELS[0];
-        for &(reg, p) in &CC2420_PA_LEVELS {
-            if (p - self.0.value()).abs() < (best.1 - self.0.value()).abs() {
-                best = (reg, p);
-            }
-        }
-        (best.0, Dbm::new(best.1))
     }
 }
 
@@ -132,14 +105,6 @@ mod tests {
     fn max_is_zero_dbm() {
         assert_eq!(TxPower::max().dbm(), Dbm::new(0.0));
         assert_eq!(TxPower::default(), TxPower::max());
-    }
-
-    #[test]
-    fn quantization_picks_nearest() {
-        assert_eq!(TxPower::new(Dbm::new(-0.6)).nearest_cc2420_level().0, 27);
-        assert_eq!(TxPower::new(Dbm::new(-0.3)).nearest_cc2420_level().0, 31);
-        assert_eq!(TxPower::new(Dbm::new(-4.2)).nearest_cc2420_level().0, 19);
-        assert_eq!(TxPower::new(Dbm::new(-33.0)).nearest_cc2420_level().0, 3);
     }
 
     #[test]

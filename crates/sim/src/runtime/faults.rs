@@ -35,7 +35,7 @@
 
 use super::Engine;
 use crate::events::{Event, NodeId};
-use crate::trace::TraceKind;
+use crate::trace::{NodeFault, TraceKind};
 use nomc_mac::MacEngine;
 use nomc_units::{Db, Dbm, SimTime};
 
@@ -124,7 +124,7 @@ impl Engine<'_, '_, '_> {
             self.now,
             TraceKind::Fault {
                 node: n,
-                fault: "down",
+                fault: NodeFault::Down,
             },
         );
     }
@@ -163,7 +163,7 @@ impl Engine<'_, '_, '_> {
             now,
             TraceKind::Fault {
                 node: n,
-                fault: "up",
+                fault: NodeFault::Up,
             },
         );
         // Re-bootstrap the node's event chains (senders only; receivers
@@ -193,7 +193,7 @@ impl Engine<'_, '_, '_> {
             self.now,
             TraceKind::Fault {
                 node: n,
-                fault: "cca_stuck",
+                fault: NodeFault::CcaStuck,
             },
         );
     }
@@ -205,7 +205,7 @@ impl Engine<'_, '_, '_> {
             self.now,
             TraceKind::Fault {
                 node: n,
-                fault: "cca_released",
+                fault: NodeFault::CcaReleased,
             },
         );
     }

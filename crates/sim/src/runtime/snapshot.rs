@@ -134,59 +134,22 @@ pub(crate) fn scenario_fingerprint(sc: &Scenario) -> u64 {
 // JSON codecs for the event-queue payloads.
 // ---------------------------------------------------------------------
 
-impl ToJson for Event {
-    fn to_json(&self) -> Json {
-        let one = |tag: &str, n: NodeId| Json::object([(tag, n.to_json())]);
-        let two = |tag: &str, n: NodeId, id: TxId| Json::object([(tag, (n, id).to_json())]);
-        match *self {
-            Event::PacketReady(n) => one("PacketReady", n),
-            Event::BackoffExpired(n) => one("BackoffExpired", n),
-            Event::CcaDone(n) => one("CcaDone", n),
-            Event::TxStart(n) => one("TxStart", n),
-            Event::TxEnd(n, id) => two("TxEnd", n, id),
-            Event::SyncDone(n, id) => two("SyncDone", n, id),
-            Event::PowerSense(n) => one("PowerSense", n),
-            Event::ProviderTick(n) => one("ProviderTick", n),
-            Event::AckStart(n, id) => two("AckStart", n, id),
-            Event::AckTimeout(n, id) => two("AckTimeout", n, id),
-            Event::NodeDown(n) => one("NodeDown", n),
-            Event::NodeUp(n) => one("NodeUp", n),
-            Event::CcaStuckStart(n) => one("CcaStuckStart", n),
-            Event::CcaStuckEnd(n) => one("CcaStuckEnd", n),
-        }
-    }
-}
-
-impl FromJson for Event {
-    fn from_json(value: &Json) -> Result<Self, Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| Error::new("expected object for Event"))?;
-        let (tag, body) = obj
-            .iter()
-            .next()
-            .ok_or_else(|| Error::new("empty Event object"))?;
-        let one = || NodeId::from_json(body);
-        let two = || <(NodeId, TxId)>::from_json(body);
-        match tag {
-            "PacketReady" => Ok(Event::PacketReady(one()?)),
-            "BackoffExpired" => Ok(Event::BackoffExpired(one()?)),
-            "CcaDone" => Ok(Event::CcaDone(one()?)),
-            "TxStart" => Ok(Event::TxStart(one()?)),
-            "TxEnd" => two().map(|(n, id)| Event::TxEnd(n, id)),
-            "SyncDone" => two().map(|(n, id)| Event::SyncDone(n, id)),
-            "PowerSense" => Ok(Event::PowerSense(one()?)),
-            "ProviderTick" => Ok(Event::ProviderTick(one()?)),
-            "AckStart" => two().map(|(n, id)| Event::AckStart(n, id)),
-            "AckTimeout" => two().map(|(n, id)| Event::AckTimeout(n, id)),
-            "NodeDown" => Ok(Event::NodeDown(one()?)),
-            "NodeUp" => Ok(Event::NodeUp(one()?)),
-            "CcaStuckStart" => Ok(Event::CcaStuckStart(one()?)),
-            "CcaStuckEnd" => Ok(Event::CcaStuckEnd(one()?)),
-            other => Err(Error::new(format!("unknown Event tag `{other}`"))),
-        }
-    }
-}
+nomc_json::json_enum!(Event {
+    PacketReady(n) = "PacketReady",
+    BackoffExpired(n) = "BackoffExpired",
+    CcaDone(n) = "CcaDone",
+    TxStart(n) = "TxStart",
+    TxEnd(n, id) = "TxEnd",
+    SyncDone(n, id) = "SyncDone",
+    PowerSense(n) = "PowerSense",
+    ProviderTick(n) = "ProviderTick",
+    AckStart(n, id) = "AckStart",
+    AckTimeout(n, id) = "AckTimeout",
+    NodeDown(n) = "NodeDown",
+    NodeUp(n) = "NodeUp",
+    CcaStuckStart(n) = "CcaStuckStart",
+    CcaStuckEnd(n) = "CcaStuckEnd",
+});
 
 /// The node a queue event is addressed to. Exhaustive by design — a new
 /// `Event` variant must decide here how restore-time bounds checks see
@@ -210,32 +173,12 @@ fn event_node(ev: &Event) -> NodeId {
     }
 }
 
-impl ToJson for TxOutcome {
-    fn to_json(&self) -> Json {
-        let s = match self {
-            TxOutcome::Received => "received",
-            TxOutcome::CrcFailed => "crc_failed",
-            TxOutcome::SyncMissed => "sync_missed",
-            TxOutcome::ReceiverBusy => "receiver_busy",
-        };
-        ToJson::to_json(s)
-    }
-}
-
-impl FromJson for TxOutcome {
-    fn from_json(value: &Json) -> Result<Self, Error> {
-        match value
-            .as_str()
-            .ok_or_else(|| Error::new("expected string for TxOutcome"))?
-        {
-            "received" => Ok(TxOutcome::Received),
-            "crc_failed" => Ok(TxOutcome::CrcFailed),
-            "sync_missed" => Ok(TxOutcome::SyncMissed),
-            "receiver_busy" => Ok(TxOutcome::ReceiverBusy),
-            other => Err(Error::new(format!("unknown TxOutcome `{other}`"))),
-        }
-    }
-}
+nomc_json::json_enum!(TxOutcome {
+    Received = "received",
+    CrcFailed = "crc_failed",
+    SyncMissed = "sync_missed",
+    ReceiverBusy = "receiver_busy",
+});
 
 nomc_json::json_struct!(ErrorRecord {
     error_bits: u32,
@@ -336,31 +279,10 @@ pub(crate) enum ProviderState {
     Dcn(AdjustorSnapshot),
 }
 
-impl ToJson for ProviderState {
-    fn to_json(&self) -> Json {
-        match self {
-            ProviderState::Fixed => Json::object([("fixed", Json::Null)]),
-            ProviderState::Dcn(s) => Json::object([("dcn", s.to_json())]),
-        }
-    }
-}
-
-impl FromJson for ProviderState {
-    fn from_json(value: &Json) -> Result<Self, Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| Error::new("expected object for ProviderState"))?;
-        let (tag, body) = obj
-            .iter()
-            .next()
-            .ok_or_else(|| Error::new("empty ProviderState object"))?;
-        match tag {
-            "fixed" => Ok(ProviderState::Fixed),
-            "dcn" => Ok(ProviderState::Dcn(AdjustorSnapshot::from_json(body)?)),
-            other => Err(Error::new(format!("unknown ProviderState tag `{other}`"))),
-        }
-    }
-}
+nomc_json::json_enum!(ProviderState {
+    Fixed = {"fixed": null},
+    Dcn(s) = "dcn",
+});
 
 /// One node's mutable state (everything [`Engine::new`] does not fully
 /// determine from the scenario).
@@ -806,59 +728,15 @@ nomc_json::json_struct!(ThresholdSample {
     at: SimTime,
 });
 
-impl ToJson for BoundaryEvent {
-    fn to_json(&self) -> Json {
-        match self {
-            BoundaryEvent::Popped(ev) => Json::object([("Popped", ev.to_json())]),
-            BoundaryEvent::Trace(record) => Json::object([("Trace", record.to_json())]),
-            BoundaryEvent::TxStart(info) => Json::object([("TxStart", info.to_json())]),
-            BoundaryEvent::TxOutcome(info) => Json::object([("TxOutcome", info.to_json())]),
-            BoundaryEvent::Abandon { link, measured } => Json::object([(
-                "Abandon",
-                Json::object([("link", link.to_json()), ("measured", measured.to_json())]),
-            )]),
-            BoundaryEvent::Threshold(sample) => Json::object([("Threshold", sample.to_json())]),
-            BoundaryEvent::Power(sample) => Json::object([("Power", sample.to_json())]),
-        }
-    }
-}
-
-impl FromJson for BoundaryEvent {
-    fn from_json(value: &Json) -> Result<Self, Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| Error::new("expected object for BoundaryEvent"))?;
-        let (tag, body) = obj
-            .iter()
-            .next()
-            .ok_or_else(|| Error::new("empty BoundaryEvent object"))?;
-        match tag {
-            "Popped" => Ok(BoundaryEvent::Popped(Event::from_json(body)?)),
-            "Trace" => Ok(BoundaryEvent::Trace(TraceRecord::from_json(body)?)),
-            "TxStart" => Ok(BoundaryEvent::TxStart(TxStartInfo::from_json(body)?)),
-            "TxOutcome" => Ok(BoundaryEvent::TxOutcome(Box::new(
-                TxOutcomeInfo::from_json(body)?,
-            ))),
-            "Abandon" => {
-                let b = body
-                    .as_object()
-                    .ok_or_else(|| Error::new("expected object for BoundaryEvent::Abandon"))?;
-                let field = |name: &str| {
-                    b.get(name).ok_or_else(|| {
-                        Error::new(format!("missing field `{name}` in BoundaryEvent::Abandon"))
-                    })
-                };
-                Ok(BoundaryEvent::Abandon {
-                    link: usize::from_json(field("link")?)?,
-                    measured: bool::from_json(field("measured")?)?,
-                })
-            }
-            "Threshold" => Ok(BoundaryEvent::Threshold(ThresholdSample::from_json(body)?)),
-            "Power" => Ok(BoundaryEvent::Power(PowerSample::from_json(body)?)),
-            other => Err(Error::new(format!("unknown BoundaryEvent tag `{other}`"))),
-        }
-    }
-}
+nomc_json::json_enum!(BoundaryEvent {
+    Popped(ev) = "Popped",
+    Trace(record) = "Trace",
+    TxStart(info) = "TxStart",
+    TxOutcome(info) = "TxOutcome",
+    Abandon { link, measured } = "Abandon",
+    Threshold(sample) = "Threshold",
+    Power(sample) = "Power",
+});
 
 nomc_json::json_struct!(Note {
     at: SimTime,
@@ -892,28 +770,14 @@ impl RankState {
     }
 }
 
-impl ToJson for RankState {
-    fn to_json(&self) -> Json {
-        match self {
-            RankState::Fresh => Json::object([("fresh", Json::Null)]),
-            RankState::Paused {
-                engine,
-                relay_seq,
-                relay_now,
-            } => paused_rank_json(engine.to_json(), *relay_seq, *relay_now),
-            RankState::Done { result, exhausted } => Json::object([(
-                "done",
-                Json::object([
-                    ("result", result.to_json()),
-                    ("exhausted", exhausted.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
+nomc_json::json_enum!(RankState {
+    Fresh = {"fresh": null},
+    Paused { engine, relay_seq, relay_now } = "paused",
+    Done { result, exhausted } = "done",
+});
 
-/// A paused rank's JSON from its engine payload and relay counters —
-/// shared by [`RankState`]'s encoding and the live sharded checkpoint.
+/// The JSON [`RankState::Paused`] encodes to, built from a live engine's
+/// payload and relay counters for the live sharded checkpoint.
 fn paused_rank_json(engine: Json, relay_seq: u64, relay_now: SimTime) -> Json {
     Json::object([(
         "paused",
@@ -923,36 +787,6 @@ fn paused_rank_json(engine: Json, relay_seq: u64, relay_now: SimTime) -> Json {
             ("relay_now", relay_now.to_json()),
         ]),
     )])
-}
-
-impl FromJson for RankState {
-    fn from_json(value: &Json) -> Result<Self, Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| Error::new("expected object for RankState"))?;
-        let (tag, body) = obj
-            .iter()
-            .next()
-            .ok_or_else(|| Error::new("empty RankState object"))?;
-        let field = |name: &str| {
-            body.as_object()
-                .and_then(|b| b.get(name))
-                .ok_or_else(|| Error::new(format!("missing field `{name}` in RankState::{tag}")))
-        };
-        match tag {
-            "fresh" => Ok(RankState::Fresh),
-            "paused" => Ok(RankState::Paused {
-                engine: EngineSnapshot::from_json(field("engine")?)?,
-                relay_seq: u64::from_json(field("relay_seq")?)?,
-                relay_now: SimTime::from_json(field("relay_now")?)?,
-            }),
-            "done" => Ok(RankState::Done {
-                result: SimResult::from_json(field("result")?)?,
-                exhausted: bool::from_json(field("exhausted")?)?,
-            }),
-            other => Err(Error::new(format!("unknown RankState tag `{other}`"))),
-        }
-    }
 }
 
 /// A paused sharded run: per-rank progress plus the buffered boundary

@@ -269,18 +269,12 @@ impl Engine<'_, '_, '_> {
             error_record: meta.error_record,
         });
         if meta.measured {
-            let outcome_str = match outcome {
-                TxOutcome::Received => "received",
-                TxOutcome::CrcFailed => "crc_failed",
-                TxOutcome::SyncMissed => "sync_missed",
-                TxOutcome::ReceiverBusy => "receiver_busy",
-            };
             self.obs.trace_kind(
                 self.now,
                 TraceKind::Outcome {
                     tx: tx_id,
                     receiver: meta.intended_rx,
-                    outcome: outcome_str,
+                    outcome,
                 },
             );
         }

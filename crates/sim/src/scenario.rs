@@ -140,31 +140,10 @@ pub enum PathLossModel {
     LogDistance(LogDistance),
 }
 
-impl nomc_json::ToJson for PathLossModel {
-    fn to_json(&self) -> nomc_json::Json {
-        let (tag, inner) = match self {
-            PathLossModel::FreeSpace(m) => ("FreeSpace", m.to_json()),
-            PathLossModel::LogDistance(m) => ("LogDistance", m.to_json()),
-        };
-        nomc_json::Json::object([(tag, inner)])
-    }
-}
-
-impl nomc_json::FromJson for PathLossModel {
-    fn from_json(v: &nomc_json::Json) -> Result<Self, nomc_json::Error> {
-        use nomc_json::FromJson;
-        let obj = v
-            .as_object()
-            .ok_or_else(|| nomc_json::Error::new("PathLossModel: expected object"))?;
-        match obj.iter().next() {
-            Some(("FreeSpace", inner)) => Ok(PathLossModel::FreeSpace(FromJson::from_json(inner)?)),
-            Some(("LogDistance", inner)) => {
-                Ok(PathLossModel::LogDistance(FromJson::from_json(inner)?))
-            }
-            _ => Err(nomc_json::Error::new("PathLossModel: unknown variant")),
-        }
-    }
-}
+nomc_json::json_enum!(PathLossModel {
+    FreeSpace(m) = "FreeSpace",
+    LogDistance(m) = "LogDistance",
+});
 
 impl PathLossModel {
     /// Mean attenuation at `distance`.
@@ -228,35 +207,12 @@ pub enum ThresholdMode {
     FixedOracle(Dbm),
 }
 
-impl nomc_json::ToJson for ThresholdMode {
-    fn to_json(&self) -> nomc_json::Json {
-        let (tag, inner) = match self {
-            ThresholdMode::Fixed(t) => ("Fixed", t.to_json()),
-            ThresholdMode::Dcn(c) => ("Dcn", c.to_json()),
-            ThresholdMode::DcnOracle(c) => ("DcnOracle", c.to_json()),
-            ThresholdMode::FixedOracle(t) => ("FixedOracle", t.to_json()),
-        };
-        nomc_json::Json::object([(tag, inner)])
-    }
-}
-
-impl nomc_json::FromJson for ThresholdMode {
-    fn from_json(v: &nomc_json::Json) -> Result<Self, nomc_json::Error> {
-        use nomc_json::FromJson;
-        let obj = v
-            .as_object()
-            .ok_or_else(|| nomc_json::Error::new("ThresholdMode: expected object"))?;
-        match obj.iter().next() {
-            Some(("Fixed", inner)) => Ok(ThresholdMode::Fixed(FromJson::from_json(inner)?)),
-            Some(("Dcn", inner)) => Ok(ThresholdMode::Dcn(FromJson::from_json(inner)?)),
-            Some(("DcnOracle", inner)) => Ok(ThresholdMode::DcnOracle(FromJson::from_json(inner)?)),
-            Some(("FixedOracle", inner)) => {
-                Ok(ThresholdMode::FixedOracle(FromJson::from_json(inner)?))
-            }
-            _ => Err(nomc_json::Error::new("ThresholdMode: unknown variant")),
-        }
-    }
-}
+nomc_json::json_enum!(ThresholdMode {
+    Fixed(t) = "Fixed",
+    Dcn(c) = "Dcn",
+    DcnOracle(c) = "DcnOracle",
+    FixedOracle(t) = "FixedOracle",
+});
 
 impl ThresholdMode {
     /// The ZigBee factory default: fixed −77 dBm.
@@ -289,48 +245,11 @@ pub enum TrafficModel {
     },
 }
 
-impl nomc_json::ToJson for TrafficModel {
-    fn to_json(&self) -> nomc_json::Json {
-        use nomc_json::Json;
-        match self {
-            TrafficModel::Saturated => Json::Str("Saturated".to_string()),
-            TrafficModel::Interval(d) => Json::object([("Interval", d.to_json())]),
-            TrafficModel::Forward { from_link } => Json::object([(
-                "Forward",
-                Json::object([("from_link", from_link.to_json())]),
-            )]),
-        }
-    }
-}
-
-impl nomc_json::FromJson for TrafficModel {
-    fn from_json(v: &nomc_json::Json) -> Result<Self, nomc_json::Error> {
-        use nomc_json::FromJson;
-        if let Some(s) = v.as_str() {
-            return match s {
-                "Saturated" => Ok(TrafficModel::Saturated),
-                other => Err(nomc_json::Error::new(format!(
-                    "TrafficModel: unknown variant {other:?}"
-                ))),
-            };
-        }
-        let obj = v
-            .as_object()
-            .ok_or_else(|| nomc_json::Error::new("TrafficModel: expected string or object"))?;
-        match obj.iter().next() {
-            Some(("Interval", inner)) => Ok(TrafficModel::Interval(FromJson::from_json(inner)?)),
-            Some(("Forward", inner)) => {
-                let from_link = inner.get("from_link").ok_or_else(|| {
-                    nomc_json::Error::new("TrafficModel::Forward: missing from_link")
-                })?;
-                Ok(TrafficModel::Forward {
-                    from_link: FromJson::from_json(from_link)?,
-                })
-            }
-            _ => Err(nomc_json::Error::new("TrafficModel: unknown variant")),
-        }
-    }
-}
+nomc_json::json_enum!(TrafficModel {
+    Saturated = "Saturated",
+    Interval(d) = "Interval",
+    Forward { from_link } = "Forward",
+});
 
 /// Behaviour of one network's nodes.
 #[derive(Debug, Clone, PartialEq)]

@@ -8,7 +8,8 @@
 //! fared.
 
 use crate::events::{NodeId, TxId};
-use nomc_json::{Error, FromJson, Json, ToJson};
+use crate::metrics::TxOutcome;
+use nomc_json::ToJson;
 use nomc_units::{Dbm, SimTime};
 
 /// One trace entry.
@@ -51,8 +52,8 @@ pub enum TraceKind {
         tx: TxId,
         /// The receiver.
         receiver: NodeId,
-        /// `"received" | "crc_failed" | "sync_missed" | "receiver_busy"`.
-        outcome: &'static str,
+        /// How the frame fared there.
+        outcome: TxOutcome,
     },
     /// An Imm-ACK was decoded by the original sender.
     AckDelivered {
@@ -72,165 +73,44 @@ pub enum TraceKind {
     Fault {
         /// The afflicted node.
         node: NodeId,
-        /// `"down" | "up" | "cca_stuck" | "cca_released"`.
-        fault: &'static str,
+        /// What happened to it.
+        fault: NodeFault,
     },
 }
 
-impl ToJson for TraceRecord {
-    fn to_json(&self) -> Json {
-        Json::object([("at", self.at.to_json()), ("kind", self.kind.to_json())])
-    }
+/// A scheduled fault's effect on a node, as a trace records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeFault {
+    /// The node crashed.
+    Down,
+    /// The node rebooted.
+    Up,
+    /// The node's CCA comparator latched busy.
+    CcaStuck,
+    /// The latched comparator released.
+    CcaReleased,
 }
 
-impl ToJson for TraceKind {
-    fn to_json(&self) -> Json {
-        match self {
-            TraceKind::Cca {
-                node,
-                sensed_dbm,
-                threshold_dbm,
-                clear,
-            } => Json::object([(
-                "Cca",
-                Json::object([
-                    ("node", node.to_json()),
-                    ("sensed_dbm", sensed_dbm.to_json()),
-                    ("threshold_dbm", threshold_dbm.to_json()),
-                    ("clear", clear.to_json()),
-                ]),
-            )]),
-            TraceKind::TxStart {
-                node,
-                tx,
-                seq,
-                forced,
-            } => Json::object([(
-                "TxStart",
-                Json::object([
-                    ("node", node.to_json()),
-                    ("tx", tx.to_json()),
-                    ("seq", seq.to_json()),
-                    ("forced", forced.to_json()),
-                ]),
-            )]),
-            TraceKind::Outcome {
-                tx,
-                receiver,
-                outcome,
-            } => Json::object([(
-                "Outcome",
-                Json::object([
-                    ("tx", tx.to_json()),
-                    ("receiver", receiver.to_json()),
-                    ("outcome", outcome.to_json()),
-                ]),
-            )]),
-            TraceKind::AckDelivered { tx, sender } => Json::object([(
-                "AckDelivered",
-                Json::object([("tx", tx.to_json()), ("sender", sender.to_json())]),
-            )]),
-            TraceKind::AckTimedOut { tx, sender } => Json::object([(
-                "AckTimedOut",
-                Json::object([("tx", tx.to_json()), ("sender", sender.to_json())]),
-            )]),
-            TraceKind::Fault { node, fault } => Json::object([(
-                "Fault",
-                Json::object([("node", node.to_json()), ("fault", fault.to_json())]),
-            )]),
-        }
-    }
-}
+nomc_json::json_struct!(TraceRecord {
+    at: SimTime,
+    kind: TraceKind,
+});
 
-impl FromJson for TraceRecord {
-    fn from_json(value: &Json) -> Result<Self, Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| Error::new("expected object for TraceRecord"))?;
-        let at = obj
-            .get("at")
-            .ok_or_else(|| Error::new("missing field `at` in TraceRecord"))?;
-        let kind = obj
-            .get("kind")
-            .ok_or_else(|| Error::new("missing field `kind` in TraceRecord"))?;
-        Ok(TraceRecord {
-            at: SimTime::from_json(at)?,
-            kind: TraceKind::from_json(kind)?,
-        })
-    }
-}
+nomc_json::json_enum!(TraceKind {
+    Cca { node, sensed_dbm, threshold_dbm, clear } = "Cca",
+    TxStart { node, tx, seq, forced } = "TxStart",
+    Outcome { tx, receiver, outcome } = "Outcome",
+    AckDelivered { tx, sender } = "AckDelivered",
+    AckTimedOut { tx, sender } = "AckTimedOut",
+    Fault { node, fault } = "Fault",
+});
 
-/// Maps a decoded outcome string back onto the engine's static strings,
-/// so round-tripped records compare (and re-serialize) identically.
-fn static_outcome(s: &str) -> Result<&'static str, Error> {
-    match s {
-        "received" => Ok("received"),
-        "crc_failed" => Ok("crc_failed"),
-        "sync_missed" => Ok("sync_missed"),
-        "receiver_busy" => Ok("receiver_busy"),
-        other => Err(Error::new(format!("unknown trace outcome `{other}`"))),
-    }
-}
-
-/// Maps a decoded fault string back onto the engine's static strings.
-fn static_fault(s: &str) -> Result<&'static str, Error> {
-    match s {
-        "down" => Ok("down"),
-        "up" => Ok("up"),
-        "cca_stuck" => Ok("cca_stuck"),
-        "cca_released" => Ok("cca_released"),
-        other => Err(Error::new(format!("unknown trace fault `{other}`"))),
-    }
-}
-
-impl FromJson for TraceKind {
-    fn from_json(value: &Json) -> Result<Self, Error> {
-        let obj = value
-            .as_object()
-            .ok_or_else(|| Error::new("expected object for TraceKind"))?;
-        let (tag, body) = obj
-            .iter()
-            .next()
-            .ok_or_else(|| Error::new("empty TraceKind object"))?;
-        let field = |name: &str| {
-            body.as_object()
-                .and_then(|b| b.get(name))
-                .ok_or_else(|| Error::new(format!("missing field `{name}` in TraceKind::{tag}")))
-        };
-        match tag {
-            "Cca" => Ok(TraceKind::Cca {
-                node: NodeId::from_json(field("node")?)?,
-                sensed_dbm: Dbm::from_json(field("sensed_dbm")?)?,
-                threshold_dbm: Dbm::from_json(field("threshold_dbm")?)?,
-                clear: bool::from_json(field("clear")?)?,
-            }),
-            "TxStart" => Ok(TraceKind::TxStart {
-                node: NodeId::from_json(field("node")?)?,
-                tx: TxId::from_json(field("tx")?)?,
-                seq: u32::from_json(field("seq")?)?,
-                forced: bool::from_json(field("forced")?)?,
-            }),
-            "Outcome" => Ok(TraceKind::Outcome {
-                tx: TxId::from_json(field("tx")?)?,
-                receiver: NodeId::from_json(field("receiver")?)?,
-                outcome: static_outcome(&String::from_json(field("outcome")?)?)?,
-            }),
-            "AckDelivered" => Ok(TraceKind::AckDelivered {
-                tx: TxId::from_json(field("tx")?)?,
-                sender: NodeId::from_json(field("sender")?)?,
-            }),
-            "AckTimedOut" => Ok(TraceKind::AckTimedOut {
-                tx: TxId::from_json(field("tx")?)?,
-                sender: NodeId::from_json(field("sender")?)?,
-            }),
-            "Fault" => Ok(TraceKind::Fault {
-                node: NodeId::from_json(field("node")?)?,
-                fault: static_fault(&String::from_json(field("fault")?)?)?,
-            }),
-            other => Err(Error::new(format!("unknown TraceKind tag `{other}`"))),
-        }
-    }
-}
+nomc_json::json_enum!(NodeFault {
+    Down = "down",
+    Up = "up",
+    CcaStuck = "cca_stuck",
+    CcaReleased = "cca_released",
+});
 
 /// Renders records as JSON lines.
 // nomc-lint: allow(test-only-api) — reference the streaming sink matches
@@ -246,6 +126,7 @@ pub fn to_jsonl(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nomc_json::Json;
 
     #[test]
     fn jsonl_one_line_per_record() {

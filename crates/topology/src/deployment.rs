@@ -52,18 +52,6 @@ impl NetworkSpec {
     pub fn new(frequency: Megahertz, links: Vec<LinkSpec>) -> Self {
         NetworkSpec { frequency, links }
     }
-
-    /// Geometric centroid of all node positions (for diagnostics).
-    // nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
-    pub fn centroid(&self) -> Point {
-        let n = (self.links.len() * 2).max(1) as f64;
-        let (mut sx, mut sy) = (0.0, 0.0);
-        for l in &self.links {
-            sx += l.tx.x + l.rx.x;
-            sy += l.tx.y + l.rx.y;
-        }
-        Point::new(sx / n, sy / n)
-    }
 }
 
 /// A complete deployment: several networks on (possibly non-orthogonal)
@@ -173,12 +161,6 @@ mod tests {
             Deployment::new(vec![sample_network(2458.0)]).min_cfd(),
             None
         );
-    }
-
-    #[test]
-    fn centroid() {
-        let n = sample_network(2458.0);
-        assert_eq!(n.centroid(), Point::new(1.0, 0.5));
     }
 
     #[test]

@@ -121,18 +121,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Creates a duration from fractional seconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    #[inline]
-    // nomc-lint: allow(test-only-api) — no production caller; deleted with its tests later
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
-        SimDuration((secs * 1e9).round() as u64)
-    }
-
     /// Raw nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
@@ -392,11 +380,6 @@ mod tests {
         let second = SimDuration::from_secs(1);
         let max_rate = second / airtime;
         assert!((max_rate - 234.96).abs() < 0.1);
-    }
-
-    #[test]
-    fn from_secs_f64_rounds() {
-        assert_eq!(SimDuration::from_secs_f64(0.000_000_000_6).as_nanos(), 1);
     }
 
     #[test]

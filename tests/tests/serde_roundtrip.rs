@@ -4,7 +4,9 @@
 
 use nomc_json::{FromJson, Json, ToJson};
 use nomc_rngcore::SeedableRng;
+use nomc_sim::metrics::TxOutcome;
 use nomc_sim::rng::Xoshiro256StarStar;
+use nomc_sim::trace::NodeFault;
 use nomc_sim::{engine, NetworkBehavior, Scenario, TrafficModel};
 use nomc_topology::paper;
 use nomc_topology::spectrum::ChannelPlan;
@@ -294,17 +296,17 @@ fn every_enum_variant_has_pinned_bytes() {
 }
 
 /// Every frame outcome a trace can carry, with its wire spelling.
-const OUTCOMES: [(&str, &str); 4] = [
-    ("received", "received"),
-    ("crc_failed", "crc_failed"),
-    ("sync_missed", "sync_missed"),
-    ("receiver_busy", "receiver_busy"),
+const OUTCOMES: [(TxOutcome, &str); 4] = [
+    (TxOutcome::Received, "received"),
+    (TxOutcome::CrcFailed, "crc_failed"),
+    (TxOutcome::SyncMissed, "sync_missed"),
+    (TxOutcome::ReceiverBusy, "receiver_busy"),
 ];
 
 /// Every fault a trace can carry, with its wire spelling.
-const FAULTS: [(&str, &str); 4] = [
-    ("down", "down"),
-    ("up", "up"),
-    ("cca_stuck", "cca_stuck"),
-    ("cca_released", "cca_released"),
+const FAULTS: [(NodeFault, &str); 4] = [
+    (NodeFault::Down, "down"),
+    (NodeFault::Up, "up"),
+    (NodeFault::CcaStuck, "cca_stuck"),
+    (NodeFault::CcaReleased, "cca_released"),
 ];
