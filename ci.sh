@@ -5,8 +5,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release"
-cargo build --workspace --release --offline
+echo "==> cargo build --release --locked"
+# `--locked` refuses a Cargo.lock that no longer matches the manifests,
+# so a dependency edit cannot leave the committed lockfile behind.
+cargo build --workspace --release --offline --locked
 
 echo "==> examples: every examples/ binary runs and exits 0"
 # `cargo test` compiles the examples but never runs them; running each
@@ -201,7 +203,15 @@ echo "==> end-to-end benchmark self-checks (perfbench)"
 # that a served report is byte-identical to the in-process sweep. A
 # server change that breaks byte identity fails here, not only in the
 # benchmark pipeline.
+# perfbench is its own workspace with its own committed Cargo.lock, and
+# `--locked` does not catch a lock that building it prunes (an edge
+# dropped from a crate it depends on): compare the lock before and after.
+PERFBENCH_LOCK="$(mktemp)"
+cp perfbench/Cargo.lock "$PERFBENCH_LOCK"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cmp "$PERFBENCH_LOCK" perfbench/Cargo.lock \
+  || { echo "building perfbench rewrote perfbench/Cargo.lock"; rm -f "$PERFBENCH_LOCK"; exit 1; }
+rm -f "$PERFBENCH_LOCK"
 
 echo "==> bench smoke (single iteration, no report written)"
 cargo bench -p nomc-bench --bench sim --offline -- --test

@@ -15,18 +15,18 @@
 //! | `determinism`         | `sim`/`mac`/`core`/`experiments` src     |
 //! | `unit-safety`         | fn params/fields/lets, all non-test crates |
 //! | `panic-hygiene`       | all non-test `sim/src/**` sources        |
-//! | `dep-audit`           | every `Cargo.toml`                       |
+//! | `dep-audit`           | every `Cargo.toml` and its package's sources |
 //! | `float-totality`      | `sim`/`phy`/`mac`/`core`/`experiments`   |
 //! | `observer-purity`     | every `impl SimObserver`                 |
 //! | `exhaustive-dispatch` | `sim/src/runtime/{dispatch,faults,snapshot}.rs` + shard merge |
-//! | `test-only-api`       | every `pub fn` in library `crates/*/src` |
+//! | `test-only-api`       | every `pub` item in library `crates/*/src` |
 //! | `dead-allow`          | every allow directive                    |
 //!
 //! The line-oriented v1 rules run on the lexed [`source::SourceFile`]
 //! view; the flow-aware v2 rules run on the [`parser`] item stream
 //! (lexer → token stream → items → rules — no expression AST). The
-//! workspace-wide `test-only-api` rule runs in [`lint_files`], over a
-//! name index of every file.
+//! workspace-wide `test-only-api` rule and `dep-audit`'s edge check run
+//! in [`lint_files`], over a name index of every file.
 //!
 //! Diagnostics render as `file:line: rule-id: message`. A finding is
 //! suppressed by `// nomc-lint: allow(<rule-id>)` (`#` comment in TOML)
@@ -45,6 +45,7 @@ pub mod source;
 pub use diag::Diagnostic;
 
 use nomc_json::{Json, Number};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -133,18 +134,19 @@ pub fn lint_source_full(rel_path: &str, content: &str) -> FileLint {
 }
 
 /// Runs the manifest rule (`dep-audit`) over one `Cargo.toml`, with
-/// allow accounting.
+/// allow accounting. Alone, a manifest has no sources to check its
+/// edges against, so only its hermeticity is judged here; [`lint_files`]
+/// judges both.
 pub fn lint_manifest_full(rel_path: &str, content: &str) -> FileLint {
     let mut raw = Vec::new();
     rules::dep_audit::check(rel_path, content, &mut raw);
     apply_allows(rel_path, &rules::dep_audit::directives(content), raw, true)
 }
 
-/// One source file's directives, items, tokens and per-file findings,
-/// before allow accounting.
+/// One source file's directives, tokens and per-file findings, before
+/// allow accounting.
 struct Scanned {
     directives: Vec<source::Directive>,
-    items: parser::Items,
     tokens: Vec<parser::Token>,
     raw: Vec<Diagnostic>,
 }
@@ -162,7 +164,6 @@ fn scan_source(rel_path: &str, content: &str) -> Scanned {
     rules::exhaustive_dispatch::check(rel_path, &items, &mut raw);
     Scanned {
         directives: sf.directives(),
-        items,
         tokens,
         raw,
     }
@@ -254,26 +255,43 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
 
 /// Lints `(workspace-relative path, content)` pairs as one workspace:
 /// every per-file rule, then the workspace-wide `test-only-api` pass
-/// over the name index all files built, with allow accounting.
+/// over the name index all files built and `dep-audit`'s edge check
+/// over the crate names each file mentions, with allow accounting.
 pub fn lint_files(files: &[(String, String)]) -> LintReport {
     let mut diagnostics = Vec::new();
     let mut allows = Vec::new();
     let mut index = rules::test_only_api::Index::default();
+    let mut crate_names = BTreeMap::new();
     let mut pending = Vec::new();
+    let mut manifests = Vec::new();
     for (rel, content) in files {
         if rel.ends_with("Cargo.toml") {
-            let file = lint_manifest_full(rel, content);
-            diagnostics.extend(file.diagnostics);
-            allows.extend(file.allows);
+            manifests.push((rel, content));
             continue;
         }
         let scan = scan_source(rel, content);
         index.add_file(rel, &scan.tokens);
+        let named: BTreeSet<String> = scan
+            .tokens
+            .iter()
+            .filter(|t| t.kind == parser::TokenKind::Ident && t.text.starts_with("nomc_"))
+            .map(|t| t.text.clone())
+            .collect();
+        crate_names.insert(rel.clone(), named);
         pending.push((rel, scan));
     }
     for (rel, mut scan) in pending {
-        rules::test_only_api::check(rel, &scan.items, &index, &mut scan.raw);
+        rules::test_only_api::check(rel, &scan.tokens, &index, &mut scan.raw);
         let file = apply_allows(rel, &scan.directives, scan.raw, true);
+        diagnostics.extend(file.diagnostics);
+        allows.extend(file.allows);
+    }
+    for (rel, content) in manifests {
+        let mut raw = Vec::new();
+        rules::dep_audit::check(rel, content, &mut raw);
+        rules::dep_audit::check_edges(rel, content, &crate_names, &mut raw);
+        let directives = rules::dep_audit::directives(content);
+        let file = apply_allows(rel, &directives, raw, true);
         diagnostics.extend(file.diagnostics);
         allows.extend(file.allows);
     }

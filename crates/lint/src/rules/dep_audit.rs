@@ -1,25 +1,47 @@
-//! Rule `dep-audit`: the workspace is hermetic — every dependency is an
-//! in-tree `nomc-*` path crate, so the whole CI gate runs offline and
-//! results never shift under a registry update. This rule replaces the
-//! old `cargo tree | grep` shell audit in `ci.sh`: it scans every
-//! `Cargo.toml` and flags any dependency that is not a `nomc-*` crate
-//! resolved by `path`/`workspace`. In a path-only workspace the
-//! manifest graph *is* the full dependency graph, so this is equivalent
-//! to the `cargo tree` check while needing no cargo invocation.
+//! Rule `dep-audit`: the dependency graph is hermetic and has no dead
+//! edges. It scans every `Cargo.toml` and flags
+//!
+//! - any dependency that is not a `nomc-*` crate resolved by
+//!   `path`/`workspace`: in-tree path crates keep the whole CI gate
+//!   offline and results never shift under a registry update, and in a
+//!   path-only workspace the manifest graph *is* the full dependency
+//!   graph, so no `cargo tree` run is needed;
+//! - any `nomc-*` entry under `[dependencies]` or `[dev-dependencies]`
+//!   whose crate identifier (`nomc_x`) no `.rs` file of its package
+//!   names. The package's files are its `src/`, `tests/` and `benches/`
+//!   trees plus the `path` of every `[[example]]`, `[[bench]]`,
+//!   `[[bin]]` and `[[test]]` target (`nomc-experiments` owns the root
+//!   `examples/` this way). This half needs the package's sources, so
+//!   it runs only in a directory lint ([`check_edges`]), and only for a
+//!   package whose target paths all lie inside the linted tree.
 //!
 //! The escape hatch is a TOML comment: `# nomc-lint: allow(dep-audit)`
 //! on the dependency line or the line above.
 
 use crate::diag::Diagnostic;
 use crate::source::{parse_directive, Directive};
+use std::collections::{BTreeMap, BTreeSet};
 
 pub const RULE: &str = "dep-audit";
 
-/// Raw findings, *before* allow-directive suppression — the pipeline in
-/// the crate root applies [`directives`] so consumption is accounted
-/// (a `# nomc-lint: allow(dep-audit)` that suppresses nothing is a
-/// `dead-allow` error like any other).
-pub fn check(rel_path: &str, content: &str, out: &mut Vec<Diagnostic>) {
+/// One dependency entry of a manifest.
+struct Dep<'a> {
+    /// 1-based line.
+    line: usize,
+    /// Whether it sits in `[dependencies]` or `[dev-dependencies]`,
+    /// where [`check_edges`] judges its use.
+    edge: bool,
+    /// The dependency key (`nomc-units`).
+    name: &'a str,
+    /// Whether it is resolved by `path` or `workspace`.
+    in_tree: bool,
+}
+
+/// Every dependency entry of `content`, and the `path` of every
+/// `[[example]]`/`[[bench]]`/`[[bin]]`/`[[test]]` target.
+fn scan(content: &str) -> (Vec<Dep<'_>>, Vec<&str>) {
+    let mut deps = Vec::new();
+    let mut targets = Vec::new();
     let mut section = String::new();
     for (idx, raw) in content.lines().enumerate() {
         let (code, _comment) = split_toml_comment(raw);
@@ -28,13 +50,17 @@ pub fn check(rel_path: &str, content: &str, out: &mut Vec<Diagnostic>) {
             section = t.trim_matches(['[', ']']).trim().to_string();
             continue;
         }
-        if !is_dep_section(&section) {
-            continue;
-        }
         let Some((lhs, rhs)) = t.split_once('=') else {
             continue;
         };
         let key = lhs.trim().trim_matches('"');
+        let rhs = rhs.trim();
+        if matches!(section.as_str(), "example" | "bench" | "bin" | "test") && key == "path" {
+            targets.push(rhs.trim_matches('"'));
+        }
+        if !is_dep_section(&section) {
+            continue;
+        }
         // Dotted keys: `nomc-units.workspace = true`.
         let (name, dotted) = match key.split_once('.') {
             Some((n, d)) => (n, Some(d)),
@@ -43,24 +69,39 @@ pub fn check(rel_path: &str, content: &str, out: &mut Vec<Diagnostic>) {
         if name.is_empty() {
             continue;
         }
-        let rhs = rhs.trim();
-        let in_tree_shape = rhs.contains("path")
-            || rhs.contains("workspace")
-            || matches!(dotted, Some("path") | Some("workspace"));
+        deps.push(Dep {
+            line: idx + 1,
+            edge: matches!(section.as_str(), "dependencies" | "dev-dependencies"),
+            name,
+            in_tree: rhs.contains("path")
+                || rhs.contains("workspace")
+                || matches!(dotted, Some("path") | Some("workspace")),
+        });
+    }
+    (deps, targets)
+}
+
+/// Raw hermeticity findings, *before* allow-directive suppression — the
+/// pipeline in the crate root applies [`directives`] so consumption is
+/// accounted (a `# nomc-lint: allow(dep-audit)` that suppresses nothing
+/// is a `dead-allow` error like any other).
+pub fn check(rel_path: &str, content: &str, out: &mut Vec<Diagnostic>) {
+    for dep in scan(content).0 {
+        let name = dep.name;
         if !name.starts_with("nomc-") {
             out.push(Diagnostic::new(
                 rel_path,
-                idx + 1,
+                dep.line,
                 RULE,
                 format!(
                     "external dependency `{name}`; the workspace is hermetic — only \
                      in-tree nomc-* path crates are allowed"
                 ),
             ));
-        } else if !in_tree_shape {
+        } else if !dep.in_tree {
             out.push(Diagnostic::new(
                 rel_path,
-                idx + 1,
+                dep.line,
                 RULE,
                 format!(
                     "dependency `{name}` is not resolved by path/workspace; registry \
@@ -69,6 +110,70 @@ pub fn check(rel_path: &str, content: &str, out: &mut Vec<Diagnostic>) {
             ));
         }
     }
+}
+
+/// Raw dead-edge findings for the manifest at `rel_path`. `names` maps
+/// each linted `.rs` file (relative to the same root) to the `nomc_*`
+/// identifiers its code mentions, test code included. A package with a
+/// target path outside the linted tree is not judged.
+pub fn check_edges(
+    rel_path: &str,
+    content: &str,
+    names: &BTreeMap<String, BTreeSet<String>>,
+    out: &mut Vec<Diagnostic>,
+) {
+    let dir = rel_path.strip_suffix("Cargo.toml").unwrap_or_default();
+    let (deps, targets) = scan(content);
+    let Some(targets) = targets
+        .iter()
+        .map(|t| normalize(&format!("{dir}{t}")))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return;
+    };
+    let in_package = |file: &str| {
+        ["src/", "tests/", "benches/"]
+            .iter()
+            .any(|sub| file.strip_prefix(dir).is_some_and(|f| f.starts_with(sub)))
+            || targets.iter().any(|t| t == file)
+    };
+    for dep in deps {
+        if !dep.edge || !dep.name.starts_with("nomc-") {
+            continue;
+        }
+        let ident = dep.name.replace('-', "_");
+        let named = names
+            .iter()
+            .any(|(file, ids)| ids.contains(&ident) && in_package(file));
+        if !named {
+            out.push(Diagnostic::new(
+                rel_path,
+                dep.line,
+                RULE,
+                format!(
+                    "dependency `{}` is unused: no `.rs` file of this package names \
+                     `{ident}`; delete the edge",
+                    dep.name
+                ),
+            ));
+        }
+    }
+}
+
+/// Resolves `.` and `..` segments; `None` when the path climbs out of
+/// the linted tree.
+fn normalize(path: &str) -> Option<String> {
+    let mut parts: Vec<&str> = Vec::new();
+    for seg in path.split('/') {
+        match seg {
+            "" | "." => {}
+            ".." => {
+                parts.pop()?;
+            }
+            s => parts.push(s),
+        }
+    }
+    Some(parts.join("/"))
 }
 
 fn is_dep_section(section: &str) -> bool {

@@ -184,3 +184,104 @@ fn the_binary_names_the_unjudged_rule_in_text_and_json() {
     let stdout = String::from_utf8_lossy(&json.stdout);
     assert!(stdout.contains("\"not_judged\""), "{stdout}");
 }
+
+/// Lints a library file holding one public item, with `NAME` in
+/// `mention` replaced by the item's name and placed at `path`.
+fn lint_item(src: &str, name: &str, path: &str, mention: &str) -> LintReport {
+    lint_files(&[
+        (LIB.to_string(), src.to_string()),
+        (path.to_string(), mention.replace("NAME", name)),
+    ])
+}
+
+/// Judges one item kind: named only by a test it is exactly one
+/// finding, named by production code it is clean, and a `use`
+/// re-export alone keeps only a trait alive.
+fn judges(kind: &str, src: &str, name: &str, line: usize) {
+    let finding = vec![(LIB.to_string(), line, "test-only-api")];
+    let mention = "fn f() {\n    let _ = model::NAME;\n}\n";
+    let test_only = lint_item(src, name, "crates/phy/tests/x.rs", mention);
+    assert_eq!(rules(&test_only), finding, "{kind}");
+    let message = &test_only.diagnostics[0].message;
+    assert!(
+        message.contains(&format!("`pub {kind} {name}`")),
+        "{message}"
+    );
+    let production = lint_item(src, name, "crates/sim/src/x.rs", mention);
+    assert!(
+        production.diagnostics.is_empty(),
+        "{kind}: {:?}",
+        rules(&production)
+    );
+    let reexport = lint_item(src, name, "crates/phy/src/lib.rs", "pub use model::NAME;\n");
+    if kind == "trait" {
+        assert!(reexport.diagnostics.is_empty(), "{:?}", rules(&reexport));
+    } else {
+        assert_eq!(rules(&reexport), finding, "{kind} re-export");
+    }
+}
+
+#[test]
+fn a_struct_needs_a_production_user() {
+    judges(
+        "struct",
+        "/// A gain.\npub struct Gain(pub u32);\n",
+        "Gain",
+        2,
+    );
+}
+
+#[test]
+fn an_enum_needs_a_production_user() {
+    judges("enum", "pub enum Mode {\n    On,\n    Off,\n}\n", "Mode", 1);
+}
+
+#[test]
+fn a_free_const_needs_a_production_user() {
+    judges("const", "pub const LIMIT: u32 = 3;\n", "LIMIT", 1);
+}
+
+#[test]
+fn a_const_in_a_pub_mod_needs_a_production_user() {
+    let src = "pub mod current {\n    pub const RX_MA: f64 = 18.8;\n}\n";
+    judges("const", src, "RX_MA", 2);
+}
+
+#[test]
+fn an_associated_const_needs_a_production_user() {
+    // `impl Gain` names the struct, so only the const is judged dead.
+    let src = "pub struct Gain;\n\nimpl Gain {\n    pub const UNIT: u32 = 1;\n}\n";
+    judges("const", src, "UNIT", 4);
+}
+
+#[test]
+fn a_static_needs_a_production_user() {
+    judges(
+        "static",
+        "pub static TABLE: [u8; 2] = [1, 2];\n",
+        "TABLE",
+        1,
+    );
+}
+
+#[test]
+fn a_type_alias_needs_a_production_user() {
+    judges("type", "pub type Pair = (u32, u32);\n", "Pair", 1);
+}
+
+#[test]
+fn a_trait_needs_a_production_user_and_its_import_is_one() {
+    let src = "pub trait Scale {\n    fn scale(&self) -> u32;\n}\n";
+    judges("trait", src, "Scale", 1);
+}
+
+#[test]
+fn only_bare_pub_items_are_judged() {
+    // Restricted visibility, fields, modules and re-exports are not
+    // items the rule judges; `const fn` is judged as a fn.
+    let src = "pub(crate) struct Hidden;\npub mod inner {}\npub use std::fmt;\n\
+               pub(super) const K: u32 = 1;\npub const fn made() -> u32 {\n    1\n}\n";
+    let report = lint_files(&[(LIB.to_string(), src.to_string())]);
+    assert_eq!(rules(&report), vec![(LIB.to_string(), 5, "test-only-api")]);
+    assert!(report.diagnostics[0].message.contains("`pub fn made`"));
+}

@@ -15,9 +15,6 @@ pub mod current {
     /// RX / listen current: 18.8 mA.
     pub const RX_MA: f64 = 18.8;
 
-    /// Idle (voltage-regulator on) current: 0.426 mA.
-    pub const IDLE_MA: f64 = 0.426;
-
     /// TX current as a function of output power, interpolated from the
     /// datasheet's PA operating points (8.5 mA at −25 dBm to 17.4 mA at
     /// 0 dBm).

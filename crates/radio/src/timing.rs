@@ -7,9 +7,6 @@
 
 use nomc_units::SimDuration;
 
-/// One PHY symbol: 16 µs.
-pub const SYMBOL: SimDuration = SimDuration::from_micros(16);
-
 /// One octet on air: 2 symbols = 32 µs.
 pub const BYTE: SimDuration = SimDuration::from_micros(32);
 
@@ -59,7 +56,8 @@ mod tests {
 
     #[test]
     fn symbol_byte_relation() {
-        assert_eq!(BYTE.as_nanos(), SYMBOL.as_nanos() * 2);
+        // Two 16 µs symbols.
+        assert_eq!(BYTE, SimDuration::from_micros(16) * 2);
     }
 
     #[test]

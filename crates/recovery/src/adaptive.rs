@@ -20,66 +20,45 @@ pub enum FrameOutcome {
     CrcFailed,
 }
 
+/// Frames in the sliding window.
+const WINDOW: usize = 50;
+/// Failure rate above which recovery turns on.
+const ON_THRESHOLD: f64 = 0.05;
+/// Failure rate below which recovery turns off (hysteresis: below
+/// [`ON_THRESHOLD`]).
+const OFF_THRESHOLD: f64 = 0.01;
+
 /// Sliding-window recovery-demand detector for one link.
 #[derive(Debug, Clone)]
 pub struct AdaptiveRecovery {
     window: VecDeque<FrameOutcome>,
-    capacity: usize,
-    /// Failure rate above which recovery turns on.
-    on_threshold: f64,
-    /// Failure rate below which recovery turns off (hysteresis:
-    /// `off_threshold < on_threshold`).
-    off_threshold: f64,
     enabled: bool,
     switches: u64,
 }
 
 impl AdaptiveRecovery {
-    /// Creates a detector over the last `capacity` frames with the given
-    /// on/off thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero, thresholds are outside `[0, 1]`, or
-    /// `off_threshold > on_threshold`.
-    pub fn new(capacity: usize, on_threshold: f64, off_threshold: f64) -> Self {
-        assert!(capacity > 0, "window capacity must be positive");
-        assert!(
-            (0.0..=1.0).contains(&on_threshold) && (0.0..=1.0).contains(&off_threshold),
-            "thresholds must be fractions"
-        );
-        assert!(
-            off_threshold <= on_threshold,
-            "hysteresis requires off ≤ on"
-        );
+    /// A practical default: 50-frame window, turn on above 5 % failures,
+    /// off below 1 %.
+    pub fn practical_default() -> Self {
         AdaptiveRecovery {
-            window: VecDeque::with_capacity(capacity),
-            capacity,
-            on_threshold,
-            off_threshold,
+            window: VecDeque::with_capacity(WINDOW),
             enabled: false,
             switches: 0,
         }
     }
 
-    /// A practical default: 50-frame window, turn on above 5 % failures,
-    /// off below 1 %.
-    pub fn practical_default() -> Self {
-        AdaptiveRecovery::new(50, 0.05, 0.01)
-    }
-
     /// Records one frame outcome and returns whether recovery is enabled
     /// *for the next frame*.
     pub fn observe(&mut self, outcome: FrameOutcome) -> bool {
-        if self.window.len() == self.capacity {
+        if self.window.len() == WINDOW {
             self.window.pop_front();
         }
         self.window.push_back(outcome);
         let rate = self.failure_rate();
         let was = self.enabled;
-        if !self.enabled && rate > self.on_threshold {
+        if !self.enabled && rate > ON_THRESHOLD {
             self.enabled = true;
-        } else if self.enabled && rate < self.off_threshold {
+        } else if self.enabled && rate < OFF_THRESHOLD {
             self.enabled = false;
         }
         if was != self.enabled {
@@ -89,7 +68,7 @@ impl AdaptiveRecovery {
     }
 
     /// Current CRC-failure rate over the window (0 for an empty window).
-    pub fn failure_rate(&self) -> f64 {
+    fn failure_rate(&self) -> f64 {
         if self.window.is_empty() {
             return 0.0;
         }
@@ -104,12 +83,6 @@ impl AdaptiveRecovery {
     /// How many times the decision has flipped.
     pub fn switch_count(&self) -> u64 {
         self.switches
-    }
-}
-
-impl Default for AdaptiveRecovery {
-    fn default() -> Self {
-        AdaptiveRecovery::practical_default()
     }
 }
 
@@ -142,11 +115,12 @@ mod tests {
 
     #[test]
     fn hysteresis_prevents_flapping() {
-        let mut a = AdaptiveRecovery::new(20, 0.3, 0.1);
-        // Alternate at a rate between off (0.1) and on (0.3) thresholds:
-        // ~20% failures. Once on, it must stay on.
+        let mut a = AdaptiveRecovery::practical_default();
+        // One failure in 25 frames: every full window holds two, a 4 %
+        // rate between the off (1 %) and on (5 %) thresholds. The first
+        // frame fails, so it turns on at once and must stay on.
         for i in 0..200 {
-            let o = if i % 5 == 0 {
+            let o = if i % 25 == 0 {
                 FrameOutcome::CrcFailed
             } else {
                 FrameOutcome::Ok
@@ -158,12 +132,12 @@ mod tests {
 
     #[test]
     fn turns_off_when_the_interferer_leaves() {
-        let mut a = AdaptiveRecovery::new(20, 0.3, 0.1);
-        for _ in 0..20 {
+        let mut a = AdaptiveRecovery::practical_default();
+        for _ in 0..WINDOW {
             a.observe(FrameOutcome::CrcFailed);
         }
         assert!(a.enabled);
-        for _ in 0..40 {
+        for _ in 0..2 * WINDOW {
             a.observe(FrameOutcome::Ok);
         }
         assert!(!a.enabled);
@@ -172,20 +146,14 @@ mod tests {
 
     #[test]
     fn window_is_sliding() {
-        let mut a = AdaptiveRecovery::new(10, 0.5, 0.1);
-        for _ in 0..10 {
+        let mut a = AdaptiveRecovery::practical_default();
+        for _ in 0..WINDOW {
             a.observe(FrameOutcome::CrcFailed);
         }
         assert_eq!(a.failure_rate(), 1.0);
-        for _ in 0..10 {
+        for _ in 0..WINDOW {
             a.observe(FrameOutcome::Ok);
         }
         assert_eq!(a.failure_rate(), 0.0, "old failures must age out");
-    }
-
-    #[test]
-    #[should_panic(expected = "hysteresis")]
-    fn inverted_thresholds_rejected() {
-        let _ = AdaptiveRecovery::new(10, 0.1, 0.3);
     }
 }
